@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from dopplerveil import _textfmt
 from dopplerveil.scenario import SPEED_OF_LIGHT, WalkerParams
 from dopplerveil.waveform import BasebandSignal
 
@@ -125,9 +126,11 @@ def cfr(chan: ChannelRealization, f, t):
     t = np.asarray(t, dtype=float)
     total = np.zeros(np.broadcast(f, t).shape, dtype=complex)
     for track in chan.tracks:
-        tau = path_delay(track, t)
-        total += track.reflectivity * np.exp(
-            -2j * np.pi * (chan.carrier_hz + f) * tau)
+        term = np.asarray(
+            -2j * np.pi * (chan.carrier_hz + f) * path_delay(track, t))
+        np.exp(term, out=term)
+        np.multiply(track.reflectivity, term, out=term)
+        total += term
     return total
 
 
@@ -225,8 +228,13 @@ def propagate(sig: BasebandSignal, chan: ChannelRealization,
 
 def dump_tracks(tracks: list, path) -> None:
     """CSV dump (t, label, path_length_m) for debugging and plotting."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("t_s,label,path_length_m\n")
+    step = _textfmt.BLOCK_VALUES // 2
+    with open(path, "wb") as fh:
+        fh.write(b"t_s,label,path_length_m\n")
         for track in tracks:
-            for t, r in zip(track.times_s, track.path_length_m):
-                fh.write(f"{t:.9e},{track.label},{r:.9e}\n")
+            label = b"," + track.label.encode("utf-8") + b","
+            for i in range(0, len(track.times_s), step):
+                fh.write(_textfmt._join_rows(
+                    _textfmt._format_e9(track.times_s[i:i + step]), label,
+                    _textfmt._format_e9(track.path_length_m[i:i + step]),
+                    b"\n"))

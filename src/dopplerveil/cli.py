@@ -168,13 +168,21 @@ def _cmd_sweep(args) -> int:
         print("error: sweep needs --delta-f/--f-m and/or --v-sp values",
               file=sys.stderr)
         return EXIT_CONFIG
+    # Validate every point before running any, so a bad point writes nothing.
+    configs = []
+    for name, obf in points:
+        cfg = replace(base_cfg, obfuscation=obf)
+        try:
+            validate(cfg)
+        except ScenarioError as exc:
+            print(f"error: {name}: {exc}", file=sys.stderr)
+            return EXIT_CONFIG
+        configs.append((name, cfg))
     formats = tuple(args.format) if args.format else ("csv", "pgm")
     out_root = Path(args.out)
 
     def one(point):
-        name, obf = point
-        cfg = replace(base_cfg, obfuscation=obf)
-        validate(cfg)
+        name, cfg = point
         report = run_scenario(cfg, out_root / name, baseline_dir=args.baseline,
                               formats=formats, scenario_path=str(args.scenario))
         return name, report
@@ -182,9 +190,9 @@ def _cmd_sweep(args) -> int:
     try:
         if args.threads > 1:
             with ThreadPoolExecutor(max_workers=args.threads) as pool:
-                results = list(pool.map(one, points))
+                results = list(pool.map(one, configs))
         else:
-            results = [one(p) for p in points]
+            results = [one(p) for p in configs]
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME

@@ -28,6 +28,11 @@ from dopplerveil.scenario import (ScenarioConfig, DerivedParams, derive_streams,
 # effectively constant over one frame (~230 us) for per-frame equalization.
 DATA_SYMBOLS_PER_FRAME = 50
 
+# A baseline spectrogram's axes are read back from `%.9e` CSV text (10
+# significant digits, relative error <= 5e-10), so they match a run's axes to
+# this relative tolerance when the two runs share an analysis grid.
+BASELINE_AXIS_RTOL = 1e-9
+
 
 @dataclass
 class RunReport:
@@ -49,7 +54,7 @@ def build_channel(cfg: ScenarioConfig, derived: DerivedParams,
 
 def _obfuscation_grid_factor(cfg: ScenarioConfig, used_k: np.ndarray,
                              times: np.ndarray) -> np.ndarray:
-    """Per-(used subcarrier, probe time) transmit multiplier."""
+    """Per-(used subcarrier, probe time) transmit multiplier, a new array."""
     ob = cfg.obfuscation
     if ob.kind == "smear":
         return np.broadcast_to(
@@ -85,16 +90,23 @@ def simulate_csi(cfg: ScenarioConfig, derived: DerivedParams,
     table = wf.known_symbol_table(n, derived.used_bins)
     x_used = table[derived.used_bins]
     freqs = derived.used_k * cfg.subcarrier_spacing_hz
+    # y = x * obf * h, built in place: this pass holds the largest arrays of
+    # a run, and a sweep runs several of them at once.
     h = chan_mod.cfr_matrix(chan, freqs, times)
-    obf = _obfuscation_grid_factor(cfg, derived.used_k, times)
-    y = x_used[:, None] * obf * h
+    y = _obfuscation_grid_factor(cfg, derived.used_k, times)
+    np.multiply(x_used[:, None], y, out=y)
+    y *= h
+    del h
 
     if math.isfinite(cfg.snr_db):
         p_sample = float(np.mean(np.abs(y) ** 2)) * len(x_used) / n
         var = p_sample / (10.0 ** (cfg.snr_db / 10.0))
-        noise = (rng_noise.standard_normal(y.shape)
-                 + 1j * rng_noise.standard_normal(y.shape))
-        y = y + noise * math.sqrt(var / 2.0)
+        noise = np.empty(y.shape, dtype=complex)
+        noise.real = rng_noise.standard_normal(y.shape)
+        noise.imag = rng_noise.standard_normal(y.shape)
+        noise *= math.sqrt(var / 2.0)
+        y += noise
+        del noise
 
     # Reference-conjugated series: (1/N) sum_k Y[k] X*[k]  (Parseval form of the
     # per-symbol time-domain mean of rx * conj(tx)).
@@ -119,6 +131,11 @@ def _stft_samples(rate_hz: float, cfg: ScenarioConfig):
     hop = max(1, int(round(cfg.stft.hop_s * rate_hz)))
     n_fft = cfg.stft.n_fft or spec_mod.next_pow2(4 * window_len)
     return window_len, hop, n_fft
+
+
+def _axis_matches(base_axis: np.ndarray, run_axis: np.ndarray) -> bool:
+    return bool(np.allclose(base_axis, run_axis, rtol=BASELINE_AXIS_RTOL,
+                            atol=0.0))
 
 
 def simulate_demod(cfg: ScenarioConfig, derived: DerivedParams,
@@ -248,6 +265,9 @@ def run_scenario(cfg: ScenarioConfig, out_dir, baseline_dir=None,
             base = spec_mod.load_spectrogram_csv(base_csv)
             if base.power.shape != spec.power.shape:
                 report.metrics[key] = "skipped:dimension-mismatch"
+            elif not (_axis_matches(base.freqs_hz, spec.freqs_hz)
+                      and _axis_matches(base.times_s, spec.times_s)):
+                report.metrics[key] = "skipped:axis-mismatch"
             else:
                 report.metrics[key] = spec_mod.spectrogram_correlation(spec, base)
     else:

@@ -11,6 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from dopplerveil import _textfmt
 from dopplerveil.waveform import (BasebandSignal, SymbolGrid, KIND_DATA,
                                   _axis_levels, qam_energy)
 
@@ -124,14 +125,23 @@ def evm_rms(eq_symbols: np.ndarray, tx_symbols: np.ndarray) -> float:
 
 
 def dump_cfr_csv(series: CfrSeries, path) -> None:
-    """CSV dump (t, k, re, im, power)."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("t_s,k,re,im,power\n")
-        for j, t in enumerate(series.t_s):
-            for i, k in enumerate(series.subcarriers):
-                h = series.h_hat[i, j]
-                fh.write(f"{t:.9e},{int(k)},{h.real:.9e},{h.imag:.9e},"
-                         f"{series.power[i, j]:.9e}\n")
+    """CSV dump (t, k, re, im, power): one row per subcarrier per instant."""
+    n_k = len(series.subcarriers)
+    k_bytes = np.array([b"%d" % int(k) for k in series.subcarriers],
+                       dtype=bytes)
+    k_text = k_bytes.view(np.uint8).reshape(n_k, k_bytes.itemsize)
+    step = max(1, _textfmt.BLOCK_VALUES // (4 * max(1, n_k)))
+    with open(path, "wb") as fh:
+        fh.write(b"t_s,k,re,im,power\n")
+        for j in range(0, len(series.t_s), step):
+            t = series.t_s[j:j + step]
+            h = series.h_hat[:, j:j + step].T
+            values = np.stack([h.real, h.imag, series.power[:, j:j + step].T],
+                              axis=-1).reshape(len(t) * n_k, 3)
+            fh.write(_textfmt._join_rows(
+                np.repeat(_textfmt._format_e9(t), n_k, axis=0), b",",
+                np.tile(k_text, (len(t), 1)),
+                _textfmt._format_e9_cells(values), b"\n"))
 
 
 def dump_cfr_bin(series: CfrSeries, path) -> None:

@@ -11,6 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from dopplerveil import _textfmt
 from dopplerveil.receiver import CfrSeries
 from dopplerveil.waveform import BasebandSignal
 
@@ -190,11 +191,14 @@ def peak_doppler_track(s: Spectrogram) -> np.ndarray:
 
 def save_spectrogram_csv(s: Spectrogram, path) -> None:
     """CSV matrix with axis header rows: first row times, first column freqs."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("freq_hz\\time_s," + ",".join(f"{t:.9e}" for t in s.times_s) + "\n")
-        for i, f in enumerate(s.freqs_hz):
-            row = ",".join(f"{v:.9e}" for v in s.power[i])
-            fh.write(f"{f:.9e},{row}\n")
+    with open(path, "wb") as fh:
+        fh.write(b"freq_hz\\time_s" + _textfmt._join_rows(
+            _textfmt._format_e9_cells(s.times_s[None, :]), b"\n"))
+        step = max(1, _textfmt.BLOCK_VALUES // (1 + len(s.times_s)))
+        for i in range(0, len(s.freqs_hz), step):
+            fh.write(_textfmt._join_rows(
+                _textfmt._format_e9(s.freqs_hz[i:i + step]),
+                _textfmt._format_e9_cells(s.power[i:i + step]), b"\n"))
 
 
 def save_spectrogram_pgm(s: Spectrogram, path, floor_db: float = PGM_FLOOR_DB) -> None:
@@ -219,13 +223,9 @@ def load_spectrogram_csv(path) -> Spectrogram:
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().strip().split(",")
         times = np.array([float(v) for v in header[1:]])
-        freqs = []
-        rows = []
-        for line in fh:
-            parts = line.strip().split(",")
-            freqs.append(float(parts[0]))
-            rows.append([float(v) for v in parts[1:]])
-    power = np.array(rows)
-    return Spectrogram(power=power, freqs_hz=np.array(freqs), times_s=times,
+        table = np.loadtxt(fh, delimiter=",", ndmin=2)
+    # Contiguous, so sums over it round as they did over a row-built array.
+    power = np.ascontiguousarray(table[:, 1:])
+    return Spectrogram(power=power, freqs_hz=table[:, 0], times_s=times,
                        window_len=0, hop=0, n_fft=power.shape[0],
                        window_kind="unknown")

@@ -124,3 +124,12 @@ def test_sweep_threaded_matches_serial(scenario_file, tmp_path):
         a = (serial / name / "method2_spectrogram.csv").read_bytes()
         b = (threaded / name / "method2_spectrogram.csv").read_bytes()
         assert a == b
+
+
+def test_sweep_invalid_point_runs_nothing(scenario_file, tmp_path, capsys):
+    # The first point is valid, the second (f_m = 0) is not: nothing runs.
+    out = tmp_path / "sweep"
+    assert main(["sweep", "--scenario", str(scenario_file), "--out", str(out),
+                 "--delta-f", "100", "--f-m", "10", "0"]) == EXIT_CONFIG
+    assert "smear_df100_fm0" in capsys.readouterr().err
+    assert not out.exists() or not any(out.iterdir())

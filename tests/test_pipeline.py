@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -111,3 +112,19 @@ def test_walker_point_csi_doppler_line():
     s = sp.method2_view(series)
     track = sp.peak_doppler_track(s)
     assert np.median(track) == pytest.approx(15.48, abs=0.5)
+
+
+def test_run_scenario_baseline_axis_mismatch(tmp_path):
+    # 900 Hz and 1000 Hz CSI give the same method-2 shape, (2048, 11), on
+    # different frequency and time axes; correlating them would be meaningless.
+    cfg = _cfg(duration_s=1.0, csi_rate_hz=1000.0,
+               stft=StftParams(window_len_s=0.5, hop_s=0.05))
+    pl.run_scenario(replace(cfg, csi_rate_hz=900.0), tmp_path / "base",
+                    formats=("csv",))
+    report = pl.run_scenario(cfg, tmp_path / "run", formats=("csv",),
+                             baseline_dir=tmp_path / "base")
+    assert report.metrics["correlation_method2_vs_baseline"] \
+        == "skipped:axis-mismatch"
+    same = pl.run_scenario(cfg, tmp_path / "same", formats=(),
+                           baseline_dir=tmp_path / "run")
+    assert same.metrics["correlation_method2_vs_baseline"] == 1.0
