@@ -12,7 +12,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from pathlib import Path
 
-from dopplerveil.pipeline import parse_report, run_scenario
+from dopplerveil.pipeline import parse_report, point_invariant, run_scenario
 from dopplerveil.scenario import (Obfuscation, ScenarioError,
                                   load_scenario_file, validate)
 
@@ -169,30 +169,39 @@ def _cmd_sweep(args) -> int:
               file=sys.stderr)
         return EXIT_CONFIG
     # Validate every point before running any, so a bad point writes nothing.
-    configs = []
+    # Point names are output directory names: two points must not share one.
+    configs = {}
     for name, obf in points:
+        if name in configs:
+            print(f"error: {name}: two sweep points share this name and "
+                  "output directory", file=sys.stderr)
+            return EXIT_CONFIG
         cfg = replace(base_cfg, obfuscation=obf)
         try:
             validate(cfg)
         except ScenarioError as exc:
             print(f"error: {name}: {exc}", file=sys.stderr)
             return EXIT_CONFIG
-        configs.append((name, cfg))
+        configs[name] = cfg
     formats = tuple(args.format) if args.format else ("csv", "pgm")
     out_root = Path(args.out)
 
     def one(point):
         name, cfg = point
         report = run_scenario(cfg, out_root / name, baseline_dir=args.baseline,
-                              formats=formats, scenario_path=str(args.scenario))
+                              formats=formats, scenario_path=str(args.scenario),
+                              shared=shared)
         return name, report
 
     try:
+        # The channel, its CSI-pass CFR grid and the baselines do not depend
+        # on the obfuscation: every point shares one read-only copy.
+        shared = point_invariant(base_cfg, args.baseline)
         if args.threads > 1:
             with ThreadPoolExecutor(max_workers=args.threads) as pool:
-                results = list(pool.map(one, configs))
+                results = list(pool.map(one, configs.items()))
         else:
-            results = [one(p) for p in configs]
+            results = [one(p) for p in configs.items()]
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME

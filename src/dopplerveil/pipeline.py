@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -21,8 +21,8 @@ from dopplerveil import spectral as spec_mod
 from dopplerveil import waveform as wf
 from dopplerveil.obfuscator import (SmearParams, SpoofParams, apply_smearing,
                                     apply_spoofing, smear_phasor, spoof_phasor)
-from dopplerveil.scenario import (ScenarioConfig, DerivedParams, derive_streams,
-                                  rng_streams)
+from dopplerveil.scenario import (Obfuscation, ScenarioConfig, DerivedParams,
+                                  derive_streams, rng_streams)
 
 # Data symbols between preambles; short enough that the walking channel stays
 # effectively constant over one frame (~230 us) for per-frame equalization.
@@ -32,6 +32,9 @@ DATA_SYMBOLS_PER_FRAME = 50
 # significant digits, relative error <= 5e-10), so they match a run's axes to
 # this relative tolerance when the two runs share an analysis grid.
 BASELINE_AXIS_RTOL = 1e-9
+
+# Baseline spectrograms a run correlates against, by attacker view.
+BASELINE_VIEWS = ("method1", "method2")
 
 
 @dataclass
@@ -50,6 +53,77 @@ def build_channel(cfg: ScenarioConfig, derived: DerivedParams,
         tracks.append(chan_mod.static_track(p.range_m, p.gain, duration,
                                             label=f"static-{i}"))
     return chan_mod.ChannelRealization(tracks=tracks, carrier_hz=cfg.carrier_hz)
+
+
+@dataclass(frozen=True)
+class _ProbeGrid:
+    ratio: int  # probe symbols per CSI sample
+    rate_hz: float
+    freqs_hz: np.ndarray  # used subcarrier offsets from the carrier
+    times_s: np.ndarray  # probe symbol mid-times
+
+
+def _probe_grid(cfg: ScenarioConfig, derived: DerivedParams) -> _ProbeGrid:
+    """The CSI pass's (used subcarrier, probe time) sampling grid."""
+    ratio = max(1, int(math.ceil(spec_mod.DEFAULT_METHOD1_RATE_HZ
+                                 / cfg.csi_rate_hz)))
+    rate = cfg.csi_rate_hz * ratio
+    n_probes = int(math.floor(cfg.duration_s * rate))
+    return _ProbeGrid(
+        ratio=ratio, rate_hz=rate,
+        freqs_hz=derived.used_k * cfg.subcarrier_spacing_hz,
+        times_s=np.arange(n_probes) / rate + 0.5 * derived.t_sym_s)
+
+
+@dataclass(frozen=True)
+class PointInvariant:
+    """The work every point of a sweep shares: all but the obfuscation.
+
+    `cfg` is the scenario with obfuscation none; `cfr` is H on the CSI pass's
+    probe grid; `baselines` maps each view in BASELINE_VIEWS to its loaded
+    baseline spectrogram, or None when the CSV is missing, and is None when
+    no baseline directory was given.  Every array is read-only, so a sweep
+    thread that writes to one raises instead of corrupting another point.
+    """
+    cfg: ScenarioConfig
+    baseline_dir: Path | None
+    chan: chan_mod.ChannelRealization
+    cfr: np.ndarray
+    baselines: dict | None
+
+
+def _dir_or_none(path) -> Path | None:
+    return None if path is None else Path(path)
+
+
+def _freeze(*arrays) -> None:
+    for a in arrays:
+        a.flags.writeable = False
+
+
+def _load_baseline(baseline_dir, view: str):
+    """The view's baseline Spectrogram, or None when its CSV is missing."""
+    path = Path(baseline_dir) / f"{view}_spectrogram.csv"
+    return spec_mod.load_spectrogram_csv(path) if path.exists() else None
+
+
+def point_invariant(cfg: ScenarioConfig, baseline_dir=None) -> PointInvariant:
+    """Build the channel, its CSI-pass CFR grid and the baselines once."""
+    cfg = replace(cfg, obfuscation=Obfuscation())
+    derived = derive_streams(cfg)
+    chan = build_channel(cfg, derived, rng_streams(cfg.seed).walker)
+    grid = _probe_grid(cfg, derived)
+    h = chan_mod.cfr_matrix(chan, grid.freqs_hz, grid.times_s)
+    _freeze(h, *(a for tr in chan.tracks
+                 for a in (tr.times_s, tr.path_length_m)))
+    baselines = None
+    if baseline_dir is not None:
+        baselines = {view: _load_baseline(baseline_dir, view)
+                     for view in BASELINE_VIEWS}
+        _freeze(*(a for s in baselines.values() if s is not None
+                  for a in (s.power, s.freqs_hz, s.times_s)))
+    return PointInvariant(cfg=cfg, baseline_dir=_dir_or_none(baseline_dir),
+                          chan=chan, cfr=h, baselines=baselines)
 
 
 def _obfuscation_grid_factor(cfg: ScenarioConfig, used_k: np.ndarray,
@@ -72,27 +146,30 @@ def _obfuscation_grid_factor(cfg: ScenarioConfig, used_k: np.ndarray,
 
 
 def simulate_csi(cfg: ScenarioConfig, derived: DerivedParams,
-                 chan: chan_mod.ChannelRealization, rng_noise):
+                 chan: chan_mod.ChannelRealization, rng_noise, h=None):
     """Probe-mode CSI pass.
 
     Returns (method1 complex series as a BasebandSignal at the probe rate,
     CfrSeries at the configured CSI rate).  The method1 series is the
     per-symbol mean of rx * conj(clean tx), i.e. the reference-conjugated
     received signal already decimated to one sample per probe symbol.
+    `h` is chan's CFR on the probe grid (PointInvariant.cfr); when it is not
+    given it is evaluated here and released when the pass ends.  It is only
+    read.
     """
-    ratio = max(1, int(math.ceil(spec_mod.DEFAULT_METHOD1_RATE_HZ
-                                 / cfg.csi_rate_hz)))
-    probe_rate = cfg.csi_rate_hz * ratio
-    n_probes = int(math.floor(cfg.duration_s * probe_rate))
-    times = np.arange(n_probes) / probe_rate + 0.5 * derived.t_sym_s
+    grid = _probe_grid(cfg, derived)
+    ratio, times = grid.ratio, grid.times_s
+    if h is None:
+        h = chan_mod.cfr_matrix(chan, grid.freqs_hz, times)
+    elif h.shape != (len(grid.freqs_hz), len(times)):
+        raise ValueError(f"CFR grid shape {h.shape} does not match the probe "
+                         f"grid {(len(grid.freqs_hz), len(times))}")
 
     n = cfg.n_subcarriers
     table = wf.known_symbol_table(n, derived.used_bins)
     x_used = table[derived.used_bins]
-    freqs = derived.used_k * cfg.subcarrier_spacing_hz
     # y = x * obf * h, built in place: this pass holds the largest arrays of
     # a run, and a sweep runs several of them at once.
-    h = chan_mod.cfr_matrix(chan, freqs, times)
     y = _obfuscation_grid_factor(cfg, derived.used_k, times)
     np.multiply(x_used[:, None], y, out=y)
     y *= h
@@ -111,7 +188,7 @@ def simulate_csi(cfg: ScenarioConfig, derived: DerivedParams,
     # Reference-conjugated series: (1/N) sum_k Y[k] X*[k]  (Parseval form of the
     # per-symbol time-domain mean of rx * conj(tx)).
     m1 = (y * np.conj(x_used)[:, None]).sum(axis=0) / n
-    m1_sig = wf.BasebandSignal(samples=m1, sample_rate_hz=probe_rate,
+    m1_sig = wf.BasebandSignal(samples=m1, sample_rate_hz=grid.rate_hz,
                                t0=times[0])
 
     h_hat = np.conj(x_used)[:, None] * y[:, ::ratio] / \
@@ -150,7 +227,6 @@ def simulate_demod(cfg: ScenarioConfig, derived: DerivedParams,
     bits = rngs.bits.integers(0, 2, size=n_frames * bits_per_frame)
 
     sym_per_frame = wf.PREAMBLE_SYMBOLS + DATA_SYMBOLS_PER_FRAME
-    grids = []
     chunks = []
     for f in range(n_frames):
         t0 = f * sym_per_frame * derived.t_sym_s
@@ -162,7 +238,6 @@ def simulate_demod(cfg: ScenarioConfig, derived: DerivedParams,
             grid = apply_spoofing(grid, mid, cfg.subcarrier_spacing_hz,
                                   SpoofParams(-cfg.obfuscation.v_sp_mps),
                                   carrier_hz=cfg.carrier_hz)
-        grids.append(grid)
         chunks.append(wf.ofdm_modulate(grid, cfg.cp_len,
                                        derived.sample_rate_hz, t0=t0).samples)
     tx = wf.BasebandSignal(np.concatenate(chunks), derived.sample_rate_hz, 0.0)
@@ -209,16 +284,29 @@ def simulate_demod(cfg: ScenarioConfig, derived: DerivedParams,
 
 def run_scenario(cfg: ScenarioConfig, out_dir, baseline_dir=None,
                  formats=("csv", "pgm"), dump_iq: bool = False,
-                 scenario_path: str = "") -> RunReport:
-    """Execute one scenario and write all artifacts into out_dir."""
+                 scenario_path: str = "",
+                 shared: PointInvariant | None = None) -> RunReport:
+    """Execute one scenario and write all artifacts into out_dir.
+
+    `shared` is `point_invariant(cfg, baseline_dir)`, built once for all the
+    points of a sweep; without it the run builds each piece itself.
+    """
     start = time.perf_counter()
+    if shared is not None and (
+            replace(cfg, obfuscation=shared.cfg.obfuscation) != shared.cfg
+            or _dir_or_none(baseline_dir) != shared.baseline_dir):
+        raise ValueError("shared work was built for another scenario "
+                         "or baseline")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     derived = derive_streams(cfg)
     rngs = rng_streams(cfg.seed)
-    chan = build_channel(cfg, derived, rngs.walker)
+    if shared is None:
+        chan, h, baselines = build_channel(cfg, derived, rngs.walker), None, None
+    else:
+        chan, h, baselines = shared.chan, shared.cfr, shared.baselines
 
-    m1_sig, cfr_series = simulate_csi(cfg, derived, chan, rngs.noise)
+    m1_sig, cfr_series = simulate_csi(cfg, derived, chan, rngs.noise, h=h)
     w1, h1, f1 = _stft_samples(m1_sig.sample_rate_hz, cfg)
     spec1 = spec_mod.stft(m1_sig.samples, m1_sig.sample_rate_hz, w1, h1, f1,
                           cfg.stft.window_kind, t0=m1_sig.t0)
@@ -256,14 +344,14 @@ def run_scenario(cfg: ScenarioConfig, out_dir, baseline_dir=None,
     }
 
     if baseline_dir is not None:
-        for name, spec in (("method1", spec1), ("method2", spec2)):
-            base_csv = Path(baseline_dir) / f"{name}_spectrogram.csv"
+        for name, spec in zip(BASELINE_VIEWS, (spec1, spec2)):
             key = f"correlation_{name}_vs_baseline"
-            if not base_csv.exists():
+            # A run on its own holds one baseline view at a time.
+            base = (_load_baseline(baseline_dir, name) if baselines is None
+                    else baselines[name])
+            if base is None:
                 report.metrics[key] = "skipped:baseline-artifact-missing"
-                continue
-            base = spec_mod.load_spectrogram_csv(base_csv)
-            if base.power.shape != spec.power.shape:
+            elif base.power.shape != spec.power.shape:
                 report.metrics[key] = "skipped:dimension-mismatch"
             elif not (_axis_matches(base.freqs_hz, spec.freqs_hz)
                       and _axis_matches(base.times_s, spec.times_s)):

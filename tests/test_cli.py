@@ -2,8 +2,10 @@ from pathlib import Path
 
 import pytest
 
+from dopplerveil import channel, pipeline, spectral
 from dopplerveil.cli import (EXIT_CONFIG, EXIT_OK, EXIT_RUNTIME,
                              EXIT_THRESHOLD, main)
+from dopplerveil.pipeline import parse_report
 
 FAST_SCENARIO = """
 duration_s: 0.6
@@ -133,3 +135,105 @@ def test_sweep_invalid_point_runs_nothing(scenario_file, tmp_path, capsys):
                  "--delta-f", "100", "--f-m", "10", "0"]) == EXIT_CONFIG
     assert "smear_df100_fm0" in capsys.readouterr().err
     assert not out.exists() or not any(out.iterdir())
+
+
+@pytest.mark.parametrize("values", [("5", "5"), ("1e-7", "1.0000001e-7")])
+def test_sweep_rejects_colliding_point_names(scenario_file, tmp_path, capsys,
+                                             values):
+    # Both values name the same output directory: nothing may run.
+    out = tmp_path / "sweep"
+    assert main(["sweep", "--scenario", str(scenario_file), "--out", str(out),
+                 "--v-sp", *values, "--threads", "2"]) == EXIT_CONFIG
+    assert f"spoof_vsp{float(values[0]):g}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def _outputs(run_dir: Path) -> dict:
+    """Every file's bytes; report lines naming paths or wall time dropped."""
+    files = {}
+    for path in sorted(run_dir.iterdir()):
+        data = path.read_bytes()
+        if path.name == "report.txt":
+            data = b"".join(
+                line for line in data.splitlines(keepends=True)
+                if not line.startswith((b"artifact.", b"wall_time_s",
+                                        b"scenario.path")))
+        files[path.name] = data
+    return files
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_sweep_points_match_standalone_runs(scenario_file, tmp_path, threads):
+    base = tmp_path / "base"
+    assert main(["run", "--scenario", str(scenario_file),
+                 "--out", str(base)]) == EXIT_OK
+    out = tmp_path / "sweep"
+    assert main(["sweep", "--scenario", str(scenario_file), "--out", str(out),
+                 "--delta-f", "100", "--f-m", "10", "--v-sp", "-2", "5",
+                 "--baseline", str(base), "--threads", threads]) == EXIT_OK
+    # Floats, as the sweep writes them into scenario.* report lines.
+    points = {"smear_df100_fm10":
+              "{kind: smear, delta_f_hz: 100.0, f_m_hz: 10.0}",
+              "spoof_vsp-2": "{kind: spoof, v_sp_mps: -2.0}",
+              "spoof_vsp5": "{kind: spoof, v_sp_mps: 5.0}"}
+    assert sorted(p.name for p in out.iterdir()) == sorted(points)
+    for name, obf in points.items():
+        scenario = tmp_path / f"{name}.yaml"
+        scenario.write_text(FAST_SCENARIO + f"obfuscation: {obf}\n")
+        alone = tmp_path / "alone" / name
+        assert main(["run", "--scenario", str(scenario), "--out", str(alone),
+                     "--baseline", str(base)]) == EXIT_OK
+        swept = _outputs(out / name)
+        assert swept == _outputs(alone), name
+        assert b"correlation_method2_vs_baseline = skipped" \
+            not in swept["report.txt"]
+
+
+def test_sweep_baseline_without_artifacts(scenario_file, tmp_path):
+    empty = tmp_path / "empty"
+    empty.mkdir()
+    out = tmp_path / "sweep"
+    assert main(["sweep", "--scenario", str(scenario_file), "--out", str(out),
+                 "--v-sp", "5", "16", "--baseline", str(empty),
+                 "--threads", "2"]) == EXIT_OK
+    for name in ("spoof_vsp5", "spoof_vsp16"):
+        report = parse_report(out / name / "report.txt")
+        for view in ("method1", "method2"):
+            assert report[f"metric.correlation_{view}_vs_baseline"] \
+                == "skipped:baseline-artifact-missing"
+
+
+def _count_calls(monkeypatch, module, attr) -> list:
+    calls = []
+    fn = getattr(module, attr)
+
+    def counted(*args, **kwargs):
+        calls.append(args[0])
+        return fn(*args, **kwargs)
+    monkeypatch.setattr(module, attr, counted)
+    return calls
+
+
+def test_sweep_computes_point_invariant_work_once(scenario_file, tmp_path,
+                                                  monkeypatch):
+    base = tmp_path / "base"
+    assert main(["run", "--scenario", str(scenario_file),
+                 "--out", str(base)]) == EXIT_OK
+    builds = _count_calls(monkeypatch, pipeline, "build_channel")
+    cfrs = _count_calls(monkeypatch, channel, "cfr_matrix")
+    loads = _count_calls(monkeypatch, spectral, "load_spectrogram_csv")
+
+    assert main(["sweep", "--scenario", str(scenario_file),
+                 "--out", str(tmp_path / "sweep"), "--delta-f", "100", "200",
+                 "--f-m", "10", "--v-sp", "5", "16", "--baseline", str(base),
+                 "--threads", "2"]) == EXIT_OK
+    assert (len(builds), len(cfrs)) == (1, 1)
+    assert sorted(Path(p).name for p in loads) \
+        == ["method1_spectrogram.csv", "method2_spectrogram.csv"]
+
+    # A single run still builds and reads each piece once itself.
+    del builds[:], cfrs[:], loads[:]
+    assert main(["run", "--scenario", str(scenario_file),
+                 "--out", str(tmp_path / "run"),
+                 "--baseline", str(base)]) == EXIT_OK
+    assert (len(builds), len(cfrs), len(loads)) == (1, 1, 2)

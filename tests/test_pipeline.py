@@ -128,3 +128,31 @@ def test_run_scenario_baseline_axis_mismatch(tmp_path):
     same = pl.run_scenario(cfg, tmp_path / "same", formats=(),
                            baseline_dir=tmp_path / "run")
     assert same.metrics["correlation_method2_vs_baseline"] == 1.0
+
+
+def test_point_invariant_shared_read_only_and_tied_to_its_scenario(tmp_path):
+    cfg = _cfg(snr_db=20.0)
+    base = tmp_path / "base"
+    pl.run_scenario(cfg, base, formats=("csv",))
+    shared = pl.point_invariant(cfg, base)
+    for array in (shared.cfr, shared.chan.tracks[0].path_length_m,
+                  shared.baselines["method2"].power):
+        with pytest.raises(ValueError, match="read-only"):
+            array.flat[0] = 0
+
+    spoof = replace(cfg, obfuscation=Obfuscation(kind="spoof", v_sp_mps=5.0))
+    with_shared = pl.run_scenario(spoof, tmp_path / "a", formats=(),
+                                  baseline_dir=base, shared=shared)
+    alone = pl.run_scenario(spoof, tmp_path / "b", formats=(),
+                            baseline_dir=base)
+    assert with_shared.metrics == alone.metrics
+
+    for other, baseline_dir in ((replace(spoof, seed=2), base),
+                                (spoof, None), (spoof, tmp_path / "a")):
+        with pytest.raises(ValueError, match="another scenario"):
+            pl.run_scenario(other, tmp_path / "c", formats=(),
+                            baseline_dir=baseline_dir, shared=shared)
+    d = derive_streams(cfg)
+    with pytest.raises(ValueError, match="probe grid"):
+        pl.simulate_csi(cfg, d, shared.chan, rng_streams(1).noise,
+                        h=shared.cfr[:, 1:])
