@@ -13,13 +13,15 @@ collinear geometry used in the tests.)
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from dopplerveil import _textfmt
 from dopplerveil.scenario import SPEED_OF_LIGHT, WalkerParams
-from dopplerveil.waveform import BasebandSignal
+from dopplerveil.receiver import ofdm_demodulate
+from dopplerveil.waveform import (BasebandSignal, ofdm_modulate,
+                                  signed_subcarriers, symbol_midtimes)
 
 TRACK_DT_S = 0.005  # walker track sampling step; gait harmonics live below 20 Hz
 
@@ -40,7 +42,6 @@ class ScattererTrack:
 class ChannelRealization:
     tracks: list
     carrier_hz: float
-    noise_power: float = 0.0
 
     def __post_init__(self):
         if not self.tracks:
@@ -140,28 +141,34 @@ def cfr_matrix(chan: ChannelRealization, freqs: np.ndarray,
     return cfr(chan, np.asarray(freqs)[:, None], np.asarray(times)[None, :])
 
 
-def add_awgn(sig: BasebandSignal, snr_db: float,
+def add_awgn(x: np.ndarray, snr_db: float,
              rng: np.random.Generator | None = None,
-             signal_power: float | None = None) -> BasebandSignal:
-    """Complex AWGN sized so 10 log10(P_sig / P_noise) = snr_db."""
+             signal_power: float | None = None) -> None:
+    """Add complex AWGN to x in place so 10 log10(P_sig / P_noise) = snr_db.
+
+    x is a complex array of any shape; P_sig is signal_power, or the mean
+    power of x when it is not given.  The noise takes every real part, then
+    every imaginary part, from rng in x's C order.  An infinite snr_db
+    leaves x and rng untouched.
+    """
     if math.isinf(snr_db):
-        return BasebandSignal(sig.samples.copy(), sig.sample_rate_hz, sig.t0)
+        return
     if rng is None:
         raise ValueError("finite-SNR noise needs an RNG")
     p_sig = signal_power if signal_power is not None \
-        else float(np.mean(np.abs(sig.samples) ** 2))
+        else float(np.mean(np.abs(x) ** 2))
     var = p_sig / (10.0 ** (snr_db / 10.0))
-    n = len(sig.samples)
-    noise = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    noise = np.empty(x.shape, dtype=complex)
+    noise.real = rng.standard_normal(x.shape)
+    noise.imag = rng.standard_normal(x.shape)
     noise *= math.sqrt(var / 2.0)
-    return BasebandSignal(sig.samples + noise, sig.sample_rate_hz, sig.t0)
+    x += noise
 
 
 def propagate(sig: BasebandSignal, chan: ChannelRealization,
               n_subcarriers: int | None = None, cp_len: int | None = None,
               mode: str = "fast", snr_db: float = math.inf,
-              rng: np.random.Generator | None = None,
-              signal_power: float | None = None) -> BasebandSignal:
+              rng: np.random.Generator | None = None) -> BasebandSignal:
     """Push the signal through the time-varying multipath channel plus AWGN.
 
     fast mode: the channel is frozen per OFDM symbol (midpoint delay) and
@@ -182,30 +189,13 @@ def propagate(sig: BasebandSignal, chan: ChannelRealization,
     if mode == "fast":
         if n_subcarriers is None or cp_len is None:
             raise ValueError("fast mode needs n_subcarriers and cp_len")
-        n = n_subcarriers
-        sym_len = n + cp_len
-        if len(sig.samples) % sym_len:
-            raise ValueError("sample count not divisible by the symbol length")
-        m = len(sig.samples) // sym_len
-        t_sym = sym_len / sig.sample_rate_hz
-        t_mid = sig.t0 + (np.arange(m) + 0.5) * t_sym
-        blocks = sig.samples.reshape(m, sym_len)
-        body = blocks[:, cp_len:]
-        grid = np.fft.fft(body, axis=1) / np.sqrt(n)  # (m, n)
-        df = sig.sample_rate_hz / n
-        k_signed = (np.arange(n) + n // 2) % n - n // 2
-        h = np.zeros((m, n), dtype=complex)
-        for track in chan.tracks:
-            tau = path_delay(track, t_mid)
-            h += track.reflectivity * np.exp(
-                -2j * np.pi * (chan.carrier_hz + k_signed[None, :] * df)
-                * tau[:, None])
-        out_body = np.fft.ifft(grid * h, axis=1) * np.sqrt(n)
-        if cp_len:
-            out = np.concatenate([out_body[:, -cp_len:], out_body], axis=1)
-        else:
-            out = out_body
-        result = BasebandSignal(out.reshape(-1), sig.sample_rate_hz, sig.t0)
+        y = ofdm_demodulate(sig, n_subcarriers, cp_len)
+        t_mid = symbol_midtimes(
+            y.n_symbols, (n_subcarriers + cp_len) / sig.sample_rate_hz, sig.t0)
+        df = sig.sample_rate_hz / n_subcarriers
+        y.values *= cfr(chan, signed_subcarriers(n_subcarriers)[:, None] * df,
+                        t_mid[None, :])
+        result = ofdm_modulate(y, cp_len, sig.sample_rate_hz, sig.t0)
     elif mode == "exact":
         t = sig.times()
         fs = sig.sample_rate_hz
@@ -223,7 +213,8 @@ def propagate(sig: BasebandSignal, chan: ChannelRealization,
     else:
         raise ValueError(f"unknown propagation mode {mode!r}")
 
-    return add_awgn(result, snr_db, rng, signal_power=signal_power)
+    add_awgn(result.samples, snr_db, rng)
+    return result
 
 
 def dump_tracks(tracks: list, path) -> None:

@@ -21,8 +21,6 @@ EXIT_CONFIG = 2
 EXIT_RUNTIME = 3
 EXIT_THRESHOLD = 4
 
-_NUMERIC_PREFIXES = ("metric.", "scenario.", "wall_time_s")
-
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -39,8 +37,6 @@ def _build_parser() -> argparse.ArgumentParser:
                        default=None, help="artifact formats (default: csv, pgm)")
     run_p.add_argument("--dump-iq", action="store_true",
                        help="also dump the demod-pass transmit I/Q")
-    run_p.add_argument("--threads", type=int, default=1,
-                       help="accepted for symmetry; a single run is serial")
 
     cmp_p = sub.add_parser("compare", help="diff two run reports")
     cmp_p.add_argument("report_a")

@@ -1,100 +1,61 @@
 """Transmit-side micro-Doppler defenses.
 
-Smearing multiplies the time-domain signal by a unit-modulus FM phasor whose
+Smearing multiplies the transmit signal by a unit-modulus FM phasor whose
 instantaneous frequency swings +-delta_f at rate f_m; spoofing multiplies each
 subcarrier by a phase ramp that mimics a transmitter moving at v_sp, shifting
 the perceived path-length-change speed of every path from v to v - v_sp.
 
-Both multipliers have unit modulus, so signal energy is preserved exactly and
-neither defense disturbs demodulation at the intended receiver.
+Both defenses are one transmit multiplier over (subcarrier k, time t),
+`transmit_multiplier`.  It has unit modulus, so signal energy is preserved
+exactly and neither defense disturbs demodulation at the intended receiver.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from dopplerveil.scenario import SPEED_OF_LIGHT
-from dopplerveil.waveform import BasebandSignal, SymbolGrid
+from dopplerveil.scenario import SPEED_OF_LIGHT, Obfuscation
 
 
-@dataclass(frozen=True)
-class SmearParams:
-    delta_f_hz: float  # max instantaneous frequency deviation
-    f_m_hz: float  # modulation frequency
-
-    def __post_init__(self):
-        if self.f_m_hz <= 0:
-            raise ValueError("f_m_hz must be > 0")
-        if self.delta_f_hz < 0:
-            raise ValueError("delta_f_hz must be >= 0")
-
-
-@dataclass(frozen=True)
-class SpoofParams:
-    v_sp_mps: float  # signed spoofing speed
-
-    def __post_init__(self):
-        if not np.isfinite(self.v_sp_mps):
-            raise ValueError("v_sp_mps must be finite")
-
-
-def smear_phasor(t, p: SmearParams):
+def smear_phasor(t, delta_f_hz: float, f_m_hz: float):
     """FM smearing phasor exp(j (delta_f/f_m) sin(2 pi f_m t)); |.| = 1.
 
     Occupied bandwidth follows Carson's rule, 2*(delta_f + f_m) Hz.
     """
-    beta = p.delta_f_hz / p.f_m_hz
-    return np.exp(1j * beta * np.sin(2.0 * np.pi * p.f_m_hz * np.asarray(t)))
+    beta = delta_f_hz / f_m_hz
+    return np.exp(1j * beta * np.sin(2.0 * np.pi * f_m_hz * np.asarray(t)))
 
 
-def apply_smearing(sig: BasebandSignal, p: SmearParams) -> BasebandSignal:
-    """Re-modulate the whole baseband signal (CP and preamble included).
-
-    The FM phase runs continuously from sig.t0, so back-to-back frames share
-    one phase trajectory and no frame-rate lines appear in the spectrogram.
-    """
-    if sig.sample_rate_hz < 10.0 * (p.delta_f_hz + p.f_m_hz):
-        raise ValueError("sample rate too low for the requested FM smearing")
-    out = sig.samples * smear_phasor(sig.times(), p)
-    return BasebandSignal(out, sig.sample_rate_hz, sig.t0)
-
-
-def spoof_phasor(k, t, subcarrier_spacing_hz: float, p: SpoofParams,
+def spoof_phasor(k, t, subcarrier_spacing_hz: float, v_sp_mps: float,
                  carrier_hz: float = 0.0):
     """Spoofing phasor exp(j 2 pi (carrier + k*df) (v_sp/c) t); |.| = 1.
 
-    With carrier_hz = 0 this is the pure per-subcarrier baseband ramp.  The
-    simulation pipeline passes the scenario carrier so the spoofed phase ramp
-    mirrors the full carrier-inclusive Doppler of a physical transmitter
-    movement; the baseband-only ramp would shift the perceived Doppler by well
-    under the carrier term (sub-Hz at WiFi subcarrier spacings).
+    The simulation passes the scenario carrier, so the ramp mirrors the full
+    carrier-inclusive Doppler of a moving transmitter; carrier_hz = 0 gives
+    the baseband-only ramp, whose shift is sub-Hz at WiFi spacings.
     """
     freq = carrier_hz + np.asarray(k) * subcarrier_spacing_hz
-    phase = 2.0 * np.pi * freq * (p.v_sp_mps / SPEED_OF_LIGHT) * np.asarray(t)
+    phase = 2.0 * np.pi * freq * (v_sp_mps / SPEED_OF_LIGHT) * np.asarray(t)
     return np.exp(1j * phase)
 
 
-def signed_subcarriers(n: int) -> np.ndarray:
-    """Signed baseband subcarrier index for each FFT bin 0..N-1 (DC-centered)."""
-    return (np.arange(n) + n // 2) % n - n // 2
+def transmit_multiplier(obf: Obfuscation, k, t, subcarrier_spacing_hz: float,
+                        carrier_hz: float) -> np.ndarray:
+    """The defense's transmit multiplier at signed subcarrier k and time t.
 
-
-def apply_spoofing(grid: SymbolGrid, symbol_times: np.ndarray,
-                   subcarrier_spacing_hz: float, p: SpoofParams,
-                   carrier_hz: float = 0.0) -> SymbolGrid:
-    """Multiply grid cell (k, m) by the spoofing phasor at the symbol time.
-
-    The phasor is held constant across each OFDM symbol (evaluated at the
-    per-column time), which preserves subcarrier orthogonality exactly; the
-    intra-symbol rotation it ignores is far below a milliradian at realistic
-    spoof speeds.  Bins are interpreted as signed baseband subcarriers so the
-    ramp matches the channel's frequency convention on both halves of the FFT.
+    k and t broadcast; the result is a new array of their broadcast shape.
+    Smearing depends on t only, so a caller that applies it per sample of a
+    time-domain stream may pass k = 0.  Without a defense it is all ones.
     """
-    symbol_times = np.asarray(symbol_times, dtype=float)
-    if len(symbol_times) != grid.n_symbols:
-        raise ValueError("symbol_times length must match the grid column count")
-    k = signed_subcarriers(grid.n_subcarriers)
-    ph = spoof_phasor(k[:, None], symbol_times[None, :],
-                      subcarrier_spacing_hz, p, carrier_hz)
-    return SymbolGrid(values=grid.values * ph, kinds=grid.kinds.copy())
+    shape = np.broadcast(k, t).shape
+    if obf.kind == "spoof":
+        # The channel rotates an approaching path as exp(-j 2 pi f tau(t))
+        # with tau shrinking, i.e. a positive Doppler.  Negating v_sp makes
+        # the configured spoof speed subtract from the perceived speed
+        # (v - v_sp).
+        out = spoof_phasor(k, t, subcarrier_spacing_hz, -obf.v_sp_mps,
+                           carrier_hz)
+    elif obf.kind == "smear":
+        out = smear_phasor(t, obf.delta_f_hz, obf.f_m_hz)
+    else:
+        return np.ones(shape, dtype=complex)
+    return out if out.shape == shape else np.broadcast_to(out, shape).copy()

@@ -19,14 +19,9 @@ from dopplerveil import channel as chan_mod
 from dopplerveil import receiver as rx_mod
 from dopplerveil import spectral as spec_mod
 from dopplerveil import waveform as wf
-from dopplerveil.obfuscator import (SmearParams, SpoofParams, apply_smearing,
-                                    apply_spoofing, smear_phasor, spoof_phasor)
+from dopplerveil.obfuscator import transmit_multiplier
 from dopplerveil.scenario import (Obfuscation, ScenarioConfig, DerivedParams,
-                                  derive_streams, rng_streams)
-
-# Data symbols between preambles; short enough that the walking channel stays
-# effectively constant over one frame (~230 us) for per-frame equalization.
-DATA_SYMBOLS_PER_FRAME = 50
+                                  derive_streams, payload_frames, rng_streams)
 
 # A baseline spectrogram's axes are read back from `%.9e` CSV text (10
 # significant digits, relative error <= 5e-10), so they match a run's axes to
@@ -126,25 +121,6 @@ def point_invariant(cfg: ScenarioConfig, baseline_dir=None) -> PointInvariant:
                           chan=chan, cfr=h, baselines=baselines)
 
 
-def _obfuscation_grid_factor(cfg: ScenarioConfig, used_k: np.ndarray,
-                             times: np.ndarray) -> np.ndarray:
-    """Per-(used subcarrier, probe time) transmit multiplier, a new array."""
-    ob = cfg.obfuscation
-    if ob.kind == "smear":
-        return np.broadcast_to(
-            smear_phasor(times, SmearParams(ob.delta_f_hz, ob.f_m_hz))[None, :],
-            (len(used_k), len(times))).copy()
-    if ob.kind == "spoof":
-        # The channel rotates an approaching path as exp(-j 2 pi f tau(t)) with
-        # tau shrinking, i.e. a positive Doppler.  Negating v_sp here makes the
-        # configured spoof speed subtract from the perceived speed (v - v_sp).
-        return spoof_phasor(used_k[:, None], times[None, :],
-                            cfg.subcarrier_spacing_hz,
-                            SpoofParams(-ob.v_sp_mps),
-                            carrier_hz=cfg.carrier_hz)
-    return np.ones((len(used_k), len(times)), dtype=complex)
-
-
 def simulate_csi(cfg: ScenarioConfig, derived: DerivedParams,
                  chan: chan_mod.ChannelRealization, rng_noise, h=None):
     """Probe-mode CSI pass.
@@ -166,24 +142,21 @@ def simulate_csi(cfg: ScenarioConfig, derived: DerivedParams,
                          f"grid {(len(grid.freqs_hz), len(times))}")
 
     n = cfg.n_subcarriers
-    table = wf.known_symbol_table(n, derived.used_bins)
-    x_used = table[derived.used_bins]
+    x_used = wf.known_symbol_table(n, derived.used_bins)[derived.used_bins]
     # y = x * obf * h, built in place: this pass holds the largest arrays of
     # a run, and a sweep runs several of them at once.
-    y = _obfuscation_grid_factor(cfg, derived.used_k, times)
+    y = transmit_multiplier(cfg.obfuscation, derived.used_k[:, None],
+                            times[None, :], cfg.subcarrier_spacing_hz,
+                            cfg.carrier_hz)
     np.multiply(x_used[:, None], y, out=y)
     y *= h
     del h
 
     if math.isfinite(cfg.snr_db):
-        p_sample = float(np.mean(np.abs(y) ** 2)) * len(x_used) / n
-        var = p_sample / (10.0 ** (cfg.snr_db / 10.0))
-        noise = np.empty(y.shape, dtype=complex)
-        noise.real = rng_noise.standard_normal(y.shape)
-        noise.imag = rng_noise.standard_normal(y.shape)
-        noise *= math.sqrt(var / 2.0)
-        y += noise
-        del noise
+        # Only the used bins carry power: size the noise to the mean power of
+        # the time-domain samples.
+        chan_mod.add_awgn(y, cfg.snr_db, rng_noise, signal_power=float(
+            np.mean(np.abs(y) ** 2)) * len(x_used) / n)
 
     # Reference-conjugated series: (1/N) sum_k Y[k] X*[k]  (Parseval form of the
     # per-symbol time-domain mean of rx * conj(tx)).
@@ -191,8 +164,7 @@ def simulate_csi(cfg: ScenarioConfig, derived: DerivedParams,
     m1_sig = wf.BasebandSignal(samples=m1, sample_rate_hz=grid.rate_hz,
                                t0=times[0])
 
-    h_hat = np.conj(x_used)[:, None] * y[:, ::ratio] / \
-        (np.abs(x_used) ** 2)[:, None]
+    h_hat = rx_mod.estimate_cfr(y[:, ::ratio], x_used)
     series = rx_mod.CfrSeries(
         subcarriers=derived.used_k,
         h_hat=h_hat,
@@ -221,35 +193,35 @@ def simulate_demod(cfg: ScenarioConfig, derived: DerivedParams,
 
     Returns (ber, evm fraction, tx BasebandSignal).
     """
-    bps = int(np.log2(cfg.qam_order))
-    bits_per_frame = DATA_SYMBOLS_PER_FRAME * len(derived.data_bins) * bps
-    n_frames = max(1, int(math.ceil(cfg.payload_bits / bits_per_frame)))
+    obf = cfg.obfuscation
+    n_frames, bits_per_frame = payload_frames(cfg)
     bits = rngs.bits.integers(0, 2, size=n_frames * bits_per_frame)
 
-    sym_per_frame = wf.PREAMBLE_SYMBOLS + DATA_SYMBOLS_PER_FRAME
+    sym_per_frame = wf.PREAMBLE_SYMBOLS + wf.DATA_SYMBOLS_PER_FRAME
+    k = wf.signed_subcarriers(cfg.n_subcarriers)
     chunks = []
     for f in range(n_frames):
         t0 = f * sym_per_frame * derived.t_sym_s
         fbits = bits[f * bits_per_frame:(f + 1) * bits_per_frame]
-        grid, _ = wf.frame_stream(cfg, derived, payload_bits=fbits, t0=t0)
-        if cfg.obfuscation.kind == "spoof":
+        grid, sig = wf.frame_stream(cfg, derived, fbits, t0=t0)
+        if obf.kind == "spoof":
+            # Constant over each symbol (its mid-time value), so subcarriers
+            # stay orthogonal; the rotation within a symbol is sub-milliradian.
             mid = wf.symbol_midtimes(grid.n_symbols, derived.t_sym_s, t0)
-            # Same v_sp sign convention as the CSI pass (perceived v - v_sp).
-            grid = apply_spoofing(grid, mid, cfg.subcarrier_spacing_hz,
-                                  SpoofParams(-cfg.obfuscation.v_sp_mps),
-                                  carrier_hz=cfg.carrier_hz)
-        chunks.append(wf.ofdm_modulate(grid, cfg.cp_len,
-                                       derived.sample_rate_hz, t0=t0).samples)
-    tx = wf.BasebandSignal(np.concatenate(chunks), derived.sample_rate_hz, 0.0)
-    if cfg.obfuscation.kind == "smear":
-        tx_air = apply_smearing(tx, SmearParams(cfg.obfuscation.delta_f_hz,
-                                                cfg.obfuscation.f_m_hz))
-    else:
-        tx_air = tx
+            grid.values *= transmit_multiplier(
+                obf, k[:, None], mid[None, :], cfg.subcarrier_spacing_hz,
+                cfg.carrier_hz)
+            sig = wf.ofdm_modulate(grid, cfg.cp_len, derived.sample_rate_hz,
+                                   t0=t0)
+        chunks.append(sig.samples)
+    tx_air = wf.BasebandSignal(np.concatenate(chunks), derived.sample_rate_hz,
+                               0.0)
+    if obf.kind == "smear":
+        # Per sample over the whole stream, CP and preambles included: the FM
+        # phase runs continuously, so no frame-rate lines appear.
+        tx_air.samples *= transmit_multiplier(
+            obf, 0, tx_air.times(), cfg.subcarrier_spacing_hz, cfg.carrier_hz)
 
-    total_t = len(tx.samples) / derived.sample_rate_hz
-    if total_t > cfg.duration_s:
-        raise ValueError("payload_bits too large for duration_s")
     rx = chan_mod.propagate(tx_air, chan, n_subcarriers=cfg.n_subcarriers,
                             cp_len=cfg.cp_len, mode="fast",
                             snr_db=cfg.snr_db, rng=rngs.noise)
@@ -260,11 +232,10 @@ def simulate_demod(cfg: ScenarioConfig, derived: DerivedParams,
     eq_syms = []
     for f in range(n_frames):
         y = y_all.values[:, f * sym_per_frame:(f + 1) * sym_per_frame]
-        pre = y[:, :wf.PREAMBLE_SYMBOLS]
         h_ref = np.ones(cfg.n_subcarriers, dtype=complex)
-        h_ref[derived.used_bins] = (
-            np.conj(table[derived.used_bins])[:, None] * pre[derived.used_bins]
-        ).mean(axis=1) / np.abs(table[derived.used_bins]) ** 2
+        h_ref[derived.used_bins] = rx_mod.estimate_cfr(
+            y[derived.used_bins, :wf.PREAMBLE_SYMBOLS],
+            table[derived.used_bins]).mean(axis=1)
         data = y[:, wf.PREAMBLE_SYMBOLS:]
         corrected, _ = rx_mod.pilot_phase_correct(
             data, derived.pilot_bins, table[derived.pilot_bins], h_ref=h_ref)

@@ -39,24 +39,14 @@ def ofdm_demodulate(sig: BasebandSignal, n_subcarriers: int,
     return SymbolGrid(values=values, kinds=kinds)
 
 
-def estimate_cfr(y: SymbolGrid, x_known: np.ndarray, used_bins: np.ndarray,
-                 used_k: np.ndarray, decimation: int,
-                 t0: float, t_sym_s: float) -> CfrSeries:
-    """Matched-filter CFR estimate X* Y / |X|^2, decimated to the CSI rate."""
-    x_used = x_known[used_bins]
+def estimate_cfr(y_used: np.ndarray, x_used: np.ndarray) -> np.ndarray:
+    """Matched-filter CFR estimate X* Y / |X|^2.
+
+    Row i of y_used holds the symbols received on the subcarrier of x_used[i].
+    """
     if np.any(np.abs(x_used) == 0):
         raise ValueError("known symbol is zero on a used subcarrier")
-    cols = np.arange(0, y.n_symbols, decimation)
-    y_used = y.values[used_bins][:, cols]
-    h_hat = np.conj(x_used)[:, None] * y_used / (np.abs(x_used) ** 2)[:, None]
-    t_s = t0 + (cols + 0.5) * t_sym_s
-    return CfrSeries(
-        subcarriers=np.asarray(used_k),
-        h_hat=h_hat,
-        power=np.abs(h_hat) ** 2,
-        t_s=t_s,
-        csi_rate_hz=1.0 / (decimation * t_sym_s),
-    )
+    return np.conj(x_used)[:, None] * y_used / (np.abs(x_used) ** 2)[:, None]
 
 
 def pilot_phase_correct(y_values: np.ndarray, pilot_bins: np.ndarray,

@@ -7,11 +7,13 @@ grammar is documented in the repository README.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from types import SimpleNamespace
 
 import numpy as np
 import yaml
+
+from dopplerveil.waveform import DATA_SYMBOLS_PER_FRAME, PREAMBLE_SYMBOLS
 
 SPEED_OF_LIGHT = 299_792_458.0  # m/s
 
@@ -88,7 +90,6 @@ class DerivedParams:
     t_sym_s: float  # (N + cp) / (N * df)
     t_useful_s: float  # N / df
     symbol_rate_hz: float
-    n_symbols: int
     decimation: int  # M: keep every M-th symbol for the CSI series
     used_k: np.ndarray  # signed subcarrier indices (data + pilots)
     data_k: np.ndarray
@@ -107,11 +108,25 @@ def _reject_unknown(mapping: dict, allowed: set, where: str) -> None:
         raise ScenarioError(f"unknown key(s) in {where}: {sorted(unknown)}")
 
 
+def _number(value, where: str) -> float:
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        raise ScenarioError(
+            f"{where} must be a number, got {value!r}") from None
+
+
+def _with_numbers(data: dict, where: str, not_numbers=()) -> dict:
+    """data with every value but those of not_numbers parsed as a float."""
+    return {k: v if k in not_numbers else _number(v, f"{where}{k}")
+            for k, v in data.items()}
+
+
 def _as_gain(value) -> complex:
     if isinstance(value, (int, float)):
         return complex(value)
     if isinstance(value, (list, tuple)) and len(value) == 2:
-        return complex(float(value[0]), float(value[1]))
+        return complex(*(_number(v, "path gain") for v in value))
     raise ScenarioError(f"path gain must be scalar or [re, im], got {value!r}")
 
 
@@ -124,19 +139,22 @@ def _parse_walker(data: dict) -> WalkerParams:
     if "reflectivity" in data:
         sub = data["reflectivity"]
         _reject_unknown(sub, {"torso", "leg", "arm", "head"}, "walker.reflectivity")
-        refl.update({k: float(v) for k, v in sub.items()})
-    kwargs = {k: v for k, v in data.items() if k != "reflectivity"}
+        refl.update(_with_numbers(sub, "walker.reflectivity."))
+    kwargs = _with_numbers({k: v for k, v in data.items() if k != "reflectivity"},
+                           "walker.", not_numbers=("model",))
     return WalkerParams(reflectivity=refl, **kwargs)
 
 
 def _parse_obfuscation(data: dict) -> Obfuscation:
     _reject_unknown(data, {"kind", "delta_f_hz", "f_m_hz", "v_sp_mps"}, "obfuscation")
-    return Obfuscation(**data)
+    return Obfuscation(**_with_numbers(data, "obfuscation.",
+                                       not_numbers=("kind",)))
 
 
 def _parse_stft(data: dict) -> StftParams:
     _reject_unknown(data, {"window_len_s", "hop_s", "n_fft", "window_kind"}, "stft")
-    return StftParams(**data)
+    return StftParams(**_with_numbers(data, "stft.",
+                                      not_numbers=("n_fft", "window_kind")))
 
 
 def _parse_static_paths(items) -> tuple:
@@ -147,10 +165,15 @@ def _parse_static_paths(items) -> tuple:
         _reject_unknown(item, {"range_m", "gain"}, "static_paths entry")
         if "range_m" not in item:
             raise ScenarioError("static path needs range_m")
-        paths.append(StaticPath(range_m=float(item["range_m"]),
+        paths.append(StaticPath(range_m=_number(item["range_m"],
+                                                "static path range_m"),
                                 gain=_as_gain(item.get("gain", 1.0))))
     return tuple(paths)
 
+
+# Top-level keys whose values are parsed as floats.
+_TOP_FLOATS = {"carrier_hz", "subcarrier_spacing_hz", "duration_s",
+               "csi_rate_hz"}
 
 _TOP_KEYS = {
     "carrier_hz", "n_subcarriers", "subcarrier_spacing_hz", "n_data_subcarriers",
@@ -182,7 +205,9 @@ def load_scenario(text: str) -> ScenarioConfig:
         elif key == "static_paths":
             kwargs[key] = _parse_static_paths(value)
         elif key == "snr_db":
-            kwargs[key] = math.inf if value is None else float(value)
+            kwargs[key] = math.inf if value is None else _number(value, key)
+        elif key in _TOP_FLOATS:
+            kwargs[key] = _number(value, key)
         else:
             kwargs[key] = value
     try:
@@ -227,6 +252,7 @@ def validate(cfg: ScenarioConfig) -> None:
     require(cfg.csi_rate_hz <= symbol_rate,
             f"csi_rate_hz must be <= symbol rate ({symbol_rate:.1f} Hz)")
     require(cfg.payload_bits > 0, "payload_bits must be > 0")
+    payload_frames(cfg)
     require(cfg.snr_db == math.inf or math.isfinite(cfg.snr_db),
             "snr_db must be finite or infinity")
     require(isinstance(cfg.seed, int) and 0 <= cfg.seed < 2**64,
@@ -253,6 +279,12 @@ def validate(cfg: ScenarioConfig) -> None:
     if ob.kind == "smear":
         require(ob.f_m_hz > 0, "obfuscation.f_m_hz must be > 0")
         require(ob.delta_f_hz >= 0, "obfuscation.delta_f_hz must be >= 0")
+        # The demodulation pass smears per sample: keep the FM sweep well
+        # inside the sample rate.
+        require(cfg.n_subcarriers * cfg.subcarrier_spacing_hz
+                >= 10.0 * (ob.delta_f_hz + ob.f_m_hz),
+                "sample rate (n_subcarriers * subcarrier_spacing_hz) must be "
+                ">= 10 * (obfuscation.delta_f_hz + obfuscation.f_m_hz)")
     if ob.kind == "spoof":
         require(math.isfinite(ob.v_sp_mps), "obfuscation.v_sp_mps must be finite")
 
@@ -261,6 +293,24 @@ def validate(cfg: ScenarioConfig) -> None:
     require(st.hop_s > 0, "stft.hop_s must be > 0")
     require(st.n_fft is None or st.n_fft >= 1, "stft.n_fft must be >= 1")
     require(st.window_kind in ("hann", "rect"), "stft.window_kind must be hann or rect")
+
+
+def payload_frames(cfg: ScenarioConfig) -> tuple:
+    """(frames, payload bits per frame) of the demodulation pass.
+
+    Raises ScenarioError when the frames do not fit in duration_s.
+    """
+    bits_per_frame = (DATA_SYMBOLS_PER_FRAME * cfg.n_data_subcarriers
+                      * int(math.log2(cfg.qam_order)))
+    n_frames = max(1, math.ceil(cfg.payload_bits / bits_per_frame))
+    n = cfg.n_subcarriers
+    airtime = (n_frames * (PREAMBLE_SYMBOLS + DATA_SYMBOLS_PER_FRAME)
+               * (n + cfg.cp_len) / (n * cfg.subcarrier_spacing_hz))
+    if airtime > cfg.duration_s:
+        raise ScenarioError(
+            f"payload_bits too large for duration_s: {n_frames} frames "
+            f"take {airtime:.6g} s")
+    return n_frames, bits_per_frame
 
 
 def subcarrier_layout(n_subcarriers: int, n_data: int, n_pilot: int):
@@ -297,7 +347,6 @@ def derive_streams(cfg: ScenarioConfig) -> DerivedParams:
     if cfg.csi_rate_hz > symbol_rate:
         raise ScenarioError("csi_rate_hz exceeds the OFDM symbol rate")
     decimation = max(1, int(round(symbol_rate / cfg.csi_rate_hz)))
-    n_symbols = int(math.floor(cfg.duration_s * symbol_rate))
     data_k, pilot_k = subcarrier_layout(
         n, cfg.n_data_subcarriers, cfg.n_pilot_subcarriers)
     used_k = np.sort(np.concatenate([data_k, pilot_k]))
@@ -306,7 +355,6 @@ def derive_streams(cfg: ScenarioConfig) -> DerivedParams:
         t_sym_s=t_sym,
         t_useful_s=n / sample_rate,
         symbol_rate_hz=symbol_rate,
-        n_symbols=n_symbols,
         decimation=decimation,
         used_k=used_k,
         data_k=data_k,
@@ -330,8 +378,3 @@ def rng_streams(seed: int) -> SimpleNamespace:
         walker=np.random.default_rng(children[2]),
     )
 
-
-def with_obfuscation(cfg: ScenarioConfig, obf: Obfuscation) -> ScenarioConfig:
-    out = replace(cfg, obfuscation=obf)
-    validate(out)
-    return out

@@ -13,7 +13,6 @@ import numpy as np
 
 from dopplerveil import _textfmt
 from dopplerveil.receiver import CfrSeries
-from dopplerveil.waveform import BasebandSignal
 
 DEFAULT_METHOD1_RATE_HZ = 2000.0
 PGM_FLOOR_DB = -60.0
@@ -70,37 +69,6 @@ def stft(series: np.ndarray, rate_hz: float, window_len: int, hop: int,
     return Spectrogram(power=power, freqs_hz=freqs, times_s=times,
                        window_len=window_len, hop=hop, n_fft=n_fft,
                        window_kind=window_kind)
-
-
-def decimate_mean(samples: np.ndarray, factor: int) -> np.ndarray:
-    """Boxcar low-pass and decimate by averaging non-overlapping blocks."""
-    n = (len(samples) // factor) * factor
-    return samples[:n].reshape(-1, factor).mean(axis=1)
-
-
-def method1_view(rx: BasebandSignal, ref_tx: BasebandSignal,
-                 decimate_to_hz: float = DEFAULT_METHOD1_RATE_HZ,
-                 window_len: int | None = None, hop: int | None = None,
-                 n_fft: int | None = None,
-                 window_kind: str = "hann") -> Spectrogram:
-    """Spectrogram of rx * conj(clean tx), decimated to the analysis rate.
-
-    The conjugation cancels the data modulation and leaves the Doppler and
-    smearing phase terms, which live within a few hundred Hz of DC.
-    """
-    if rx.sample_rate_hz != ref_tx.sample_rate_hz:
-        raise ValueError("rx and reference sample rates differ")
-    if len(rx.samples) != len(ref_tx.samples):
-        raise ValueError("rx and reference lengths differ")
-    product = rx.samples * np.conj(ref_tx.samples)
-    factor = max(1, int(round(rx.sample_rate_hz / decimate_to_hz)))
-    series = decimate_mean(product, factor)
-    rate = rx.sample_rate_hz / factor
-    if window_len is None:
-        window_len = max(2, int(round(0.5 * rate)))
-    if hop is None:
-        hop = max(1, int(round(0.05 * rate)))
-    return stft(series, rate, window_len, hop, n_fft, window_kind, t0=rx.t0)
 
 
 def method2_view(series: CfrSeries, subcarriers=None,

@@ -22,6 +22,10 @@ KNOWN_TABLE_SEED = 0x0211_5EED
 
 PREAMBLE_SYMBOLS = 7
 
+# Data symbols between preambles; short enough that the walking channel stays
+# effectively constant over one frame (~230 us) for per-frame equalization.
+DATA_SYMBOLS_PER_FRAME = 50
+
 
 @dataclass
 class SymbolGrid:
@@ -84,14 +88,6 @@ def qam_map(bits: np.ndarray, order: int) -> np.ndarray:
     return (levels[i_idx] + 1j * levels[q_idx]) * scale
 
 
-def constellation(order: int) -> np.ndarray:
-    """All constellation points indexed by their bit word (MSB-first)."""
-    b = int(np.log2(order))
-    words = np.array([[(w >> (b - 1 - i)) & 1 for i in range(b)]
-                      for w in range(order)])
-    return qam_map(words.ravel(), order)
-
-
 def known_symbol_table(n_subcarriers: int, used_bins: np.ndarray) -> np.ndarray:
     """Fixed pseudo-random QPSK values on the used bins, zero elsewhere."""
     rng = np.random.default_rng(KNOWN_TABLE_SEED)
@@ -101,13 +97,9 @@ def known_symbol_table(n_subcarriers: int, used_bins: np.ndarray) -> np.ndarray:
     return table
 
 
-def build_preamble_grid(n_subcarriers: int, used_bins: np.ndarray) -> SymbolGrid:
-    """Seven identical known QPSK symbols on all used subcarriers."""
-    table = known_symbol_table(n_subcarriers, used_bins)
-    values = np.tile(table[:, None], (1, PREAMBLE_SYMBOLS))
-    kinds = np.zeros_like(values, dtype=np.uint8)
-    kinds[used_bins, :] = KIND_PREAMBLE
-    return SymbolGrid(values=values, kinds=kinds)
+def signed_subcarriers(n: int) -> np.ndarray:
+    """Signed baseband subcarrier index for each FFT bin 0..N-1 (DC-centered)."""
+    return (np.arange(n) + n // 2) % n - n // 2
 
 
 def ofdm_modulate(grid: SymbolGrid, cp_len: int,
@@ -125,43 +117,31 @@ def ofdm_modulate(grid: SymbolGrid, cp_len: int,
     return BasebandSignal(samples=samples, sample_rate_hz=sample_rate_hz, t0=t0)
 
 
-def frame_stream(cfg, derived, payload_bits=None, known_symbol_mode: bool = False,
-                 n_symbols: int | None = None, t0: float = 0.0):
-    """Build one frame (preamble + data) or a continuous known-symbol stream.
+def frame_stream(cfg, derived, payload_bits, t0: float = 0.0):
+    """One frame: PREAMBLE_SYMBOLS known symbols, then QAM data with pilots.
 
-    Known-symbol mode repeats the preamble table in every column so the passive
-    receiver can match-filter each OFDM symbol; payload mode yields the 7-symbol
-    preamble followed by QAM data columns with pilots from the known table.
     Returns (SymbolGrid, BasebandSignal).
     """
     n = cfg.n_subcarriers
     table = known_symbol_table(n, derived.used_bins)
-    if known_symbol_mode:
-        m = n_symbols if n_symbols is not None else derived.n_symbols
-        values = np.tile(table[:, None], (1, m))
-        kinds = np.zeros((n, m), dtype=np.uint8)
-        kinds[derived.used_bins, :] = KIND_PREAMBLE
-    else:
-        if payload_bits is None:
-            raise ValueError("payload mode needs payload_bits")
-        bits = np.asarray(payload_bits, dtype=np.int64).ravel()
-        bps = int(np.log2(cfg.qam_order))
-        per_sym = len(derived.data_bins) * bps
-        if len(bits) < per_sym:
-            raise ValueError("payload shorter than one OFDM symbol")
-        n_data_sym = len(bits) // per_sym
-        bits = bits[: n_data_sym * per_sym]
-        syms = qam_map(bits, cfg.qam_order).reshape(n_data_sym, -1).T
-        m = PREAMBLE_SYMBOLS + n_data_sym
-        values = np.zeros((n, m), dtype=complex)
-        kinds = np.zeros((n, m), dtype=np.uint8)
-        values[:, :PREAMBLE_SYMBOLS] = table[:, None]
-        kinds[derived.used_bins, :PREAMBLE_SYMBOLS] = KIND_PREAMBLE
-        values[derived.data_bins, PREAMBLE_SYMBOLS:] = syms
-        kinds[derived.data_bins, PREAMBLE_SYMBOLS:] = KIND_DATA
-        values[derived.pilot_bins, PREAMBLE_SYMBOLS:] = \
-            table[derived.pilot_bins][:, None]
-        kinds[derived.pilot_bins, PREAMBLE_SYMBOLS:] = KIND_PILOT
+    bits = np.asarray(payload_bits, dtype=np.int64).ravel()
+    bps = int(np.log2(cfg.qam_order))
+    per_sym = len(derived.data_bins) * bps
+    if len(bits) < per_sym:
+        raise ValueError("payload shorter than one OFDM symbol")
+    n_data_sym = len(bits) // per_sym
+    bits = bits[: n_data_sym * per_sym]
+    syms = qam_map(bits, cfg.qam_order).reshape(n_data_sym, -1).T
+    m = PREAMBLE_SYMBOLS + n_data_sym
+    values = np.zeros((n, m), dtype=complex)
+    kinds = np.zeros((n, m), dtype=np.uint8)
+    values[:, :PREAMBLE_SYMBOLS] = table[:, None]
+    kinds[derived.used_bins, :PREAMBLE_SYMBOLS] = KIND_PREAMBLE
+    values[derived.data_bins, PREAMBLE_SYMBOLS:] = syms
+    kinds[derived.data_bins, PREAMBLE_SYMBOLS:] = KIND_DATA
+    values[derived.pilot_bins, PREAMBLE_SYMBOLS:] = \
+        table[derived.pilot_bins][:, None]
+    kinds[derived.pilot_bins, PREAMBLE_SYMBOLS:] = KIND_PILOT
     grid = SymbolGrid(values=values, kinds=kinds)
     sig = ofdm_modulate(grid, cfg.cp_len, derived.sample_rate_hz, t0=t0)
     return grid, sig

@@ -112,39 +112,61 @@ def test_walker_gait_phase_comes_from_rng():
 
 
 def test_awgn_noiseless_passthrough():
-    sig = wf.BasebandSignal(np.ones(16, dtype=complex), 1e6)
-    out = ch.add_awgn(sig, np.inf)
-    np.testing.assert_array_equal(out.samples, sig.samples)
-    assert out.samples is not sig.samples
+    x = np.ones(16, dtype=complex)
+    rng = np.random.default_rng(3)
+    ch.add_awgn(x, np.inf, rng=rng)
+    np.testing.assert_array_equal(x, 1.0)
+    # nothing is drawn: the stream continues as a fresh one would
+    assert rng.standard_normal() == np.random.default_rng(3).standard_normal()
 
 
 def test_awgn_requires_rng():
-    sig = wf.BasebandSignal(np.ones(16, dtype=complex), 1e6)
     with pytest.raises(ValueError, match="RNG"):
-        ch.add_awgn(sig, 10.0)
+        ch.add_awgn(np.ones(16, dtype=complex), 10.0)
 
 
 def test_awgn_variance_calibration():
     n = 1_000_000
-    sig = wf.BasebandSignal(np.ones(n, dtype=complex), 1e6)
-    out = ch.add_awgn(sig, 10.0, rng=np.random.default_rng(8))
-    noise = out.samples - sig.samples
+    x = np.ones(n, dtype=complex)
+    ch.add_awgn(x, 10.0, rng=np.random.default_rng(8))
+    noise = x - 1.0
     assert np.mean(np.abs(noise) ** 2) == pytest.approx(0.1, rel=0.02)
 
 
 def test_awgn_determinism():
-    sig = wf.BasebandSignal(np.zeros(256, dtype=complex), 1e6)
-    a = ch.add_awgn(sig, 0.0, rng=np.random.default_rng(3), signal_power=1.0)
-    b = ch.add_awgn(sig, 0.0, rng=np.random.default_rng(3), signal_power=1.0)
-    np.testing.assert_array_equal(a.samples, b.samples)
-    assert np.mean(np.abs(a.samples) ** 2) == pytest.approx(1.0, rel=0.2)
+    a = np.zeros(256, dtype=complex)
+    b = np.zeros(256, dtype=complex)
+    ch.add_awgn(a, 0.0, rng=np.random.default_rng(3), signal_power=1.0)
+    ch.add_awgn(b, 0.0, rng=np.random.default_rng(3), signal_power=1.0)
+    np.testing.assert_array_equal(a, b)
+    assert np.mean(np.abs(a) ** 2) == pytest.approx(1.0, rel=0.2)
+
+
+def test_awgn_in_place_any_shape_real_parts_first():
+    # The noise fills x in C order, every real part before any imaginary
+    # part, so a (K, M) grid gets exactly the draws of its flattened samples.
+    grid = np.full((7, 30), 2.0 + 1.0j)
+    flat = grid.reshape(-1).copy()
+    ch.add_awgn(grid, 20.0, rng=np.random.default_rng(5))
+    ch.add_awgn(flat, 20.0, rng=np.random.default_rng(5))
+    np.testing.assert_array_equal(grid.reshape(-1), flat)
+    draws = np.random.default_rng(5).standard_normal(2 * flat.size)
+    scale = np.sqrt(5.0 / 10.0 ** 2.0 / 2.0)  # |2 + 1j|^2 = 5
+    np.testing.assert_allclose(flat.real, 2.0 + scale * draws[:flat.size],
+                               rtol=1e-15, atol=0)
+    np.testing.assert_allclose(flat.imag, 1.0 + scale * draws[flat.size:],
+                               rtol=1e-15, atol=0)
 
 
 def _known_signal(cfg, n_symbols):
+    """A stream of n_symbols known symbols, as the CSI pass models it."""
     d = derive_streams(cfg)
-    _, sig = wf.frame_stream(cfg, d, known_symbol_mode=True,
-                             n_symbols=n_symbols)
-    return d, sig
+    table = wf.known_symbol_table(cfg.n_subcarriers, d.used_bins)
+    grid = wf.SymbolGrid(
+        values=np.tile(table[:, None], (1, n_symbols)),
+        kinds=np.full((cfg.n_subcarriers, n_symbols), wf.KIND_PREAMBLE,
+                      dtype=np.uint8))
+    return d, wf.ofdm_modulate(grid, cfg.cp_len, d.sample_rate_hz)
 
 
 def test_propagate_fast_matches_per_symbol_cfr():

@@ -237,3 +237,62 @@ def test_sweep_computes_point_invariant_work_once(scenario_file, tmp_path,
                  "--out", str(tmp_path / "run"),
                  "--baseline", str(base)]) == EXIT_OK
     assert (len(builds), len(cfrs), len(loads)) == (1, 1, 2)
+
+
+@pytest.mark.parametrize("command, extra", [
+    ("run", []), ("sweep", ["--v-sp", "5", "--delta-f", "100", "--f-m", "10"])])
+def test_oversized_payload_exits_2_before_any_output(tmp_path, capsys,
+                                                     command, extra):
+    scenario = tmp_path / "big.yaml"
+    scenario.write_text("payload_bits: 200000000\nduration_s: 2.0\n"
+                        "qam_order: 4\n")
+    out = tmp_path / "out"
+    assert main([command, "--scenario", str(scenario), "--out", str(out),
+                 *extra]) == EXIT_CONFIG
+    assert "payload_bits too large for duration_s" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_sweep_smear_without_headroom_exits_2(scenario_file, tmp_path, capsys):
+    # 10 * (delta_f + f_m) above the 20 MHz sample rate
+    out = tmp_path / "sweep"
+    assert main(["sweep", "--scenario", str(scenario_file), "--out", str(out),
+                 "--v-sp", "5", "--delta-f", "2e6",
+                 "--f-m", "10"]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "smear_df2e+06_fm10" in err and "sample rate" in err
+    assert not out.exists()
+
+
+def test_non_numeric_scenario_value_exits_2(tmp_path, capsys):
+    bad = tmp_path / "bad.yaml"
+    bad.write_text("duration_s: abc\n")
+    out = tmp_path / "o"
+    assert main(["run", "--scenario", str(bad), "--out", str(out)]) \
+        == EXIT_CONFIG
+    assert "duration_s must be a number" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_run_has_no_threads_option(scenario_file, tmp_path):
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "--scenario", str(scenario_file),
+              "--out", str(tmp_path / "o"), "--threads", "2"])
+    assert exc.value.code == 2
+
+
+def test_integer_yaml_point_matches_its_sweep_point(scenario_file, tmp_path):
+    # YAML integers are parsed as floats, so a smear point written with
+    # integer values reports what `sweep --delta-f 100 --f-m 10` reports.
+    scenario = tmp_path / "smear.yaml"
+    scenario.write_text(FAST_SCENARIO + "obfuscation: {kind: smear, "
+                        "delta_f_hz: 100, f_m_hz: 10, v_sp_mps: 16}\n")
+    alone = tmp_path / "alone"
+    assert main(["run", "--scenario", str(scenario),
+                 "--out", str(alone)]) == EXIT_OK
+    out = tmp_path / "sweep"
+    assert main(["sweep", "--scenario", str(scenario_file), "--out", str(out),
+                 "--delta-f", "100", "--f-m", "10"]) == EXIT_OK
+    swept = _outputs(out / "smear_df100_fm10")
+    assert swept == _outputs(alone)
+    assert b"scenario.obfuscation_delta_f_hz = 100.0\n" in swept["report.txt"]

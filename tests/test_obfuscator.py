@@ -1,71 +1,97 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from dopplerveil.obfuscator import (SmearParams, SpoofParams, apply_smearing,
-                                    apply_spoofing, signed_subcarriers,
-                                    smear_phasor, spoof_phasor)
-from dopplerveil.scenario import SPEED_OF_LIGHT
-from dopplerveil.waveform import BasebandSignal, SymbolGrid
+from dopplerveil.obfuscator import (smear_phasor, spoof_phasor,
+                                    transmit_multiplier)
+from dopplerveil.scenario import (SPEED_OF_LIGHT, Obfuscation, ScenarioConfig,
+                                  ScenarioError, validate)
+from dopplerveil.waveform import signed_subcarriers
+
+DF = 312_500.0
+F_C = 5.8e9
+SMEAR = Obfuscation(kind="smear", delta_f_hz=200.0, f_m_hz=10.0)
 
 
-def _grid(n, m, fill=1.0 + 0.0j):
-    return SymbolGrid(values=np.full((n, m), fill, dtype=complex),
-                      kinds=np.zeros((n, m), dtype=np.uint8))
+def _spoof(v_sp):
+    return Obfuscation(kind="spoof", v_sp_mps=v_sp)
+
+
+def _smeared(x, t, obf=SMEAR):
+    """x smeared per sample, as the demodulation pass does."""
+    return x * transmit_multiplier(obf, 0, t, DF, F_C)
+
+
+def _spoofed(values, t, obf, carrier_hz=F_C):
+    """Grid values spoofed per (signed subcarrier, symbol time)."""
+    k = signed_subcarriers(values.shape[0])
+    return values * transmit_multiplier(obf, k[:, None], t[None, :], DF,
+                                        carrier_hz)
 
 
 def test_smear_phasor_at_origin():
-    assert smear_phasor(0.0, SmearParams(200.0, 10.0)) == pytest.approx(1.0)
+    assert smear_phasor(0.0, 200.0, 10.0) == pytest.approx(1.0)
 
 
 def test_smear_phasor_zero_deviation():
     t = np.linspace(0, 1, 100)
-    np.testing.assert_allclose(smear_phasor(t, SmearParams(0.0, 10.0)), 1.0)
+    np.testing.assert_allclose(smear_phasor(t, 0.0, 10.0), 1.0)
 
 
 def test_smear_phasor_quarter_cycle_value():
     # sin peaks at t = 1/(4 f_m), so the phase is the modulation index 20 rad
-    val = smear_phasor(0.025, SmearParams(200.0, 10.0))
+    val = smear_phasor(0.025, 200.0, 10.0)
     assert val == pytest.approx(0.40808 + 0.91295j, abs=1e-5)
     assert val == pytest.approx(np.exp(1j * 20.0), abs=1e-12)
 
 
 def test_smear_params_validated():
-    with pytest.raises(ValueError):
-        SmearParams(200.0, 0.0)
-    with pytest.raises(ValueError):
-        SmearParams(-1.0, 10.0)
+    cfg = ScenarioConfig()
+    validate(replace(cfg, obfuscation=SMEAR))
+    for obf, key in ((replace(SMEAR, f_m_hz=0.0), "f_m_hz"),
+                     (replace(SMEAR, f_m_hz=-1.0), "f_m_hz"),
+                     (replace(SMEAR, delta_f_hz=-1.0), "delta_f_hz")):
+        with pytest.raises(ScenarioError, match=f"obfuscation.{key}"):
+            validate(replace(cfg, obfuscation=obf))
 
 
 def test_apply_smearing_preserves_energy_exactly():
     rng = np.random.default_rng(9)
-    sig = BasebandSignal(rng.standard_normal(4096)
-                         + 1j * rng.standard_normal(4096), 20e6)
-    out = apply_smearing(sig, SmearParams(200.0, 10.0))
-    assert np.sum(np.abs(out.samples) ** 2) == pytest.approx(
-        np.sum(np.abs(sig.samples) ** 2), rel=1e-12)
+    x = rng.standard_normal(4096) + 1j * rng.standard_normal(4096)
+    out = _smeared(x, np.arange(4096) / 20e6)
+    assert np.sum(np.abs(out) ** 2) == pytest.approx(
+        np.sum(np.abs(x) ** 2), rel=1e-12)
 
 
 def test_apply_smearing_zero_deviation_is_identity():
-    sig = BasebandSignal(np.ones(128, dtype=complex), 20e6)
-    out = apply_smearing(sig, SmearParams(0.0, 10.0))
-    np.testing.assert_array_equal(out.samples, sig.samples)
+    x = np.ones(128, dtype=complex)
+    out = _smeared(x, np.arange(128) / 20e6, replace(SMEAR, delta_f_hz=0.0))
+    np.testing.assert_array_equal(out, x)
 
 
 def test_apply_smearing_needs_headroom():
-    sig = BasebandSignal(np.ones(128, dtype=complex), 1000.0)
-    with pytest.raises(ValueError, match="sample rate"):
-        apply_smearing(sig, SmearParams(200.0, 10.0))
+    # The default sample rate is 20 MHz: the smear sweep may reach a tenth.
+    cfg = ScenarioConfig()
+    validate(replace(cfg, obfuscation=replace(SMEAR, delta_f_hz=2e6 - 10.0)))
+    with pytest.raises(ScenarioError, match="sample rate"):
+        validate(replace(cfg, obfuscation=replace(SMEAR, delta_f_hz=2e6)))
+    # 64 subcarriers 32 Hz apart sample at 2048 Hz, short of 10 * 210 Hz.
+    slow = replace(cfg, subcarrier_spacing_hz=32.0, csi_rate_hz=20.0,
+                   duration_s=3.0, payload_bits=1000)
+    validate(slow)
+    with pytest.raises(ScenarioError, match="sample rate"):
+        validate(replace(slow, obfuscation=SMEAR))
 
 
 def test_smearing_phase_continuous_across_t0():
-    # two half-signals with consecutive t0 must equal one full-signal pass
+    # two half-signals with consecutive start times must equal one full pass
     rng = np.random.default_rng(1)
     x = rng.standard_normal(2000) + 1j * rng.standard_normal(2000)
-    fs = 10_000.0
-    p = SmearParams(200.0, 10.0)
-    full = apply_smearing(BasebandSignal(x, fs, t0=0.0), p).samples
-    a = apply_smearing(BasebandSignal(x[:1000], fs, t0=0.0), p).samples
-    b = apply_smearing(BasebandSignal(x[1000:], fs, t0=1000 / fs), p).samples
+    t = np.arange(2000) / 10_000.0
+    full = _smeared(x, t)
+    a = _smeared(x[:1000], t[:1000])
+    b = _smeared(x[1000:], 1000 / 10_000.0 + np.arange(1000) / 10_000.0)
     np.testing.assert_allclose(np.concatenate([a, b]), full, atol=1e-12)
 
 
@@ -73,7 +99,7 @@ def test_smeared_tone_occupied_bandwidth_follows_carson():
     # long-FFT oracle on the bare phasor: 90% of energy within ~2(df + fm)
     fs = 20_000.0
     t = np.arange(int(2.0 * fs)) / fs
-    x = smear_phasor(t, SmearParams(200.0, 10.0))
+    x = smear_phasor(t, 200.0, 10.0)
     spec = np.abs(np.fft.fftshift(np.fft.fft(x))) ** 2
     freqs = np.fft.fftshift(np.fft.fftfreq(len(x), 1.0 / fs))
     order = np.argsort(np.abs(freqs), kind="stable")
@@ -83,29 +109,30 @@ def test_smeared_tone_occupied_bandwidth_follows_carson():
 
 
 def test_spoof_phasor_trivial_cases():
-    p = SpoofParams(16.0)
-    assert spoof_phasor(0, 1.0, 312_500.0, p) == pytest.approx(1.0)
-    assert spoof_phasor(28, 1.0, 312_500.0, SpoofParams(0.0)) == pytest.approx(1.0)
+    assert spoof_phasor(0, 1.0, DF, 16.0) == pytest.approx(1.0)
+    assert spoof_phasor(28, 1.0, DF, 0.0) == pytest.approx(1.0)
 
 
 def test_spoof_phasor_direct_value():
-    val = spoof_phasor(63, 1e-3, 312_500.0, SpoofParams(16.0))
-    expected_phase = 2 * np.pi * 63 * 312_500.0 * 16.0 / SPEED_OF_LIGHT * 1e-3
+    val = spoof_phasor(63, 1e-3, DF, 16.0)
+    expected_phase = 2 * np.pi * 63 * DF * 16.0 / SPEED_OF_LIGHT * 1e-3
     assert expected_phase == pytest.approx(6.60e-3, abs=1e-5)
     assert val == pytest.approx(0.999978 + 0.006598j, abs=1e-5)
 
 
 def test_spoof_phasor_carrier_term_dominates():
     # the optional carrier argument adds f_c to the per-subcarrier ramp
-    base = np.angle(spoof_phasor(1, 1e-6, 312_500.0, SpoofParams(16.0)))
-    full = np.angle(spoof_phasor(1, 1e-6, 312_500.0, SpoofParams(16.0),
-                                 carrier_hz=5.8e9))
-    assert full / base == pytest.approx((5.8e9 + 312_500.0) / 312_500.0, rel=1e-9)
+    base = np.angle(spoof_phasor(1, 1e-6, DF, 16.0))
+    full = np.angle(spoof_phasor(1, 1e-6, DF, 16.0, carrier_hz=F_C))
+    assert full / base == pytest.approx((F_C + DF) / DF, rel=1e-9)
 
 
 def test_spoof_params_validated():
-    with pytest.raises(ValueError):
-        SpoofParams(np.inf)
+    cfg = ScenarioConfig()
+    validate(replace(cfg, obfuscation=_spoof(-2.0)))
+    for v_sp in (np.inf, -np.inf, np.nan):
+        with pytest.raises(ScenarioError, match="obfuscation.v_sp_mps"):
+            validate(replace(cfg, obfuscation=_spoof(v_sp)))
 
 
 def test_signed_subcarriers_layout():
@@ -114,32 +141,66 @@ def test_signed_subcarriers_layout():
 
 
 def test_apply_spoofing_zero_speed_is_identity():
-    grid = _grid(16, 4)
-    out = apply_spoofing(grid, np.arange(4) * 1e-3, 312_500.0, SpoofParams(0.0))
-    np.testing.assert_array_equal(out.values, grid.values)
+    values = np.full((16, 4), 1.0 + 0.0j)
+    out = _spoofed(values, np.arange(4) * 1e-3, _spoof(0.0))
+    np.testing.assert_array_equal(out, values)
 
 
 def test_apply_spoofing_preserves_magnitudes_exactly():
     rng = np.random.default_rng(4)
     vals = rng.standard_normal((32, 6)) + 1j * rng.standard_normal((32, 6))
-    grid = SymbolGrid(values=vals, kinds=np.zeros((32, 6), dtype=np.uint8))
-    out = apply_spoofing(grid, np.arange(6) * 4e-6, 312_500.0, SpoofParams(16.0))
-    np.testing.assert_allclose(np.abs(out.values), np.abs(vals), rtol=1e-14)
+    out = _spoofed(vals, np.arange(6) * 4e-6, _spoof(16.0))
+    np.testing.assert_allclose(np.abs(out), np.abs(vals), rtol=1e-14)
 
 
 def test_apply_spoofing_phase_is_linear_in_signed_k():
     n = 16
     t = np.array([2e-3])
-    out = apply_spoofing(_grid(n, 1), t, 312_500.0, SpoofParams(16.0))
-    phases = np.angle(out.values[:, 0])
+    out = _spoofed(np.ones((n, 1), dtype=complex), t, _spoof(16.0),
+                   carrier_hz=0.0)
+    phases = np.angle(out[:, 0])
     k = signed_subcarriers(n)
-    slope = 2 * np.pi * 312_500.0 * 16.0 / SPEED_OF_LIGHT * t[0]
+    # The multiplier ramps against v_sp: see the sign test below.
+    slope = -2 * np.pi * DF * 16.0 / SPEED_OF_LIGHT * t[0]
     np.testing.assert_allclose(phases, k * slope, atol=1e-12)
     # upper FFT bins are the negative subcarriers and must ramp the other way
     assert phases[n - 1] == pytest.approx(-phases[1], abs=1e-15)
 
 
 def test_apply_spoofing_checks_time_axis():
-    with pytest.raises(ValueError, match="symbol_times"):
-        apply_spoofing(_grid(8, 3), np.arange(4) * 1e-3, 312_500.0,
-                       SpoofParams(16.0))
+    # k and t must broadcast, for every kind: smearing ignores k but still
+    # refuses a time axis that does not fit the subcarrier axis.
+    k = signed_subcarriers(8)
+    for obf in (Obfuscation(), SMEAR, _spoof(16.0)):
+        with pytest.raises(ValueError, match="shape mismatch"):
+            transmit_multiplier(obf, k, np.arange(4) * 1e-3, DF, F_C)
+
+
+def test_transmit_multiplier_spoof_subtracts_v_sp():
+    # A path approaching at v rotates as exp(+j 2 pi f_c v t / c); the spoof
+    # multiplier rotates the other way at v_sp, so the product turns at the
+    # Doppler of v - v_sp.
+    v, v_sp = 0.8, 5.0
+    t = np.linspace(0.0, 0.01, 11)
+    path = np.exp(2j * np.pi * F_C * v / SPEED_OF_LIGHT * t)
+    seen = path * transmit_multiplier(_spoof(v_sp), 0, t, DF, F_C)
+    rate = np.angle(seen[1:] / seen[:-1]) / np.diff(t) / (2 * np.pi)
+    np.testing.assert_allclose(rate, F_C * (v - v_sp) / SPEED_OF_LIGHT,
+                               rtol=1e-9)
+
+
+def test_transmit_multiplier_shapes_and_unit_modulus():
+    k = signed_subcarriers(64)[:, None]
+    t = np.arange(5)[None, :] * 4e-6
+    for obf in (Obfuscation(), SMEAR, _spoof(16.0)):
+        out = transmit_multiplier(obf, k, t, DF, F_C)
+        assert out.shape == (64, 5) and out.flags.writeable
+        np.testing.assert_allclose(np.abs(out), 1.0, rtol=1e-15)
+    np.testing.assert_array_equal(
+        transmit_multiplier(Obfuscation(), k, t, DF, F_C), 1.0)
+    # smearing is common to every subcarrier and equals the bare phasor
+    smear = transmit_multiplier(SMEAR, k, t, DF, F_C)
+    np.testing.assert_array_equal(smear, np.broadcast_to(
+        smear_phasor(t, 200.0, 10.0), smear.shape))
+    spoof = transmit_multiplier(_spoof(16.0), k, t, DF, F_C)
+    np.testing.assert_array_equal(spoof, spoof_phasor(k, t, DF, -16.0, F_C))

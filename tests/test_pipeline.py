@@ -156,3 +156,44 @@ def test_point_invariant_shared_read_only_and_tied_to_its_scenario(tmp_path):
     with pytest.raises(ValueError, match="probe grid"):
         pl.simulate_csi(cfg, d, shared.chan, rng_streams(1).noise,
                         h=shared.cfr[:, 1:])
+
+
+@pytest.mark.parametrize("obf", [
+    Obfuscation(),
+    Obfuscation(kind="smear", delta_f_hz=200.0, f_m_hz=10.0),
+    Obfuscation(kind="spoof", v_sp_mps=16.0)], ids=["none", "smear", "spoof"])
+def test_method1_series_is_parseval_form_of_rx_times_conj_tx(obf):
+    # The CSI pass forms the method-1 series as (1/N) sum_k Y[k] X*[k].  Push
+    # the same known-symbol stream, multiplied per symbol as that pass models
+    # it, through the channel in the time domain: the per-symbol mean of
+    # rx * conj(clean tx) over each CP-stripped body must be that series.
+    # At the symbol rate the probe grid is every symbol of the stream.
+    from dopplerveil import channel as ch
+    from dopplerveil import waveform as wf
+    from dopplerveil.obfuscator import transmit_multiplier
+    cfg = ScenarioConfig(duration_s=0.002, csi_rate_hz=250_000.0,
+                         payload_bits=100, obfuscation=obf)
+    d = derive_streams(cfg)
+    rngs = rng_streams(cfg.seed)
+    chan = pl.build_channel(cfg, d, rngs.walker)
+    m1, _ = pl.simulate_csi(cfg, d, chan, rngs.noise)
+    n, m = cfg.n_subcarriers, len(m1.samples)
+    assert m == 500 and m1.sample_rate_hz == d.symbol_rate_hz
+
+    table = wf.known_symbol_table(n, d.used_bins)
+    clean = wf.SymbolGrid(values=np.tile(table[:, None], (1, m)),
+                          kinds=np.zeros((n, m), dtype=np.uint8))
+    k = wf.signed_subcarriers(n)
+    mid = wf.symbol_midtimes(m, d.t_sym_s)
+    air = wf.SymbolGrid(values=clean.values * transmit_multiplier(
+        obf, k[:, None], mid[None, :], cfg.subcarrier_spacing_hz,
+        cfg.carrier_hz), kinds=clean.kinds)
+    tx = wf.ofdm_modulate(clean, cfg.cp_len, d.sample_rate_hz)
+    rx = ch.propagate(wf.ofdm_modulate(air, cfg.cp_len, d.sample_rate_hz),
+                      chan, n_subcarriers=n, cp_len=cfg.cp_len)
+
+    def bodies(sig):
+        return sig.samples.reshape(m, n + cfg.cp_len)[:, cfg.cp_len:]
+    series = (bodies(rx) * np.conj(bodies(tx))).mean(axis=1)
+    np.testing.assert_allclose(series, m1.samples, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(m1.t0, mid[0], rtol=1e-12)

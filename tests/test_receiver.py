@@ -60,38 +60,45 @@ def test_estimate_cfr_exact_inversion():
     m = 10
     h = rng.standard_normal((len(d.used_bins), m)) \
         + 1j * rng.standard_normal((len(d.used_bins), m))
-    y_values = np.zeros((cfg.n_subcarriers, m), dtype=complex)
-    y_values[d.used_bins] = table[d.used_bins][:, None] * h
-    y = wf.SymbolGrid(values=y_values, kinds=np.zeros_like(y_values, np.uint8))
-    series = rx.estimate_cfr(y, table, d.used_bins, d.used_k, decimation=1,
-                             t0=0.0, t_sym_s=d.t_sym_s)
-    assert np.max(np.abs(series.h_hat - h) / np.abs(h)) < 1e-12
-    assert np.max(np.abs(series.power - np.abs(h) ** 2)
+    x_used = table[d.used_bins]
+    h_hat = rx.estimate_cfr(x_used[:, None] * h, x_used)
+    assert h_hat.shape == h.shape
+    assert np.max(np.abs(h_hat - h) / np.abs(h)) < 1e-12
+    assert np.max(np.abs(np.abs(h_hat) ** 2 - np.abs(h) ** 2)
                   / np.abs(h) ** 2) < 1e-12
+    # any nonzero known symbol inverts, not only the unit-modulus table
+    x_any = rng.standard_normal(len(x_used)) * 3.0 \
+        + 1j * rng.standard_normal(len(x_used))
+    assert np.max(np.abs(rx.estimate_cfr(x_any[:, None] * h, x_any) - h)
+                  / np.abs(h)) < 1e-12
 
 
 def test_estimate_cfr_decimation_and_timestamps():
-    cfg, d, table = _cfr_setup()
-    m = 1000
-    y_values = np.tile(table[:, None], (1, m))
-    y = wf.SymbolGrid(values=y_values, kinds=np.zeros_like(y_values, np.uint8))
-    series = rx.estimate_cfr(y, table, d.used_bins, d.used_k,
-                             decimation=d.decimation, t0=0.0,
-                             t_sym_s=d.t_sym_s)
-    assert series.h_hat.shape == (56, 4)
+    # The CSI pass estimates every ratio-th probe symbol: a noiseless run
+    # without defense returns the channel itself at the CSI rate.
+    from dopplerveil import pipeline as pl
+    from dopplerveil.channel import cfr_matrix
+    from dopplerveil.scenario import rng_streams
+    cfg = ScenarioConfig(duration_s=0.01)
+    d = derive_streams(cfg)
+    rngs = rng_streams(cfg.seed)
+    chan = pl.build_channel(cfg, d, rngs.walker)
+    _, series = pl.simulate_csi(cfg, d, chan, rngs.noise)
+    assert series.h_hat.shape == (56, 10)
     assert series.csi_rate_hz == pytest.approx(1000.0)
     np.testing.assert_allclose(np.diff(series.t_s), 1e-3, rtol=1e-12)
     assert series.t_s[0] == pytest.approx(0.5 * d.t_sym_s)
+    h = cfr_matrix(chan, d.used_k * cfg.subcarrier_spacing_hz, series.t_s)
+    assert np.max(np.abs(series.h_hat - h) / np.abs(h)) < 1e-12
+    np.testing.assert_array_equal(series.power, np.abs(series.h_hat) ** 2)
 
 
 def test_estimate_cfr_zero_known_symbol_rejected():
     cfg, d, table = _cfr_setup()
-    table = table.copy()
-    table[d.used_bins[0]] = 0.0
-    y = wf.SymbolGrid(values=np.ones((cfg.n_subcarriers, 1), dtype=complex),
-                      kinds=np.zeros((cfg.n_subcarriers, 1), np.uint8))
+    x_used = table[d.used_bins].copy()
+    x_used[0] = 0.0
     with pytest.raises(ValueError, match="zero"):
-        rx.estimate_cfr(y, table, d.used_bins, d.used_k, 1, 0.0, 4e-6)
+        rx.estimate_cfr(np.ones((len(x_used), 1), dtype=complex), x_used)
 
 
 def test_estimate_cfr_noise_bias():
@@ -100,14 +107,13 @@ def test_estimate_cfr_noise_bias():
     m = 10_000
     rng = np.random.default_rng(12)
     sigma2 = 1e-2  # 20 dB below the unit channel power
-    noise = (rng.standard_normal((cfg.n_subcarriers, m))
-             + 1j * rng.standard_normal((cfg.n_subcarriers, m))) \
+    x_used = table[d.used_bins]
+    noise = (rng.standard_normal((len(x_used), m))
+             + 1j * rng.standard_normal((len(x_used), m))) \
         * np.sqrt(sigma2 / 2)
-    y_values = np.tile(table[:, None], (1, m)) + noise
-    y = wf.SymbolGrid(values=y_values, kinds=np.zeros_like(y_values, np.uint8))
-    series = rx.estimate_cfr(y, table, d.used_bins, d.used_k, 1, 0.0, 4e-6)
-    mean_power = float(np.mean(series.power))
-    n_cells = series.power.size
+    power = np.abs(rx.estimate_cfr(x_used[:, None] + noise, x_used)) ** 2
+    mean_power = float(np.mean(power))
+    n_cells = power.size
     # var(|1+n|^2) ~= 2 sigma^2 for small sigma
     std_of_mean = np.sqrt(2 * sigma2 / n_cells)
     assert abs(mean_power - (1 + sigma2)) < 3 * std_of_mean
@@ -192,9 +198,8 @@ def test_qpsk_awgn_ber_matches_q_function():
     bits = rng.integers(0, 2, size=n_bits)
     syms = wf.qam_map(bits, 4)
     es_n0 = 2.0 * 10.0 ** 0.6
-    sig = wf.BasebandSignal(syms, 1.0)
-    noisy = add_awgn(sig, 10.0 * np.log10(es_n0), rng=rng, signal_power=1.0)
-    measured = rx.ber(rx.demap(noisy.samples, 4), bits)
+    add_awgn(syms, 10.0 * np.log10(es_n0), rng=rng, signal_power=1.0)
+    measured = rx.ber(rx.demap(syms, 4), bits)
     from math import erfc, sqrt
     theory = 0.5 * erfc(sqrt(2.0 * 10.0 ** 0.6) / sqrt(2.0))  # Q(sqrt(2 Eb/N0))
     assert theory == pytest.approx(2.39e-3, rel=0.02)

@@ -3,10 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from dopplerveil.scenario import (Obfuscation, ScenarioConfig, ScenarioError,
+from dopplerveil.scenario import (ScenarioConfig, ScenarioError,
                                   derive_streams, load_scenario, rng_streams,
-                                  subcarrier_layout, validate,
-                                  with_obfuscation)
+                                  subcarrier_layout, validate)
 
 
 def test_minimal_document_gets_defaults():
@@ -154,10 +153,56 @@ def test_rng_streams_are_deterministic_and_distinct():
                               c.noise.standard_normal(64))
 
 
-def test_with_obfuscation_validates():
-    cfg = ScenarioConfig()
-    out = with_obfuscation(cfg, Obfuscation(kind="smear", delta_f_hz=100.0,
-                                            f_m_hz=5.0))
-    assert out.obfuscation.kind == "smear"
-    with pytest.raises(ScenarioError):
-        with_obfuscation(cfg, Obfuscation(kind="smear", f_m_hz=0.0))
+def test_numeric_fields_parse_as_floats():
+    cfg = load_scenario(
+        "carrier_hz: 5800000000\nsubcarrier_spacing_hz: 312500\n"
+        "duration_s: 2\ncsi_rate_hz: 1000\nsnr_db: 25\n"
+        "walker: {speed_mps: 1, start_range_m: 6, heading_deg: 180,\n"
+        "         gait_stride_coeff: 1, leg_speed_ratio: 2,\n"
+        "         arm_speed_ratio: 1, head_speed_ratio: 0,\n"
+        "         torso_bob_ratio: 0, reflectivity: {torso: 1}}\n"
+        "static_paths: [{range_m: 10, gain: [1, 0]}]\n"
+        "obfuscation: {kind: smear, delta_f_hz: 100, f_m_hz: 10,"
+        " v_sp_mps: 5}\n"
+        "stft: {window_len_s: 1, hop_s: 1}\n")
+    w, ob, st = cfg.walker, cfg.obfuscation, cfg.stft
+    values = [cfg.carrier_hz, cfg.subcarrier_spacing_hz, cfg.duration_s,
+              cfg.csi_rate_hz, cfg.snr_db, w.speed_mps, w.start_range_m,
+              w.heading_deg, w.gait_stride_coeff, w.leg_speed_ratio,
+              w.arm_speed_ratio, w.head_speed_ratio, w.torso_bob_ratio,
+              w.reflectivity["torso"], cfg.static_paths[0].range_m,
+              ob.delta_f_hz, ob.f_m_hz, ob.v_sp_mps, st.window_len_s, st.hop_s]
+    assert all(type(v) is float for v in values)
+    assert str(ob.delta_f_hz) == "100.0"
+    # counts stay integers
+    assert type(cfg.n_subcarriers) is int and type(cfg.payload_bits) is int
+
+
+@pytest.mark.parametrize("doc, key", [
+    ("duration_s: abc", "duration_s"),
+    ("carrier_hz: [1, 2]", "carrier_hz"),
+    ("snr_db: high", "snr_db"),
+    ("walker: {speed_mps: fast}", "walker.speed_mps"),
+    ("walker: {reflectivity: {leg: strong}}", "walker.reflectivity.leg"),
+    ("obfuscation: {kind: smear, delta_f_hz: null}", "obfuscation.delta_f_hz"),
+    ("stft: {hop_s: short}", "stft.hop_s"),
+    ("static_paths: [{range_m: far}]", "static path range_m"),
+])
+def test_non_numeric_value_rejected_naming_key(doc, key):
+    with pytest.raises(ScenarioError, match=f"{key} must be a number"):
+        load_scenario(doc)
+
+
+def test_payload_must_fit_duration():
+    # 16-QAM on 52 data subcarriers: 10400 bits per 57-symbol (228 us) frame.
+    fits = ScenarioConfig(duration_s=2.0, payload_bits=10400 * 8771)
+    validate(fits)
+    with pytest.raises(ScenarioError, match="payload_bits too large"):
+        validate(ScenarioConfig(duration_s=2.0,
+                                payload_bits=10400 * 8771 + 1))
+    with pytest.raises(ScenarioError, match="payload_bits too large"):
+        load_scenario("payload_bits: 200000000\nduration_s: 2.0\n"
+                      "qam_order: 4\n")
+    # one frame is always sent, however few bits it carries
+    with pytest.raises(ScenarioError, match="payload_bits too large"):
+        validate(ScenarioConfig(duration_s=200e-6, payload_bits=1))

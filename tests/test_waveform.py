@@ -14,7 +14,10 @@ def test_qpsk_corners():
 
 @pytest.mark.parametrize("order", [4, 16, 64])
 def test_constellation_unit_average_energy(order):
-    points = wf.constellation(order)
+    # every bit word once, MSB first
+    b = int(np.log2(order))
+    words = (np.arange(order)[:, None] >> np.arange(b - 1, -1, -1)) & 1
+    points = wf.qam_map(words.ravel(), order)
     assert len(points) == order
     assert len(set(np.round(points, 12))) == order
     assert np.mean(np.abs(points) ** 2) == pytest.approx(1.0, abs=1e-12)
@@ -76,13 +79,19 @@ def test_modulator_parseval():
 def test_preamble_grid_is_seven_identical_known_columns():
     cfg = ScenarioConfig()
     d = derive_streams(cfg)
-    grid = wf.build_preamble_grid(cfg.n_subcarriers, d.used_bins)
-    assert grid.n_symbols == wf.PREAMBLE_SYMBOLS == 7
+    bits = np.zeros(len(d.data_bins) * int(np.log2(cfg.qam_order)), dtype=int)
+    grid, _ = wf.frame_stream(cfg, d, bits)
+    pre = grid.values[:, :wf.PREAMBLE_SYMBOLS]
+    assert wf.PREAMBLE_SYMBOLS == 7
     for m in range(1, 7):
-        np.testing.assert_array_equal(grid.values[:, m], grid.values[:, 0])
+        np.testing.assert_array_equal(pre[:, m], pre[:, 0])
+    np.testing.assert_array_equal(
+        pre[:, 0], wf.known_symbol_table(cfg.n_subcarriers, d.used_bins))
     null_bins = np.setdiff1d(np.arange(cfg.n_subcarriers), d.used_bins)
     assert np.all(grid.values[null_bins, :] == 0)
-    assert np.all(grid.kinds[d.used_bins, :] == wf.KIND_PREAMBLE)
+    assert np.all(grid.kinds[null_bins, :] == wf.KIND_NULL)
+    assert np.all(grid.kinds[d.used_bins, :wf.PREAMBLE_SYMBOLS]
+                  == wf.KIND_PREAMBLE)
 
 
 def test_known_table_is_deterministic_unit_modulus_qpsk():
@@ -111,15 +120,6 @@ def test_frame_stream_payload_layout():
         np.tile(table[d.pilot_bins][:, None], (1, n_data_sym)))
     assert np.all(grid.kinds[d.data_bins, wf.PREAMBLE_SYMBOLS:] == wf.KIND_DATA)
     assert len(sig.samples) == grid.n_symbols * (cfg.n_subcarriers + cfg.cp_len)
-
-
-def test_frame_stream_known_symbol_mode():
-    cfg = ScenarioConfig()
-    d = derive_streams(cfg)
-    grid, _ = wf.frame_stream(cfg, d, known_symbol_mode=True, n_symbols=10)
-    assert grid.n_symbols == 10
-    for m in range(1, 10):
-        np.testing.assert_array_equal(grid.values[:, m], grid.values[:, 0])
 
 
 def test_frame_stream_short_payload_rejected():
