@@ -166,19 +166,15 @@ def add_awgn(x: np.ndarray, snr_db: float,
 
 
 def propagate(sig: BasebandSignal, chan: ChannelRealization,
-              n_subcarriers: int | None = None, cp_len: int | None = None,
-              mode: str = "fast", snr_db: float = math.inf,
+              n_subcarriers: int, cp_len: int, snr_db: float = math.inf,
               rng: np.random.Generator | None = None) -> BasebandSignal:
     """Push the signal through the time-varying multipath channel plus AWGN.
 
-    fast mode: the channel is frozen per OFDM symbol (midpoint delay) and
-    applied in the frequency domain, which realizes the fractional path delay
-    as an exact band-limited shift; requires the input to carry true cyclic
-    prefixes and needs n_subcarriers/cp_len.  Valid because channel coherence
-    time (milliseconds and up) vastly exceeds the 4 us symbol.
-
-    exact mode: per-sample evaluation y[n] = sum_l h_l exp(-j2pi f_c tau_l(t_n))
-    x(t_n - tau_l(t_n)) with linear interpolation of the input samples.
+    The channel is frozen per OFDM symbol (midpoint delay) and applied in the
+    frequency domain, which realizes the fractional path delay as an exact
+    band-limited shift; the input must carry true cyclic prefixes.  Valid
+    because channel coherence time (milliseconds and up) vastly exceeds the
+    4 us symbol.
     """
     duration = len(sig.samples) / sig.sample_rate_hz
     max_tau = max(float(np.max(tr.path_length_m)) for tr in chan.tracks) \
@@ -186,33 +182,13 @@ def propagate(sig: BasebandSignal, chan: ChannelRealization,
     if max_tau > duration:
         raise ValueError("channel delay spread exceeds the signal duration")
 
-    if mode == "fast":
-        if n_subcarriers is None or cp_len is None:
-            raise ValueError("fast mode needs n_subcarriers and cp_len")
-        y = ofdm_demodulate(sig, n_subcarriers, cp_len)
-        t_mid = symbol_midtimes(
-            y.n_symbols, (n_subcarriers + cp_len) / sig.sample_rate_hz, sig.t0)
-        df = sig.sample_rate_hz / n_subcarriers
-        y.values *= cfr(chan, signed_subcarriers(n_subcarriers)[:, None] * df,
-                        t_mid[None, :])
-        result = ofdm_modulate(y, cp_len, sig.sample_rate_hz, sig.t0)
-    elif mode == "exact":
-        t = sig.times()
-        fs = sig.sample_rate_hz
-        idx = np.arange(len(sig.samples), dtype=float)
-        out = np.zeros(len(sig.samples), dtype=complex)
-        for track in chan.tracks:
-            tau = path_delay(track, t)
-            pos = idx - tau * fs
-            delayed = (np.interp(pos, idx, sig.samples.real, left=0.0, right=0.0)
-                       + 1j * np.interp(pos, idx, sig.samples.imag,
-                                        left=0.0, right=0.0))
-            out += track.reflectivity * np.exp(
-                -2j * np.pi * chan.carrier_hz * tau) * delayed
-        result = BasebandSignal(out, sig.sample_rate_hz, sig.t0)
-    else:
-        raise ValueError(f"unknown propagation mode {mode!r}")
-
+    y = ofdm_demodulate(sig, n_subcarriers, cp_len)
+    t_mid = symbol_midtimes(
+        y.n_symbols, (n_subcarriers + cp_len) / sig.sample_rate_hz, sig.t0)
+    df = sig.sample_rate_hz / n_subcarriers
+    y.values *= cfr(chan, signed_subcarriers(n_subcarriers)[:, None] * df,
+                    t_mid[None, :])
+    result = ofdm_modulate(y, cp_len, sig.sample_rate_hz, sig.t0)
     add_awgn(result.samples, snr_db, rng)
     return result
 

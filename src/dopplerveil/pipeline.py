@@ -191,60 +191,56 @@ def simulate_demod(cfg: ScenarioConfig, derived: DerivedParams,
                    chan: chan_mod.ChannelRealization, rngs):
     """Framed payload pass: per-frame preamble CSI, pilot tracking, BER/EVM.
 
-    Returns (ber, evm fraction, tx BasebandSignal).
+    The payload is one (subcarrier, symbol) grid of back-to-back frames; the
+    receiver views it as (subcarrier, frame, symbol).  Returns (ber, evm
+    fraction, tx BasebandSignal).
     """
     obf = cfg.obfuscation
+    n = cfg.n_subcarriers
     n_frames, bits_per_frame = payload_frames(cfg)
     bits = rngs.bits.integers(0, 2, size=n_frames * bits_per_frame)
 
     sym_per_frame = wf.PREAMBLE_SYMBOLS + wf.DATA_SYMBOLS_PER_FRAME
-    k = wf.signed_subcarriers(cfg.n_subcarriers)
-    chunks = []
-    for f in range(n_frames):
-        t0 = f * sym_per_frame * derived.t_sym_s
-        fbits = bits[f * bits_per_frame:(f + 1) * bits_per_frame]
-        grid, sig = wf.frame_stream(cfg, derived, fbits, t0=t0)
-        if obf.kind == "spoof":
-            # Constant over each symbol (its mid-time value), so subcarriers
-            # stay orthogonal; the rotation within a symbol is sub-milliradian.
-            mid = wf.symbol_midtimes(grid.n_symbols, derived.t_sym_s, t0)
-            grid.values *= transmit_multiplier(
-                obf, k[:, None], mid[None, :], cfg.subcarrier_spacing_hz,
-                cfg.carrier_hz)
-            sig = wf.ofdm_modulate(grid, cfg.cp_len, derived.sample_rate_hz,
-                                   t0=t0)
-        chunks.append(sig.samples)
-    tx_air = wf.BasebandSignal(np.concatenate(chunks), derived.sample_rate_hz,
-                               0.0)
+    # The payload-sized arrays are released as soon as they are used: this
+    # pass sets the peak memory of a long run.
+    grid, tx_air = wf.frame_stream(cfg, derived, bits)
+    if obf.kind == "spoof":
+        tx_air = None
+        # Constant over each symbol (its mid-time value), so subcarriers
+        # stay orthogonal; the rotation within a symbol is sub-milliradian.
+        # Mid-times are frame start + (m + 0.5) t_sym, which rounds
+        # differently from (j + 0.5) t_sym over the whole stream.
+        t0 = np.arange(n_frames) * sym_per_frame * derived.t_sym_s
+        mid = wf.symbol_midtimes(sym_per_frame, derived.t_sym_s, t0[:, None])
+        grid.values *= transmit_multiplier(
+            obf, wf.signed_subcarriers(n)[:, None], mid.reshape(1, -1),
+            cfg.subcarrier_spacing_hz, cfg.carrier_hz)
+        tx_air = wf.ofdm_modulate(grid, cfg.cp_len, derived.sample_rate_hz)
+    del grid
     if obf.kind == "smear":
         # Per sample over the whole stream, CP and preambles included: the FM
         # phase runs continuously, so no frame-rate lines appear.
         tx_air.samples *= transmit_multiplier(
             obf, 0, tx_air.times(), cfg.subcarrier_spacing_hz, cfg.carrier_hz)
 
-    rx = chan_mod.propagate(tx_air, chan, n_subcarriers=cfg.n_subcarriers,
-                            cp_len=cfg.cp_len, mode="fast",
-                            snr_db=cfg.snr_db, rng=rngs.noise)
-    y_all = rx_mod.ofdm_demodulate(rx, cfg.n_subcarriers, cfg.cp_len)
+    rx = chan_mod.propagate(tx_air, chan, n, cfg.cp_len, snr_db=cfg.snr_db,
+                            rng=rngs.noise)
+    y = rx_mod.ofdm_demodulate(rx, n, cfg.cp_len).values.reshape(
+        n, n_frames, sym_per_frame)
+    del rx
 
-    table = wf.known_symbol_table(cfg.n_subcarriers, derived.used_bins)
-    rx_bits = []
-    eq_syms = []
-    for f in range(n_frames):
-        y = y_all.values[:, f * sym_per_frame:(f + 1) * sym_per_frame]
-        h_ref = np.ones(cfg.n_subcarriers, dtype=complex)
-        h_ref[derived.used_bins] = rx_mod.estimate_cfr(
-            y[derived.used_bins, :wf.PREAMBLE_SYMBOLS],
-            table[derived.used_bins]).mean(axis=1)
-        data = y[:, wf.PREAMBLE_SYMBOLS:]
-        corrected, _ = rx_mod.pilot_phase_correct(
-            data, derived.pilot_bins, table[derived.pilot_bins], h_ref=h_ref)
-        fbits, syms = rx_mod.equalize_demap(corrected, h_ref,
-                                            derived.data_bins, cfg.qam_order)
-        rx_bits.append(fbits)
-        eq_syms.append(syms)
-    rx_bits = np.concatenate(rx_bits)
-    eq_syms = np.concatenate(eq_syms)
+    table = wf.known_symbol_table(n, derived.used_bins)
+    h_ref = np.ones((n, n_frames, 1), dtype=complex)
+    h_ref[derived.used_bins] = rx_mod.estimate_cfr(
+        y[derived.used_bins, :, :wf.PREAMBLE_SYMBOLS],
+        table[derived.used_bins]).mean(axis=2, keepdims=True)
+    corrected, _ = rx_mod.pilot_phase_correct(
+        y[:, :, wf.PREAMBLE_SYMBOLS:], derived.pilot_bins,
+        table[derived.pilot_bins], h_ref=h_ref)
+    del y
+    rx_bits, eq_syms = rx_mod.equalize_demap(corrected, h_ref,
+                                             derived.data_bins, cfg.qam_order)
+    del corrected
     measured_ber = rx_mod.ber(rx_bits, bits)
     # EVM against the pre-spoof ideal constellation: any spoof rotation is
     # absorbed into the per-frame channel estimate the receiver uses.

@@ -42,11 +42,13 @@ def ofdm_demodulate(sig: BasebandSignal, n_subcarriers: int,
 def estimate_cfr(y_used: np.ndarray, x_used: np.ndarray) -> np.ndarray:
     """Matched-filter CFR estimate X* Y / |X|^2.
 
-    Row i of y_used holds the symbols received on the subcarrier of x_used[i].
+    Row i of y_used holds the symbols received on the subcarrier of x_used[i]
+    (shape (K, symbols) or (K, frames, symbols)).
     """
     if np.any(np.abs(x_used) == 0):
         raise ValueError("known symbol is zero on a used subcarrier")
-    return np.conj(x_used)[:, None] * y_used / (np.abs(x_used) ** 2)[:, None]
+    x = np.reshape(x_used, (-1,) + (1,) * (np.ndim(y_used) - 1))
+    return np.conj(x) * y_used / np.abs(x) ** 2
 
 
 def pilot_phase_correct(y_values: np.ndarray, pilot_bins: np.ndarray,
@@ -54,28 +56,34 @@ def pilot_phase_correct(y_values: np.ndarray, pilot_bins: np.ndarray,
                         h_ref: np.ndarray | None = None):
     """Remove the per-symbol common phase estimated from the pilots.
 
-    pilot_ref holds the known pilot values (per bin); h_ref, when given, is the
-    channel estimate used to reference the pilots (per bin).  Returns the
-    corrected grid values and the removed phase per symbol.
+    y_values is indexed (bin, symbol) or (bin, frame, symbol).  pilot_ref
+    holds the known pilot values (per bin); h_ref, when given, is the channel
+    estimate used to reference the pilots and broadcasts against y_values.
+    Returns the corrected values and the removed phase per symbol.
     """
-    expected = pilot_ref if h_ref is None else pilot_ref * h_ref[pilot_bins]
-    inner = np.sum(y_values[pilot_bins, :] * np.conj(expected)[:, None], axis=0)
+    expected = np.reshape(pilot_ref, (-1,) + (1,) * (y_values.ndim - 1))
+    if h_ref is not None:
+        expected = expected * h_ref[pilot_bins]
+    inner = np.sum(y_values[pilot_bins] * np.conj(expected), axis=0)
     if np.all(inner == 0):
         raise ValueError("all pilots are zero; cannot track phase")
     theta = np.angle(inner)
-    return y_values * np.exp(-1j * theta)[None, :], theta
+    return y_values * np.exp(-1j * theta)[None], theta
 
 
 def equalize_demap(y_values: np.ndarray, h_ref: np.ndarray,
                    data_bins: np.ndarray, order: int):
     """Zero-forcing equalization and Gray demapping on the data subcarriers.
 
-    Returns (bits, equalized data symbols in transmit order).
+    y_values is indexed (bin, symbol) or (bin, frame, symbol), and h_ref
+    broadcasts against it.  Returns (bits, equalized data symbols in
+    transmit order).
     """
     if np.any(np.abs(h_ref[data_bins]) == 0):
         raise ValueError("zero channel estimate on a data subcarrier")
-    eq = y_values[data_bins, :] / h_ref[data_bins][:, None]
-    syms = eq.T.reshape(-1)  # symbol-major, matching frame_stream bit order
+    eq = y_values[data_bins] / h_ref[data_bins]
+    # symbol-major, matching frame_stream bit order
+    syms = np.moveaxis(eq, 0, -1).reshape(-1)
     return demap(syms, order), syms
 
 

@@ -116,6 +116,21 @@ def _number(value, where: str) -> float:
             f"{where} must be a number, got {value!r}") from None
 
 
+def _integer(value, where: str) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ScenarioError(f"{where} must be an integer, got {value!r}")
+    return value
+
+
+def _mapping(value, where: str) -> dict:
+    """A section's mapping; an empty (null) section is an empty mapping."""
+    if value is None:
+        return {}
+    if not isinstance(value, dict):
+        raise ScenarioError(f"{where} must be a mapping, got {value!r}")
+    return value
+
+
 def _with_numbers(data: dict, where: str, not_numbers=()) -> dict:
     """data with every value but those of not_numbers parsed as a float."""
     return {k: v if k in not_numbers else _number(v, f"{where}{k}")
@@ -137,7 +152,7 @@ def _parse_walker(data: dict) -> WalkerParams:
         "reflectivity").split()}, "walker")
     refl = dict(WalkerParams().reflectivity)
     if "reflectivity" in data:
-        sub = data["reflectivity"]
+        sub = _mapping(data["reflectivity"], "walker.reflectivity")
         _reject_unknown(sub, {"torso", "leg", "arm", "head"}, "walker.reflectivity")
         refl.update(_with_numbers(sub, "walker.reflectivity."))
     kwargs = _with_numbers({k: v for k, v in data.items() if k != "reflectivity"},
@@ -153,8 +168,10 @@ def _parse_obfuscation(data: dict) -> Obfuscation:
 
 def _parse_stft(data: dict) -> StftParams:
     _reject_unknown(data, {"window_len_s", "hop_s", "n_fft", "window_kind"}, "stft")
-    return StftParams(**_with_numbers(data, "stft.",
-                                      not_numbers=("n_fft", "window_kind")))
+    kwargs = _with_numbers(data, "stft.", not_numbers=("n_fft", "window_kind"))
+    if kwargs.get("n_fft") is not None:
+        kwargs["n_fft"] = _integer(kwargs["n_fft"], "stft.n_fft")
+    return StftParams(**kwargs)
 
 
 def _parse_static_paths(items) -> tuple:
@@ -162,6 +179,7 @@ def _parse_static_paths(items) -> tuple:
         raise ScenarioError("static_paths must be a list of mappings")
     paths = []
     for item in items:
+        item = _mapping(item, "static_paths entry")
         _reject_unknown(item, {"range_m", "gain"}, "static_paths entry")
         if "range_m" not in item:
             raise ScenarioError("static path needs range_m")
@@ -171,7 +189,8 @@ def _parse_static_paths(items) -> tuple:
     return tuple(paths)
 
 
-# Top-level keys whose values are parsed as floats.
+# Top-level keys whose values are parsed as floats; the other scalar keys are
+# integers.
 _TOP_FLOATS = {"carrier_hz", "subcarrier_spacing_hz", "duration_s",
                "csi_rate_hz"}
 
@@ -197,11 +216,11 @@ def load_scenario(text: str) -> ScenarioConfig:
     kwargs = {}
     for key, value in data.items():
         if key == "walker":
-            kwargs[key] = _parse_walker(value or {})
+            kwargs[key] = _parse_walker(_mapping(value, key))
         elif key == "obfuscation":
-            kwargs[key] = _parse_obfuscation(value or {})
+            kwargs[key] = _parse_obfuscation(_mapping(value, key))
         elif key == "stft":
-            kwargs[key] = _parse_stft(value or {})
+            kwargs[key] = _parse_stft(_mapping(value, key))
         elif key == "static_paths":
             kwargs[key] = _parse_static_paths(value)
         elif key == "snr_db":
@@ -209,7 +228,7 @@ def load_scenario(text: str) -> ScenarioConfig:
         elif key in _TOP_FLOATS:
             kwargs[key] = _number(value, key)
         else:
-            kwargs[key] = value
+            kwargs[key] = _integer(value, key)
     try:
         cfg = ScenarioConfig(**kwargs)
     except TypeError as exc:

@@ -71,7 +71,7 @@ def stft(series: np.ndarray, rate_hz: float, window_len: int, hop: int,
                        window_kind=window_kind)
 
 
-def method2_view(series: CfrSeries, subcarriers=None,
+def method2_view(series: CfrSeries,
                  window_len: int | None = None, hop: int | None = None,
                  n_fft: int | None = None, window_kind: str = "hann",
                  component: str = "complex") -> Spectrogram:
@@ -86,14 +86,6 @@ def method2_view(series: CfrSeries, subcarriers=None,
     per-subcarrier transmit multiplier, so the spoofing defense is invisible
     in power mode by construction.
     """
-    if subcarriers is None:
-        rows = np.arange(len(series.subcarriers))
-    else:
-        wanted = set(int(k) for k in np.atleast_1d(subcarriers))
-        rows = np.array([i for i, k in enumerate(series.subcarriers)
-                         if int(k) in wanted])
-    if len(rows) == 0:
-        raise ValueError("empty subcarrier selection")
     if component == "complex":
         data = series.h_hat
     elif component == "power":
@@ -106,14 +98,14 @@ def method2_view(series: CfrSeries, subcarriers=None,
     if hop is None:
         hop = max(1, int(round(0.05 * rate)))
     acc = None
-    for i in rows:
-        p = data[i] - data[i].mean()
+    for row in data:
+        p = row - row.mean()
         s = stft(p, rate, window_len, hop, n_fft, window_kind, t0=series.t_s[0])
         acc = s if acc is None else Spectrogram(
             power=acc.power + s.power, freqs_hz=s.freqs_hz, times_s=s.times_s,
             window_len=s.window_len, hop=s.hop, n_fft=s.n_fft,
             window_kind=s.window_kind)
-    acc.power /= len(rows)
+    acc.power /= len(data)
     return acc
 
 

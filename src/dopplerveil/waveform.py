@@ -117,34 +117,37 @@ def ofdm_modulate(grid: SymbolGrid, cp_len: int,
     return BasebandSignal(samples=samples, sample_rate_hz=sample_rate_hz, t0=t0)
 
 
-def frame_stream(cfg, derived, payload_bits, t0: float = 0.0):
-    """One frame: PREAMBLE_SYMBOLS known symbols, then QAM data with pilots.
+def frame_stream(cfg, derived, payload_bits):
+    """Every frame of the payload, back to back from t = 0.
 
+    A frame is PREAMBLE_SYMBOLS known symbols, then DATA_SYMBOLS_PER_FRAME
+    QAM data symbols with pilots; the payload must fill whole frames.
     Returns (SymbolGrid, BasebandSignal).
     """
     n = cfg.n_subcarriers
     table = known_symbol_table(n, derived.used_bins)
     bits = np.asarray(payload_bits, dtype=np.int64).ravel()
-    bps = int(np.log2(cfg.qam_order))
-    per_sym = len(derived.data_bins) * bps
-    if len(bits) < per_sym:
-        raise ValueError("payload shorter than one OFDM symbol")
-    n_data_sym = len(bits) // per_sym
-    bits = bits[: n_data_sym * per_sym]
-    syms = qam_map(bits, cfg.qam_order).reshape(n_data_sym, -1).T
-    m = PREAMBLE_SYMBOLS + n_data_sym
-    values = np.zeros((n, m), dtype=complex)
-    kinds = np.zeros((n, m), dtype=np.uint8)
-    values[:, :PREAMBLE_SYMBOLS] = table[:, None]
-    kinds[derived.used_bins, :PREAMBLE_SYMBOLS] = KIND_PREAMBLE
-    values[derived.data_bins, PREAMBLE_SYMBOLS:] = syms
-    kinds[derived.data_bins, PREAMBLE_SYMBOLS:] = KIND_DATA
-    values[derived.pilot_bins, PREAMBLE_SYMBOLS:] = \
-        table[derived.pilot_bins][:, None]
-    kinds[derived.pilot_bins, PREAMBLE_SYMBOLS:] = KIND_PILOT
-    grid = SymbolGrid(values=values, kinds=kinds)
-    sig = ofdm_modulate(grid, cfg.cp_len, derived.sample_rate_hz, t0=t0)
-    return grid, sig
+    bits_per_frame = (DATA_SYMBOLS_PER_FRAME * len(derived.data_bins)
+                      * int(np.log2(cfg.qam_order)))
+    n_frames = len(bits) // bits_per_frame
+    if n_frames == 0 or len(bits) % bits_per_frame:
+        raise ValueError(f"payload of {len(bits)} bits does not fill whole "
+                         f"frames of {bits_per_frame} bits")
+    syms = qam_map(bits, cfg.qam_order).reshape(
+        n_frames, DATA_SYMBOLS_PER_FRAME, -1)
+    # (bin, frame, symbol within the frame)
+    values = np.zeros((n, n_frames, PREAMBLE_SYMBOLS + DATA_SYMBOLS_PER_FRAME),
+                      dtype=complex)
+    kinds = np.zeros(values.shape, dtype=np.uint8)
+    values[:, :, :PREAMBLE_SYMBOLS] = table[:, None, None]
+    kinds[derived.used_bins, :, :PREAMBLE_SYMBOLS] = KIND_PREAMBLE
+    values[derived.data_bins, :, PREAMBLE_SYMBOLS:] = syms.transpose(2, 0, 1)
+    kinds[derived.data_bins, :, PREAMBLE_SYMBOLS:] = KIND_DATA
+    values[derived.pilot_bins, :, PREAMBLE_SYMBOLS:] = \
+        table[derived.pilot_bins][:, None, None]
+    kinds[derived.pilot_bins, :, PREAMBLE_SYMBOLS:] = KIND_PILOT
+    grid = SymbolGrid(values=values.reshape(n, -1), kinds=kinds.reshape(n, -1))
+    return grid, ofdm_modulate(grid, cfg.cp_len, derived.sample_rate_hz)
 
 
 def symbol_midtimes(n_symbols: int, t_sym_s: float, t0: float = 0.0) -> np.ndarray:

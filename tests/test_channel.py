@@ -186,14 +186,33 @@ def test_propagate_fast_matches_per_symbol_cfr():
     np.testing.assert_allclose(y.values[d.used_bins], expected, atol=1e-9)
 
 
+def _delayed_sum(sig, chan):
+    """Per-sample reference channel: y[n] = sum_l h_l exp(-j2pi f_c tau_l(t_n))
+    x(t_n - tau_l(t_n)), with linear interpolation of the input samples."""
+    t = sig.times()
+    fs = sig.sample_rate_hz
+    idx = np.arange(len(sig.samples), dtype=float)
+    out = np.zeros(len(sig.samples), dtype=complex)
+    for track in chan.tracks:
+        tau = ch.path_delay(track, t)
+        pos = idx - tau * fs
+        delayed = (np.interp(pos, idx, sig.samples.real, left=0.0, right=0.0)
+                   + 1j * np.interp(pos, idx, sig.samples.imag,
+                                    left=0.0, right=0.0))
+        out += track.reflectivity * np.exp(
+            -2j * np.pi * chan.carrier_hz * tau) * delayed
+    return wf.BasebandSignal(out, sig.sample_rate_hz, sig.t0)
+
+
 def test_propagate_exact_whole_sample_delay():
+    # the reference model itself on a whole-sample delay
     cfg = ScenarioConfig(cp_len=16)
     d, sig = _known_signal(cfg, 6)
     fs = d.sample_rate_hz
     delay_samples = 5
     r = delay_samples * SPEED_OF_LIGHT / fs
     chan = ch.ChannelRealization([ch.static_track(r, 1.0, 1.0)], cfg.carrier_hz)
-    rx = ch.propagate(sig, chan, mode="exact")
+    rx = _delayed_sum(sig, chan)
     tau = r / SPEED_OF_LIGHT
     expected = np.zeros_like(sig.samples)
     expected[delay_samples:] = sig.samples[:-delay_samples]
@@ -208,21 +227,20 @@ def test_propagate_fast_and_exact_agree_on_integer_delay():
     chan = ch.ChannelRealization([ch.static_track(r, 1.0, 1.0)], cfg.carrier_hz)
     fast = ch.propagate(sig, chan, n_subcarriers=cfg.n_subcarriers,
                         cp_len=cfg.cp_len)
-    exact = ch.propagate(sig, chan, mode="exact")
-    # compare CP-stripped symbol bodies, skipping the first symbol: exact mode
-    # has no input history before t0 and fast mode regenerates the CP
+    exact = _delayed_sum(sig, chan)
+    # compare CP-stripped symbol bodies, skipping the first symbol: the
+    # reference has no input history before t0 and propagate regenerates
+    # the CP
     sym_len = cfg.n_subcarriers + cfg.cp_len
     fb = fast.samples.reshape(-1, sym_len)[1:, cfg.cp_len:]
     eb = exact.samples.reshape(-1, sym_len)[1:, cfg.cp_len:]
     np.testing.assert_allclose(fb, eb, atol=1e-9)
 
 
-def test_propagate_rejects_bad_mode_and_ragged_length():
+def test_propagate_rejects_ragged_length():
     cfg = ScenarioConfig()
     _, sig = _known_signal(cfg, 2)
     chan = ch.ChannelRealization([ch.static_track(10.0, 1.0, 1.0)], 5.8e9)
-    with pytest.raises(ValueError, match="unknown propagation mode"):
-        ch.propagate(sig, chan, mode="slow")
     bad = wf.BasebandSignal(sig.samples[:-3], sig.sample_rate_hz)
     with pytest.raises(ValueError, match="not divisible"):
         ch.propagate(bad, chan, n_subcarriers=cfg.n_subcarriers,

@@ -274,6 +274,21 @@ def test_non_numeric_scenario_value_exits_2(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("doc, reason", [
+    ("n_subcarriers: 64.5\n", "n_subcarriers must be an integer"),
+    ("walker: 5\n", "walker must be a mapping"),
+], ids=["float-integer-field", "non-mapping-section"])
+def test_malformed_scenario_exits_2_naming_key(tmp_path, capsys, doc,
+                                               reason):
+    bad = tmp_path / "bad.yaml"
+    bad.write_text(doc)
+    out = tmp_path / "o"
+    assert main(["run", "--scenario", str(bad), "--out", str(out)]) \
+        == EXIT_CONFIG
+    assert reason in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_run_has_no_threads_option(scenario_file, tmp_path):
     with pytest.raises(SystemExit) as exc:
         main(["run", "--scenario", str(scenario_file),

@@ -53,6 +53,79 @@ def test_simulate_demod_clean_noiseless():
     assert len(tx.samples) % (cfg.n_subcarriers + cfg.cp_len) == 0
 
 
+def _per_frame_demod(cfg, d, chan, rngs):
+    """The demodulation pass built, spoofed and demodulated frame by frame:
+    the reference for simulate_demod's one-grid pass."""
+    from dopplerveil import channel as ch
+    from dopplerveil import receiver as rx
+    from dopplerveil import waveform as wf
+    from dopplerveil.obfuscator import transmit_multiplier
+    from dopplerveil.scenario import payload_frames
+    obf, n = cfg.obfuscation, cfg.n_subcarriers
+    n_frames, bits_per_frame = payload_frames(cfg)
+    bits = rngs.bits.integers(0, 2, size=n_frames * bits_per_frame)
+    sym_per_frame = wf.PREAMBLE_SYMBOLS + wf.DATA_SYMBOLS_PER_FRAME
+    k = wf.signed_subcarriers(n)
+    chunks = []
+    for f in range(n_frames):
+        t0 = f * sym_per_frame * d.t_sym_s
+        grid, sig = wf.frame_stream(
+            cfg, d, bits[f * bits_per_frame:(f + 1) * bits_per_frame])
+        if obf.kind == "spoof":
+            mid = wf.symbol_midtimes(grid.n_symbols, d.t_sym_s, t0)
+            grid.values *= transmit_multiplier(
+                obf, k[:, None], mid[None, :], cfg.subcarrier_spacing_hz,
+                cfg.carrier_hz)
+            sig = wf.ofdm_modulate(grid, cfg.cp_len, d.sample_rate_hz)
+        chunks.append(sig.samples)
+    tx = wf.BasebandSignal(np.concatenate(chunks), d.sample_rate_hz)
+    if obf.kind == "smear":
+        tx.samples *= transmit_multiplier(
+            obf, 0, tx.times(), cfg.subcarrier_spacing_hz, cfg.carrier_hz)
+
+    y_all = rx.ofdm_demodulate(
+        ch.propagate(tx, chan, n, cfg.cp_len, snr_db=cfg.snr_db,
+                     rng=rngs.noise), n, cfg.cp_len).values
+    table = wf.known_symbol_table(n, d.used_bins)
+    x_used, pilots = table[d.used_bins], table[d.pilot_bins]
+    rx_bits, eq_syms = [], []
+    for f in range(n_frames):
+        y = y_all[:, f * sym_per_frame:(f + 1) * sym_per_frame]
+        h_ref = np.ones(n, dtype=complex)
+        h_ref[d.used_bins] = (
+            np.conj(x_used)[:, None] * y[d.used_bins, :wf.PREAMBLE_SYMBOLS]
+            / (np.abs(x_used) ** 2)[:, None]).mean(axis=1)
+        data = y[:, wf.PREAMBLE_SYMBOLS:]
+        expected = pilots * h_ref[d.pilot_bins]
+        theta = np.angle(np.sum(
+            data[d.pilot_bins, :] * np.conj(expected)[:, None], axis=0))
+        data = data * np.exp(-1j * theta)[None, :]
+        syms = (data[d.data_bins, :] / h_ref[d.data_bins][:, None]).T.reshape(-1)
+        rx_bits.append(rx.demap(syms, cfg.qam_order))
+        eq_syms.append(syms)
+    ber = rx.ber(np.concatenate(rx_bits), bits)
+    evm = rx.evm_rms(np.concatenate(eq_syms), wf.qam_map(bits, cfg.qam_order))
+    return ber, evm, tx
+
+
+@pytest.mark.parametrize("over", [
+    dict(qam_order=16, snr_db=8.0),
+    dict(qam_order=64, snr_db=12.0,
+         obfuscation=Obfuscation(kind="smear", delta_f_hz=500.0, f_m_hz=20.0)),
+    dict(snr_db=10.0, obfuscation=Obfuscation(kind="spoof", v_sp_mps=-7.0)),
+], ids=["qam16-none-8dB", "qam64-smear-12dB", "spoof-minus7-10dB"])
+def test_simulate_demod_matches_per_frame_reference(over):
+    cfg = _cfg(payload_bits=40000, **over)
+    d = derive_streams(cfg)
+    chan = pl.build_channel(cfg, d, rng_streams(cfg.seed).walker)
+    ber, evm, tx = pl.simulate_demod(cfg, d, chan, rng_streams(cfg.seed))
+    ref_ber, ref_evm, ref_tx = _per_frame_demod(cfg, d, chan,
+                                                rng_streams(cfg.seed))
+    assert ref_ber > 0
+    assert ber == ref_ber and evm == ref_evm
+    assert tx.samples.tobytes() == ref_tx.samples.tobytes()
+
+
 def test_simulate_demod_rejects_oversized_payload():
     cfg = _cfg(duration_s=0.01, payload_bits=1_000_000)
     d = derive_streams(cfg)

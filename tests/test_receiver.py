@@ -161,7 +161,8 @@ def test_equalize_demap_roundtrip():
     h = 0.3 * np.exp(1j * 0.8) * np.ones(cfg.n_subcarriers, dtype=complex)
     values = np.zeros((cfg.n_subcarriers, m), dtype=complex)
     values[d.data_bins] = h[d.data_bins][:, None] * syms
-    out_bits, eq = rx.equalize_demap(values, h, d.data_bins, cfg.qam_order)
+    out_bits, eq = rx.equalize_demap(values, h[:, None], d.data_bins,
+                                     cfg.qam_order)
     assert np.array_equal(out_bits, bits)
     assert rx.evm_rms(eq, wf.qam_map(bits, cfg.qam_order)) < 1e-12
 

@@ -193,6 +193,40 @@ def test_non_numeric_value_rejected_naming_key(doc, key):
         load_scenario(doc)
 
 
+@pytest.mark.parametrize("doc, key", [
+    ("n_subcarriers: abc", "n_subcarriers"),
+    ("cp_len: x", "cp_len"),
+    ("n_subcarriers: 64.5", "n_subcarriers"),
+    ("n_subcarriers: 64.0", "n_subcarriers"),
+    ("payload_bits: 1.0e+5", "payload_bits"),
+    ("qam_order: true", "qam_order"),
+    ("seed: null", "seed"),
+    ("stft: {n_fft: abc}", "stft.n_fft"),
+    ("stft: {n_fft: 1024.0}", "stft.n_fft"),
+])
+def test_non_integer_value_rejected_naming_key(doc, key):
+    with pytest.raises(ScenarioError, match=f"{key} must be an integer"):
+        load_scenario(doc)
+
+
+@pytest.mark.parametrize("doc, key", [
+    ("walker: 5", "walker"),
+    ("obfuscation: [smear]", "obfuscation"),
+    ("stft: hann", "stft"),
+    ("walker: {reflectivity: 0.3}", "walker.reflectivity"),
+    ("static_paths: [5]", "static_paths entry"),
+])
+def test_non_mapping_section_rejected_naming_key(doc, key):
+    with pytest.raises(ScenarioError, match=f"{key} must be a mapping"):
+        load_scenario(doc)
+
+
+def test_null_sections_and_n_fft_take_defaults():
+    cfg = load_scenario("walker:\nobfuscation:\nstft: {n_fft: null}\n")
+    assert cfg == load_scenario("")
+    assert load_scenario("stft: {n_fft: 1024}").stft.n_fft == 1024
+
+
 def test_payload_must_fit_duration():
     # 16-QAM on 52 data subcarriers: 10400 bits per 57-symbol (228 us) frame.
     fits = ScenarioConfig(duration_s=2.0, payload_bits=10400 * 8771)

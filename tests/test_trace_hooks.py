@@ -52,3 +52,29 @@ def test_a_multiplier_span_names_a_public_function():
     tracing = _tracing()
     assert any(_resolves(s) for s in tracing.MULTIPLIERS), \
         sorted(tracing.MULTIPLIERS)
+
+
+def test_counter_hooks_run_on_a_real_run(tmp_path):
+    from dopplerveil import cli
+    from dopplerveil.scenario import load_scenario_file, payload_frames
+    tracing = _tracing()
+    scenario = tmp_path / "scenario.yaml"
+    scenario.write_text("duration_s: 0.3\ncsi_rate_hz: 500\n"
+                        "payload_bits: 30000\n"
+                        "stft: {window_len_s: 0.1, hop_s: 0.05}\n")
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        code = cli.main(["run", "--scenario", str(scenario),
+                         "--out", str(tmp_path / "out"), "--format", "csv",
+                         "--format", "pgm", "--format", "bin"])
+    finally:
+        tracer.uninstall()
+    assert code == 0
+    counted = {s.name for s in tracer.spans if s.counts}
+    assert counted == set(tracing.COUNTERS), \
+        f"hooks that did not run: {sorted(set(tracing.COUNTERS) - counted)}"
+    n_frames, bits_per_frame = payload_frames(load_scenario_file(scenario))
+    assert n_frames == 3
+    assert [s.counts["data_bits"] for s in tracer.spans
+            if s.name == "waveform.frame_stream"] == [n_frames * bits_per_frame]

@@ -76,11 +76,17 @@ def test_modulator_parseval():
     np.testing.assert_allclose(e_time, e_freq, rtol=1e-9)
 
 
+def _frame_bits(cfg, d, n_frames, seed=2):
+    bits_per_frame = (wf.DATA_SYMBOLS_PER_FRAME * len(d.data_bins)
+                      * int(np.log2(cfg.qam_order)))
+    return np.random.default_rng(seed).integers(
+        0, 2, size=n_frames * bits_per_frame)
+
+
 def test_preamble_grid_is_seven_identical_known_columns():
     cfg = ScenarioConfig()
     d = derive_streams(cfg)
-    bits = np.zeros(len(d.data_bins) * int(np.log2(cfg.qam_order)), dtype=int)
-    grid, _ = wf.frame_stream(cfg, d, bits)
+    grid, _ = wf.frame_stream(cfg, d, _frame_bits(cfg, d, 1))
     pre = grid.values[:, :wf.PREAMBLE_SYMBOLS]
     assert wf.PREAMBLE_SYMBOLS == 7
     for m in range(1, 7):
@@ -106,10 +112,8 @@ def test_known_table_is_deterministic_unit_modulus_qpsk():
 def test_frame_stream_payload_layout():
     cfg = ScenarioConfig()
     d = derive_streams(cfg)
-    bps = int(np.log2(cfg.qam_order))
-    n_data_sym = 5
-    rng = np.random.default_rng(2)
-    bits = rng.integers(0, 2, size=n_data_sym * len(d.data_bins) * bps)
+    n_data_sym = wf.DATA_SYMBOLS_PER_FRAME
+    bits = _frame_bits(cfg, d, 1)
     grid, sig = wf.frame_stream(cfg, d, payload_bits=bits)
     assert grid.n_symbols == wf.PREAMBLE_SYMBOLS + n_data_sym
     table = wf.known_symbol_table(cfg.n_subcarriers, d.used_bins)
@@ -120,13 +124,52 @@ def test_frame_stream_payload_layout():
         np.tile(table[d.pilot_bins][:, None], (1, n_data_sym)))
     assert np.all(grid.kinds[d.data_bins, wf.PREAMBLE_SYMBOLS:] == wf.KIND_DATA)
     assert len(sig.samples) == grid.n_symbols * (cfg.n_subcarriers + cfg.cp_len)
+    syms = wf.qam_map(bits, cfg.qam_order).reshape(n_data_sym, -1).T
+    np.testing.assert_array_equal(
+        grid.values[d.data_bins, wf.PREAMBLE_SYMBOLS:], syms)
+
+
+def test_frame_stream_puts_preambles_at_frame_starts():
+    cfg = ScenarioConfig()
+    d = derive_streams(cfg)
+    bits = _frame_bits(cfg, d, 3)
+    grid, sig = wf.frame_stream(cfg, d, bits)
+    assert grid.n_symbols == 3 * 57
+    preamble = np.all(grid.kinds[d.used_bins] == wf.KIND_PREAMBLE, axis=0)
+    starts = np.flatnonzero(preamble & ~np.r_[False, preamble[:-1]])
+    assert starts.tolist() == [0, 57, 114]
+    assert np.count_nonzero(preamble) == 3 * wf.PREAMBLE_SYMBOLS
+    # each frame is the one-frame stream of its own bits, back to back
+    per_frame = len(bits) // 3
+    for f in range(3):
+        one, one_sig = wf.frame_stream(
+            cfg, d, bits[f * per_frame:(f + 1) * per_frame])
+        np.testing.assert_array_equal(
+            grid.values[:, f * 57:(f + 1) * 57], one.values)
+        np.testing.assert_array_equal(
+            grid.kinds[:, f * 57:(f + 1) * 57], one.kinds)
+        n = len(one_sig.samples)
+        np.testing.assert_array_equal(sig.samples[f * n:(f + 1) * n],
+                                      one_sig.samples)
+    assert sig.t0 == 0.0
 
 
 def test_frame_stream_short_payload_rejected():
     cfg = ScenarioConfig()
     d = derive_streams(cfg)
-    with pytest.raises(ValueError, match="shorter than one OFDM symbol"):
+    with pytest.raises(ValueError, match="does not fill whole frames"):
         wf.frame_stream(cfg, d, payload_bits=np.zeros(8, dtype=int))
+
+
+def test_frame_stream_rejects_partial_frames():
+    cfg = ScenarioConfig()
+    d = derive_streams(cfg)
+    bits = _frame_bits(cfg, d, 2)
+    # one bit short of two frames; two frames and one data symbol
+    per_symbol = len(d.data_bins) * int(np.log2(cfg.qam_order))
+    for partial in (bits[:-1], np.r_[bits, bits[:per_symbol]]):
+        with pytest.raises(ValueError, match="does not fill whole frames"):
+            wf.frame_stream(cfg, d, partial)
 
 
 def test_dump_iq_roundtrip(tmp_path):
