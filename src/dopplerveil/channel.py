@@ -121,24 +121,36 @@ def path_delay(track: ScattererTrack, t) -> np.ndarray:
     return np.interp(t, track.times_s, track.path_length_m) / SPEED_OF_LIGHT
 
 
-def cfr(chan: ChannelRealization, f, t):
-    """H(f, t) = sum_l h_l exp(-j 2 pi (f_c + f) tau_l(t)), broadcast over f, t."""
-    f = np.asarray(f, dtype=float)
-    t = np.asarray(t, dtype=float)
-    total = np.zeros(np.broadcast(f, t).shape, dtype=complex)
+def cfr_matrix(chan: ChannelRealization, k, spacing_hz: float,
+               times) -> np.ndarray:
+    """H(k spacing_hz, t) = sum_l h_l exp(-j 2 pi (f_c + k spacing_hz) tau_l(t)).
+
+    k holds integer subcarrier indices, one per row; the result has shape
+    (len(k), len(times)).  Along k each path's term is geometric: per path
+    and time, one exp gives the lowest subcarrier of k and one more the step
+    exp(-j 2 pi spacing_hz tau), and repeated multiplication by the step
+    walks the contiguous range min(k)..max(k), adding each wanted row.
+    """
+    k = np.asarray(k)
+    if k.ndim != 1 or not np.issubdtype(k.dtype, np.integer):
+        raise ValueError("k must be a 1-D array of integer subcarriers")
+    times = np.asarray(times, dtype=float)
+    total = np.zeros((len(k), len(times)), dtype=complex)
+    k_min = int(k.min())
+    rows = [[] for _ in range(int(k.max()) - k_min + 1)]
+    for row, kk in enumerate(k):
+        rows[int(kk) - k_min].append(row)
     for track in chan.tracks:
-        term = np.asarray(
-            -2j * np.pi * (chan.carrier_hz + f) * path_delay(track, t))
-        np.exp(term, out=term)
-        np.multiply(track.reflectivity, term, out=term)
-        total += term
+        arg = -2j * np.pi * path_delay(track, times)
+        term = track.reflectivity * np.exp(
+            (chan.carrier_hz + k_min * spacing_hz) * arg)
+        step = np.exp(spacing_hz * arg)
+        for i, wanted in enumerate(rows):
+            if i:
+                term *= step
+            for row in wanted:
+                total[row] += term
     return total
-
-
-def cfr_matrix(chan: ChannelRealization, freqs: np.ndarray,
-               times: np.ndarray) -> np.ndarray:
-    """H on a (frequency, time) grid; shape (len(freqs), len(times))."""
-    return cfr(chan, np.asarray(freqs)[:, None], np.asarray(times)[None, :])
 
 
 def add_awgn(x: np.ndarray, snr_db: float,
@@ -185,9 +197,8 @@ def propagate(sig: BasebandSignal, chan: ChannelRealization,
     y = ofdm_demodulate(sig, n_subcarriers, cp_len)
     t_mid = symbol_midtimes(
         y.n_symbols, (n_subcarriers + cp_len) / sig.sample_rate_hz, sig.t0)
-    df = sig.sample_rate_hz / n_subcarriers
-    y.values *= cfr(chan, signed_subcarriers(n_subcarriers)[:, None] * df,
-                    t_mid[None, :])
+    y.values *= cfr_matrix(chan, signed_subcarriers(n_subcarriers),
+                           sig.sample_rate_hz / n_subcarriers, t_mid)
     result = ofdm_modulate(y, cp_len, sig.sample_rate_hz, sig.t0)
     add_awgn(result.samples, snr_db, rng)
     return result

@@ -54,7 +54,7 @@ def build_channel(cfg: ScenarioConfig, derived: DerivedParams,
 class _ProbeGrid:
     ratio: int  # probe symbols per CSI sample
     rate_hz: float
-    freqs_hz: np.ndarray  # used subcarrier offsets from the carrier
+    k: np.ndarray  # used subcarriers
     times_s: np.ndarray  # probe symbol mid-times
 
 
@@ -66,7 +66,7 @@ def _probe_grid(cfg: ScenarioConfig, derived: DerivedParams) -> _ProbeGrid:
     n_probes = int(math.floor(cfg.duration_s * rate))
     return _ProbeGrid(
         ratio=ratio, rate_hz=rate,
-        freqs_hz=derived.used_k * cfg.subcarrier_spacing_hz,
+        k=derived.used_k,
         times_s=np.arange(n_probes) / rate + 0.5 * derived.t_sym_s)
 
 
@@ -108,7 +108,8 @@ def point_invariant(cfg: ScenarioConfig, baseline_dir=None) -> PointInvariant:
     derived = derive_streams(cfg)
     chan = build_channel(cfg, derived, rng_streams(cfg.seed).walker)
     grid = _probe_grid(cfg, derived)
-    h = chan_mod.cfr_matrix(chan, grid.freqs_hz, grid.times_s)
+    h = chan_mod.cfr_matrix(chan, grid.k, cfg.subcarrier_spacing_hz,
+                            grid.times_s)
     _freeze(h, *(a for tr in chan.tracks
                  for a in (tr.times_s, tr.path_length_m)))
     baselines = None
@@ -136,10 +137,11 @@ def simulate_csi(cfg: ScenarioConfig, derived: DerivedParams,
     grid = _probe_grid(cfg, derived)
     ratio, times = grid.ratio, grid.times_s
     if h is None:
-        h = chan_mod.cfr_matrix(chan, grid.freqs_hz, times)
-    elif h.shape != (len(grid.freqs_hz), len(times)):
+        h = chan_mod.cfr_matrix(chan, grid.k, cfg.subcarrier_spacing_hz,
+                                times)
+    elif h.shape != (len(grid.k), len(times)):
         raise ValueError(f"CFR grid shape {h.shape} does not match the probe "
-                         f"grid {(len(grid.freqs_hz), len(times))}")
+                         f"grid {(len(grid.k), len(times))}")
 
     n = cfg.n_subcarriers
     x_used = wf.known_symbol_table(n, derived.used_bins)[derived.used_bins]

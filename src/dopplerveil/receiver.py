@@ -52,18 +52,16 @@ def estimate_cfr(y_used: np.ndarray, x_used: np.ndarray) -> np.ndarray:
 
 
 def pilot_phase_correct(y_values: np.ndarray, pilot_bins: np.ndarray,
-                        pilot_ref: np.ndarray,
-                        h_ref: np.ndarray | None = None):
+                        pilot_ref: np.ndarray, h_ref: np.ndarray):
     """Remove the per-symbol common phase estimated from the pilots.
 
     y_values is indexed (bin, symbol) or (bin, frame, symbol).  pilot_ref
-    holds the known pilot values (per bin); h_ref, when given, is the channel
-    estimate used to reference the pilots and broadcasts against y_values.
-    Returns the corrected values and the removed phase per symbol.
+    holds the known pilot values (per bin); h_ref is the channel estimate
+    used to reference the pilots and broadcasts against y_values.  Returns
+    the corrected values and the removed phase per symbol.
     """
-    expected = np.reshape(pilot_ref, (-1,) + (1,) * (y_values.ndim - 1))
-    if h_ref is not None:
-        expected = expected * h_ref[pilot_bins]
+    expected = np.reshape(pilot_ref, (-1,) + (1,) * (y_values.ndim - 1)) \
+        * h_ref[pilot_bins]
     inner = np.sum(y_values[pilot_bins] * np.conj(expected), axis=0)
     if np.all(inner == 0):
         raise ValueError("all pilots are zero; cannot track phase")
@@ -88,18 +86,23 @@ def equalize_demap(y_values: np.ndarray, h_ref: np.ndarray,
 
 
 def demap(symbols: np.ndarray, order: int) -> np.ndarray:
-    """Minimum-distance Gray demapping (per-axis slicing)."""
+    """Minimum-distance Gray demapping (per-axis slicing), bits as uint8."""
     side = int(round(np.sqrt(order)))
     half = int(np.log2(side))
     scale = np.sqrt(qam_energy(order))
     levels = _axis_levels(order)
-    order_by_level = np.argsort(levels)  # gray words sorted by ascending level
+    # gray words sorted by ascending level
+    order_by_level = np.argsort(levels).astype(np.uint8)
+    shifts = np.arange(half - 1, -1, -1, dtype=np.uint8)
 
     def axis_bits(vals):
-        lev_idx = np.clip(np.round((vals * scale + (side - 1)) / 2.0),
-                          0, side - 1).astype(np.int64)
-        words = order_by_level[lev_idx]
-        return ((words[:, None] >> np.arange(half - 1, -1, -1)) & 1)
+        lev = vals * scale
+        lev += side - 1
+        lev /= 2.0
+        np.round(lev, out=lev)
+        np.clip(lev, 0, side - 1, out=lev)
+        words = order_by_level[lev.astype(np.intp)]
+        return (words[:, None] >> shifts) & 1
 
     i_bits = axis_bits(symbols.real)
     q_bits = axis_bits(symbols.imag)

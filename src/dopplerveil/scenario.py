@@ -306,12 +306,30 @@ def validate(cfg: ScenarioConfig) -> None:
                 ">= 10 * (obfuscation.delta_f_hz + obfuscation.f_m_hz)")
     if ob.kind == "spoof":
         require(math.isfinite(ob.v_sp_mps), "obfuscation.v_sp_mps must be finite")
+        # The spoofed line plus the walker's fastest limb must stay below the
+        # method-2 Nyquist rate, or the spectrogram wraps it silently.
+        doppler = (abs(ob.v_sp_mps) + _walker_peak_speed(w)) \
+            * cfg.carrier_hz / SPEED_OF_LIGHT
+        require(doppler < cfg.csi_rate_hz / 2.0,
+                f"obfuscation.v_sp_mps: spoofed plus walker Doppler "
+                f"{doppler:.1f} Hz must be below csi_rate_hz / 2 "
+                f"({cfg.csi_rate_hz / 2.0:.1f} Hz)")
 
     st = cfg.stft
     require(st.window_len_s > 0, "stft.window_len_s must be > 0")
     require(st.hop_s > 0, "stft.hop_s must be > 0")
     require(st.n_fft is None or st.n_fft >= 1, "stft.n_fft must be >= 1")
     require(st.window_kind in ("hann", "rect"), "stft.window_kind must be hann or rect")
+
+
+def _walker_peak_speed(w: WalkerParams) -> float:
+    """Upper bound of the walker's radial path-length rate, m/s."""
+    if w.model == "none":
+        return 0.0
+    if w.model == "point":
+        return w.speed_mps
+    return (1.0 + max(w.leg_speed_ratio, w.arm_speed_ratio,
+                      w.head_speed_ratio, w.torso_bob_ratio)) * w.speed_mps
 
 
 def payload_frames(cfg: ScenarioConfig) -> tuple:

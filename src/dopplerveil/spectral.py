@@ -41,6 +41,41 @@ def next_pow2(n: int) -> int:
     return 1 << max(0, int(np.ceil(np.log2(max(1, n)))))
 
 
+def _frames(series: np.ndarray, rate_hz: float, window_len: int, hop: int,
+            n_fft: int, window_kind: str, t0: float, width: int,
+            dtype=float):
+    """Windowed frames of series, zero-padded to width samples.
+
+    Returns the (frame, sample) array, of series' dtype promoted with dtype,
+    and the frame center times.
+    """
+    if window_len > n_fft:
+        raise ValueError("window_len must be <= n_fft")
+    if hop < 1:
+        raise ValueError("hop must be >= 1")
+    if len(series) < window_len:
+        raise ValueError("series shorter than one window")
+    n_frames = 1 + (len(series) - window_len) // hop
+    frames = np.zeros((n_frames, width),
+                      dtype=np.result_type(series.dtype, dtype))
+    np.multiply(np.lib.stride_tricks.sliding_window_view(
+        series, window_len)[::hop], _window(window_kind, window_len),
+        out=frames[:, :window_len])
+    times = t0 + (np.arange(n_frames) * hop + window_len / 2.0) / rate_hz
+    return frames, times
+
+
+def _spectrogram(power: np.ndarray, rate_hz: float, times: np.ndarray,
+                 window_len: int, hop: int, n_fft: int,
+                 window_kind: str) -> Spectrogram:
+    """Spectrogram of (frame, FFT-order bin) power, shifted to DC-centered."""
+    return Spectrogram(power=np.fft.fftshift(power, axes=1).T,
+                       freqs_hz=np.fft.fftshift(
+                           np.fft.fftfreq(n_fft, d=1.0 / rate_hz)),
+                       times_s=times, window_len=window_len, hop=hop,
+                       n_fft=n_fft, window_kind=window_kind)
+
+
 def stft(series: np.ndarray, rate_hz: float, window_len: int, hop: int,
          n_fft: int | None = None, window_kind: str = "hann",
          t0: float = 0.0) -> Spectrogram:
@@ -49,26 +84,13 @@ def stft(series: np.ndarray, rate_hz: float, window_len: int, hop: int,
     Power is scaled by 1/n_fft so each frame satisfies Parseval:
     sum over bins == sum_n |w[n] x[n]|^2.
     """
-    series = np.asarray(series)
     if n_fft is None:
         n_fft = next_pow2(4 * window_len)
-    if window_len > n_fft:
-        raise ValueError("window_len must be <= n_fft")
-    if hop < 1:
-        raise ValueError("hop must be >= 1")
-    if len(series) < window_len:
-        raise ValueError("series shorter than one window")
-    win = _window(window_kind, window_len)
-    n_frames = 1 + (len(series) - window_len) // hop
-    starts = np.arange(n_frames) * hop
-    frames = series[starts[:, None] + np.arange(window_len)[None, :]] * win
-    spec = np.fft.fft(frames, n=n_fft, axis=1)
-    power = np.fft.fftshift(np.abs(spec) ** 2, axes=1).T / n_fft
-    freqs = np.fft.fftshift(np.fft.fftfreq(n_fft, d=1.0 / rate_hz))
-    times = t0 + (starts + window_len / 2.0) / rate_hz
-    return Spectrogram(power=power, freqs_hz=freqs, times_s=times,
-                       window_len=window_len, hop=hop, n_fft=n_fft,
-                       window_kind=window_kind)
+    frames, times = _frames(np.asarray(series), rate_hz, window_len, hop,
+                            n_fft, window_kind, t0, n_fft)
+    power = np.abs(np.fft.fft(frames, axis=1)) ** 2 / n_fft
+    return _spectrogram(power, rate_hz, times, window_len, hop, n_fft,
+                        window_kind)
 
 
 def method2_view(series: CfrSeries,
@@ -85,6 +107,14 @@ def method2_view(series: CfrSeries,
     static ones; note that |H|^2 is invariant under any unit-modulus
     per-subcarrier transmit multiplier, so the spoofing defense is invisible
     in power mode by construction.
+
+    The result is the mean over subcarriers of stft(row - row.mean()) power,
+    computed through the frames' autocorrelation: a frame's |DFT|^2 at n_fft
+    points is the n_fft-point DFT of its lags -(W-1)..W-1, added modulo n_fft
+    when n_fft < 2W-1.  Summing |DFT|^2 at L = next_pow2(2W-1) points, which
+    holds every lag without circular overlap, adds the lags of all
+    subcarriers; so each subcarrier costs one L-point FFT, and the sum one
+    inverse and one n_fft-point forward FFT per frame.
     """
     if component == "complex":
         data = series.h_hat
@@ -97,16 +127,34 @@ def method2_view(series: CfrSeries,
         window_len = max(2, int(round(0.5 * rate)))
     if hop is None:
         hop = max(1, int(round(0.05 * rate)))
+    if n_fft is None:
+        n_fft = next_pow2(4 * window_len)
+    lag_fft = next_pow2(2 * window_len - 1)
+    # Summed |DFT|^2 per frame, one subcarrier at a time to bound memory.
     acc = None
     for row in data:
-        p = row - row.mean()
-        s = stft(p, rate, window_len, hop, n_fft, window_kind, t0=series.t_s[0])
-        acc = s if acc is None else Spectrogram(
-            power=acc.power + s.power, freqs_hz=s.freqs_hz, times_s=s.times_s,
-            window_len=s.window_len, hop=s.hop, n_fft=s.n_fft,
-            window_kind=s.window_kind)
-    acc.power /= len(data)
-    return acc
+        spec, times = _frames(row - row.mean(), rate, window_len, hop,
+                              n_fft, window_kind, series.t_s[0], lag_fft,
+                              complex)
+        np.fft.fft(spec, axis=1, out=spec)
+        if acc is None:
+            acc = spec.real ** 2
+        else:
+            acc += spec.real ** 2
+        acc += spec.imag ** 2
+    # Autocorrelation lags -(W-1)..W-1 of every frame, placed modulo n_fft;
+    # lags n_fft apart share a bin, so each block of n_fft lags is added.
+    lags = np.fft.ifft(acc, axis=1)
+    lag = np.arange(1 - window_len, window_len)
+    placed = np.zeros((len(lags), n_fft), dtype=complex)
+    for i in range(0, len(lag), n_fft):
+        block = lag[i:i + n_fft]
+        placed[:, block % n_fft] += lags[:, block % lag_fft]
+    power = np.fft.fft(placed, axis=1).real / (n_fft * len(data))
+    # Rounding can leave a residue just below zero where the power is nil.
+    np.maximum(power, 0.0, out=power)
+    return _spectrogram(power, rate, times, window_len, hop, n_fft,
+                        window_kind)
 
 
 def spectrogram_correlation(a: Spectrogram, b: Spectrogram) -> float:

@@ -40,37 +40,82 @@ def test_track_requires_positive_length():
         ch.ScattererTrack("bad", np.array([0.0, 1.0]), np.array([1.0, -0.5]))
 
 
+def _direct_cfr(chan, f, t):
+    """Reference H(f, t): one exp per path and cell, broadcast over f, t."""
+    f = np.asarray(f, dtype=float)
+    t = np.asarray(t, dtype=float)
+    total = np.zeros(np.broadcast(f, t).shape, dtype=complex)
+    for track in chan.tracks:
+        total += track.reflectivity * np.exp(
+            -2j * np.pi * (chan.carrier_hz + f) * ch.path_delay(track, t))
+    return total
+
+
+DF = 312_500.0
+
+
 def test_cfr_single_unit_path_has_unit_magnitude():
     chan = ch.ChannelRealization([ch.static_track(10.0, 1.0, 1.0)], 5.8e9)
-    h = ch.cfr(chan, np.array([0.0, 312_500.0]), np.array([0.1, 0.9])[:, None])
+    h = ch.cfr_matrix(chan, np.array([0, 1]), DF, np.array([0.1, 0.9]))
     np.testing.assert_allclose(np.abs(h), 1.0, atol=1e-12)
 
 
 def test_cfr_destructive_two_path():
-    f_c, f = 5.8e9, 312_500.0
-    d = SPEED_OF_LIGHT / (2.0 * (f_c + f))  # half-wavelength extra path
+    f_c = 5.8e9
+    d = SPEED_OF_LIGHT / (2.0 * (f_c + DF))  # half-wavelength extra path
     tracks = [ch.static_track(10.0, 1.0, 1.0),
               ch.static_track(10.0 + d, 1.0, 1.0)]
-    h = ch.cfr(ch.ChannelRealization(tracks, f_c), f, 0.5)
-    assert abs(h) == pytest.approx(0.0, abs=1e-9)
+    h = ch.cfr_matrix(ch.ChannelRealization(tracks, f_c), np.array([1]), DF,
+                      np.array([0.5]))
+    assert abs(h[0, 0]) == pytest.approx(0.0, abs=1e-9)
 
 
 def test_cfr_static_path_constant_over_time():
     chan = ch.ChannelRealization([ch.static_track(17.0, 0.7, 2.0)], 5.8e9)
-    h = ch.cfr(chan, 312_500.0, np.linspace(0, 2, 50))
-    np.testing.assert_allclose(h, h[0], atol=1e-12)
+    h = ch.cfr_matrix(chan, np.array([1]), DF, np.linspace(0, 2, 50))
+    np.testing.assert_allclose(h, h[0, 0], atol=1e-12)
 
 
 def test_cfr_doppler_is_linear_in_speed():
     # phase rate of a constant-velocity path equals 2 pi (f_c + f) v / c
-    f_c, f = 5.8e9, 0.0
+    f_c = 5.8e9
     for v in (0.8, 1.5):
         chan = ch.ChannelRealization(
             [_const_velocity_track(40.0, v, 2.0)], f_c)
         t = np.array([1.0, 1.0 + 1e-3])
-        h = ch.cfr(chan, f, t)
+        h = ch.cfr_matrix(chan, np.array([0]), DF, t)[0]
         rate = np.angle(h[1] / h[0]) / (t[1] - t[0]) / (2 * np.pi)
         assert rate == pytest.approx(f_c * v / SPEED_OF_LIGHT, rel=1e-6)
+
+
+def test_cfr_matrix_matches_direct_exp_over_a_20s_walk():
+    # The subcarrier recurrence drifts by a few ulps per step; over 64
+    # subcarriers, 6 limbs and 2 static paths it stays within 1e-11 of the
+    # per-cell exp (|H| <= 2.1).
+    walker = ch.walker_tracks(WalkerParams(), 20.0,
+                              rng=np.random.default_rng(5))
+    chan = ch.ChannelRealization(
+        walker + [ch.static_track(10.0, 1.0, 20.0),
+                  ch.static_track(23.0, 0.4 - 0.3j, 20.0)], 5.8e9)
+    k = wf.signed_subcarriers(64)
+    t = np.linspace(0.0, 20.0, 8001)
+    h = ch.cfr_matrix(chan, k, DF, t)
+    assert h.shape == (64, len(t))
+    np.testing.assert_allclose(h, _direct_cfr(chan, k[:, None] * DF, t),
+                               rtol=0, atol=1e-11)
+
+
+def test_cfr_matrix_rows_follow_k():
+    # Rows come in the order of k, gaps and repeats included.
+    chan = ch.ChannelRealization([_const_velocity_track(40.0, 0.8, 1.0),
+                                  ch.static_track(10.0, 0.5, 1.0)], 5.8e9)
+    k = np.array([3, -5, 0, 3, 28])
+    t = np.linspace(0.0, 1.0, 11)
+    np.testing.assert_allclose(ch.cfr_matrix(chan, k, DF, t),
+                               _direct_cfr(chan, k[:, None] * DF, t),
+                               rtol=0, atol=1e-11)
+    with pytest.raises(ValueError, match="integer"):
+        ch.cfr_matrix(chan, np.array([0.0, DF]), DF, t)
 
 
 def test_walker_none_has_no_tracks():
@@ -180,7 +225,8 @@ def test_propagate_fast_matches_per_symbol_cfr():
     from dopplerveil.receiver import ofdm_demodulate
     y = ofdm_demodulate(rx, cfg.n_subcarriers, cfg.cp_len)
     t_mid = wf.symbol_midtimes(8, d.t_sym_s)
-    h = ch.cfr_matrix(chan, d.used_k * cfg.subcarrier_spacing_hz, t_mid)
+    h = _direct_cfr(chan, d.used_k[:, None] * cfg.subcarrier_spacing_hz,
+                    t_mid[None, :])
     table = wf.known_symbol_table(cfg.n_subcarriers, d.used_bins)
     expected = table[d.used_bins][:, None] * h
     np.testing.assert_allclose(y.values[d.used_bins], expected, atol=1e-9)

@@ -71,7 +71,7 @@ def test_compare_identical_reports(scenario_file, tmp_path, capsys):
 def test_compare_threshold_violation(scenario_file, tmp_path):
     report_a = _run_once(scenario_file, tmp_path / "a")
     spoofed = tmp_path / "spoofed.yaml"
-    spoofed.write_text(FAST_SCENARIO + "obfuscation: {kind: spoof, v_sp_mps: 16}\n")
+    spoofed.write_text(FAST_SCENARIO + "obfuscation: {kind: spoof, v_sp_mps: 10}\n")
     report_b = _run_once(spoofed, tmp_path / "b")
     assert main(["compare", str(report_a), str(report_b),
                  "--threshold", "peak_doppler_mean_abs_hz=1.0"]) \
@@ -104,10 +104,10 @@ def test_sweep(scenario_file, tmp_path):
     out = tmp_path / "sweep"
     assert main(["sweep", "--scenario", str(scenario_file), "--out", str(out),
                  "--delta-f", "100", "200", "--f-m", "10",
-                 "--v-sp", "16"]) == EXIT_OK
+                 "--v-sp", "10"]) == EXIT_OK
     assert (out / "smear_df100_fm10" / "report.txt").exists()
     assert (out / "smear_df200_fm10" / "report.txt").exists()
-    assert (out / "spoof_vsp16" / "report.txt").exists()
+    assert (out / "spoof_vsp10" / "report.txt").exists()
 
 
 def test_sweep_needs_points(scenario_file, tmp_path):
@@ -120,9 +120,9 @@ def test_sweep_threaded_matches_serial(scenario_file, tmp_path):
     threaded = tmp_path / "threaded"
     for out, threads in ((serial, "1"), (threaded, "3")):
         assert main(["sweep", "--scenario", str(scenario_file),
-                     "--out", str(out), "--v-sp", "5", "16",
+                     "--out", str(out), "--v-sp", "5", "10",
                      "--threads", threads]) == EXIT_OK
-    for name in ("spoof_vsp5", "spoof_vsp16"):
+    for name in ("spoof_vsp5", "spoof_vsp10"):
         a = (serial / name / "method2_spectrogram.csv").read_bytes()
         b = (threaded / name / "method2_spectrogram.csv").read_bytes()
         assert a == b
@@ -194,9 +194,9 @@ def test_sweep_baseline_without_artifacts(scenario_file, tmp_path):
     empty.mkdir()
     out = tmp_path / "sweep"
     assert main(["sweep", "--scenario", str(scenario_file), "--out", str(out),
-                 "--v-sp", "5", "16", "--baseline", str(empty),
+                 "--v-sp", "5", "10", "--baseline", str(empty),
                  "--threads", "2"]) == EXIT_OK
-    for name in ("spoof_vsp5", "spoof_vsp16"):
+    for name in ("spoof_vsp5", "spoof_vsp10"):
         report = parse_report(out / name / "report.txt")
         for view in ("method1", "method2"):
             assert report[f"metric.correlation_{view}_vs_baseline"] \
@@ -208,7 +208,7 @@ def _count_calls(monkeypatch, module, attr) -> list:
     fn = getattr(module, attr)
 
     def counted(*args, **kwargs):
-        calls.append(args[0])
+        calls.append(args)
         return fn(*args, **kwargs)
     monkeypatch.setattr(module, attr, counted)
     return calls
@@ -223,12 +223,20 @@ def test_sweep_computes_point_invariant_work_once(scenario_file, tmp_path,
     cfrs = _count_calls(monkeypatch, channel, "cfr_matrix")
     loads = _count_calls(monkeypatch, spectral, "load_spectrogram_csv")
 
+    def grids():
+        # cfr_matrix(chan, k, spacing, times): the CSI pass's probe grid
+        # holds the 56 used subcarriers, the demodulation grid all 64 bins.
+        return ([len(c[3]) for c in cfrs if len(c[1]) == 56],
+                [len(c[3]) for c in cfrs if len(c[1]) == 64])
+
     assert main(["sweep", "--scenario", str(scenario_file),
                  "--out", str(tmp_path / "sweep"), "--delta-f", "100", "200",
-                 "--f-m", "10", "--v-sp", "5", "16", "--baseline", str(base),
+                 "--f-m", "10", "--v-sp", "5", "10", "--baseline", str(base),
                  "--threads", "2"]) == EXIT_OK
-    assert (len(builds), len(cfrs)) == (1, 1)
-    assert sorted(Path(p).name for p in loads) \
+    probe, demod = grids()
+    assert (len(builds), len(probe), len(demod), len(cfrs)) == (1, 1, 4, 5)
+    assert len(set(demod)) == 1 and demod[0] != probe[0]
+    assert sorted(Path(a[0]).name for a in loads) \
         == ["method1_spectrogram.csv", "method2_spectrogram.csv"]
 
     # A single run still builds and reads each piece once itself.
@@ -236,7 +244,9 @@ def test_sweep_computes_point_invariant_work_once(scenario_file, tmp_path,
     assert main(["run", "--scenario", str(scenario_file),
                  "--out", str(tmp_path / "run"),
                  "--baseline", str(base)]) == EXIT_OK
-    assert (len(builds), len(cfrs), len(loads)) == (1, 1, 2)
+    probe, demod = grids()
+    assert (len(builds), len(probe), len(demod), len(cfrs), len(loads)) \
+        == (1, 1, 1, 2, 2)
 
 
 @pytest.mark.parametrize("command, extra", [
@@ -311,3 +321,19 @@ def test_integer_yaml_point_matches_its_sweep_point(scenario_file, tmp_path):
     swept = _outputs(out / "smear_df100_fm10")
     assert swept == _outputs(alone)
     assert b"scenario.obfuscation_delta_f_hz = 100.0\n" in swept["report.txt"]
+
+
+@pytest.mark.parametrize("command, extra, point", [
+    ("run", [], "obfuscation: {kind: spoof, v_sp_mps: 40}\n"),
+    ("sweep", ["--v-sp", "5", "40"], "")])
+def test_aliasing_spoof_exits_2_naming_key(tmp_path, capsys, command, extra,
+                                           point):
+    # 40 m/s puts the spoofed line at 774 Hz, past the 500 Hz Nyquist rate of
+    # the default CSI rate; the run used to exit 0 with a wrapped 226 Hz peak.
+    scenario = tmp_path / "alias.yaml"
+    scenario.write_text("duration_s: 0.6\npayload_bits: 6000\n" + point)
+    out = tmp_path / "out"
+    assert main([command, "--scenario", str(scenario), "--out", str(out),
+                 *extra]) == EXIT_CONFIG
+    assert "obfuscation.v_sp_mps" in capsys.readouterr().err
+    assert not out.exists()

@@ -88,7 +88,7 @@ def test_estimate_cfr_decimation_and_timestamps():
     assert series.csi_rate_hz == pytest.approx(1000.0)
     np.testing.assert_allclose(np.diff(series.t_s), 1e-3, rtol=1e-12)
     assert series.t_s[0] == pytest.approx(0.5 * d.t_sym_s)
-    h = cfr_matrix(chan, d.used_k * cfg.subcarrier_spacing_hz, series.t_s)
+    h = cfr_matrix(chan, d.used_k, cfg.subcarrier_spacing_hz, series.t_s)
     assert np.max(np.abs(series.h_hat - h) / np.abs(h)) < 1e-12
     np.testing.assert_array_equal(series.power, np.abs(series.h_hat) ** 2)
 
@@ -119,6 +119,10 @@ def test_estimate_cfr_noise_bias():
     assert abs(mean_power - (1 + sigma2)) < 3 * std_of_mean
 
 
+# A flat unit channel estimate, one (bin, 1) column.
+_FLAT = np.ones((64, 1), dtype=complex)
+
+
 def test_pilot_phase_correct_removes_common_rotation():
     cfg, d, table = _cfr_setup()
     rng = np.random.default_rng(7)
@@ -129,7 +133,7 @@ def test_pilot_phase_correct_removes_common_rotation():
     theta = rng.uniform(-np.pi, np.pi, size=m)
     rotated = clean * np.exp(1j * theta)[None, :]
     corrected, removed = rx.pilot_phase_correct(rotated, d.pilot_bins,
-                                                table[d.pilot_bins])
+                                                table[d.pilot_bins], _FLAT)
     np.testing.assert_allclose(corrected, clean, atol=1e-9)
     np.testing.assert_allclose(np.angle(np.exp(1j * (removed - theta))), 0.0,
                                atol=1e-9)
@@ -139,7 +143,7 @@ def test_pilot_phase_correct_zero_rotation_is_identity():
     cfg, d, table = _cfr_setup()
     values = np.tile(table[:, None], (1, 3))
     corrected, theta = rx.pilot_phase_correct(values, d.pilot_bins,
-                                              table[d.pilot_bins])
+                                              table[d.pilot_bins], _FLAT)
     np.testing.assert_allclose(corrected, values, atol=1e-12)
     np.testing.assert_allclose(theta, 0.0, atol=1e-12)
 
@@ -148,7 +152,8 @@ def test_pilot_phase_correct_rejects_dead_pilots():
     cfg, d, table = _cfr_setup()
     values = np.zeros((cfg.n_subcarriers, 2), dtype=complex)
     with pytest.raises(ValueError, match="pilots"):
-        rx.pilot_phase_correct(values, d.pilot_bins, table[d.pilot_bins])
+        rx.pilot_phase_correct(values, d.pilot_bins, table[d.pilot_bins],
+                               _FLAT)
 
 
 def test_equalize_demap_roundtrip():

@@ -240,3 +240,36 @@ def test_payload_must_fit_duration():
     # one frame is always sent, however few bits it carries
     with pytest.raises(ScenarioError, match="payload_bits too large"):
         validate(ScenarioConfig(duration_s=200e-6, payload_bits=1))
+
+
+def test_spoof_aliasing_rejected_naming_key():
+    # f_c / c = 19.35 Hz per m/s; the default 1 kHz CSI rate gives method 2
+    # a 500 Hz Nyquist rate.  40 m/s spoofs a 774 Hz line, which used to
+    # wrap silently to a 226 Hz peak.
+    for v_sp in (40, -40):
+        with pytest.raises(ScenarioError, match="obfuscation.v_sp_mps"):
+            load_scenario(f"obfuscation: {{kind: spoof, v_sp_mps: {v_sp}}}")
+    # The walker's fastest limb, (1 + leg_speed_ratio) * speed, counts too:
+    # 23 m/s plus 3 x 0.8 m/s reaches 491 Hz, plus 3 x 1.0 m/s 503 Hz.
+    load_scenario("obfuscation: {kind: spoof, v_sp_mps: 23}")
+    with pytest.raises(ScenarioError, match="obfuscation.v_sp_mps"):
+        load_scenario("obfuscation: {kind: spoof, v_sp_mps: 23}\n"
+                      "walker: {speed_mps: 1.0}")
+    load_scenario("obfuscation: {kind: spoof, v_sp_mps: 25}\n"
+                  "walker: {model: none}\nstatic_paths: [{range_m: 10}]")
+    # A lower CSI rate lowers the ceiling: 250 Hz at 500 Hz.
+    with pytest.raises(ScenarioError, match="csi_rate_hz / 2"):
+        load_scenario("csi_rate_hz: 500\n"
+                      "obfuscation: {kind: spoof, v_sp_mps: 16}")
+
+
+def test_defaults_and_benchmark_points_pass_the_aliasing_check():
+    # The benchmark spoofs 2..16 m/s at 1 kHz: at most 310 + 46 = 355 Hz.
+    validate(ScenarioConfig())
+    for v_sp in (2, 5, 10, 16, -16):
+        for doc in ("duration_s: 2.0\npayload_bits: 100000\nsnr_db: 25\n",
+                    "duration_s: 20.0\npayload_bits: 2000000\nsnr_db: 25\n"):
+            load_scenario(doc + f"obfuscation: {{kind: spoof, "
+                                f"v_sp_mps: {v_sp}}}")
+    # Smear and none ignore v_sp.
+    load_scenario("obfuscation: {kind: smear, v_sp_mps: 40}")

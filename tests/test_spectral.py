@@ -105,6 +105,7 @@ def test_method2_static_channel_is_empty_after_mean_removal():
     for component in ("complex", "power"):
         s = sp.method2_view(series, component=component)
         assert np.max(s.power) < 1e-18
+        assert np.min(s.power) >= 0.0
 
 
 def test_method2_single_mover_ridge_at_doppler():
@@ -138,6 +139,74 @@ def test_method2_complex_view_shifts_under_spoofing():
     track = sp.peak_doppler_track(s)
     bin_width = s.freqs_hz[1] - s.freqs_hz[0]
     assert np.all(np.abs(track - (15.5 - 300.0)) <= bin_width)
+
+
+def _method2_direct(series, window_len, hop, n_fft, window_kind, component):
+    """Reference method-2 power: the mean over subcarriers of each
+    mean-removed row's zero-padded |DFT|^2 / n_fft, frame by frame."""
+    data = series.h_hat if component == "complex" else series.power
+    n = np.arange(window_len)
+    win = (0.5 - 0.5 * np.cos(2 * np.pi * n / window_len)
+           if window_kind == "hann" else np.ones(window_len))
+    n_frames = 1 + (data.shape[1] - window_len) // hop
+    total = np.zeros((n_fft, n_frames))
+    for row in data:
+        p = row - row.mean()
+        for m in range(n_frames):
+            frame = p[m * hop:m * hop + window_len] * win
+            total[:, m] += np.abs(np.fft.fft(frame, n=n_fft)) ** 2
+    return np.fft.fftshift(total, axes=0) / (n_fft * len(data))
+
+
+def _busy_series(n_k=8, duration=2.0, rate=1000.0):
+    """Per-subcarrier static offset, three movers and noise."""
+    rng = np.random.default_rng(23)
+    t = np.arange(int(duration * rate)) / rate
+    h = (rng.standard_normal((n_k, 1)) + 1j * rng.standard_normal((n_k, 1))
+         + 0.3 * np.exp(2j * np.pi * 15.5 * t)
+         + 0.1 * np.exp(2j * np.pi * (-42.0 + 3.0 * np.sin(2 * t)) * t)
+         + 0.05 * np.exp(-2j * np.pi * 180.0 * t * np.arange(1, n_k + 1)[:, None]
+                         / n_k)
+         + 0.01 * (rng.standard_normal((n_k, len(t)))
+                   + 1j * rng.standard_normal((n_k, len(t)))))
+    return _series(h, rate)
+
+
+@pytest.mark.parametrize("kwargs", [
+    {},
+    {"n_fft": 1500},
+    {"n_fft": 600},
+    {"n_fft": 500, "hop": 70},
+    {"window_len": 256, "hop": 64, "n_fft": 700},
+    {"window_kind": "rect"},
+    {"window_kind": "rect", "n_fft": 640},
+    {"component": "power"},
+    {"component": "power", "n_fft": 999},
+], ids=["default", "n_fft-1500", "lag-wrap-600", "lag-wrap-500",
+        "w256-n_fft-700", "rect", "rect-lag-wrap", "power",
+        "power-n_fft-999"])
+def test_method2_matches_direct_stft_mean(kwargs):
+    # The lag-domain average equals the per-subcarrier mean of |STFT|^2,
+    # including a non-power-of-two n_fft and n_fft < 2W-1 (lags wrap).
+    series = _busy_series()
+    s = sp.method2_view(series, **kwargs)
+    args = {"window_len": 500, "hop": 50, "n_fft": 2048,
+            "window_kind": "hann", "component": "complex", **kwargs}
+    ref = _method2_direct(series, **args)
+    assert s.power.shape == ref.shape
+    assert s.n_fft == args["n_fft"]
+    np.testing.assert_allclose(s.power, ref, rtol=1e-12,
+                               atol=1e-12 * ref.max())
+    assert s.power.min() >= 0.0
+    if args["component"] == "complex":
+        # A real series' spectrum is even, so its peaks tie at +-f.
+        np.testing.assert_array_equal(np.argmax(s.power, axis=0),
+                                      np.argmax(ref, axis=0))
+    np.testing.assert_array_equal(
+        s.freqs_hz, np.fft.fftshift(np.fft.fftfreq(args["n_fft"], 1e-3)))
+    np.testing.assert_allclose(
+        s.times_s, (np.arange(ref.shape[1]) * args["hop"]
+                    + args["window_len"] / 2) / 1000.0, rtol=0, atol=1e-15)
 
 
 def test_method2_rejects_unknown_component():
