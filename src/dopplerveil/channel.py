@@ -24,6 +24,7 @@ from dopplerveil.waveform import (BasebandSignal, ofdm_modulate,
                                   signed_subcarriers, symbol_midtimes)
 
 TRACK_DT_S = 0.005  # walker track sampling step; gait harmonics live below 20 Hz
+NOISE_CHUNK = 1 << 16  # noise values drawn at once by add_awgn
 
 
 @dataclass
@@ -158,23 +159,29 @@ def add_awgn(x: np.ndarray, snr_db: float,
              signal_power: float | None = None) -> None:
     """Add complex AWGN to x in place so 10 log10(P_sig / P_noise) = snr_db.
 
-    x is a complex array of any shape; P_sig is signal_power, or the mean
-    power of x when it is not given.  The noise takes every real part, then
-    every imaginary part, from rng in x's C order.  An infinite snr_db
-    leaves x and rng untouched.
+    x is a C-contiguous complex array of any shape; P_sig is signal_power,
+    or the mean power of x when it is not given.  The noise takes every real
+    part, then every imaginary part, from rng in x's C order.  It is drawn
+    NOISE_CHUNK values at a time, which gives the same values as one draw.
+    An infinite snr_db leaves x and rng untouched.
     """
     if math.isinf(snr_db):
         return
     if rng is None:
         raise ValueError("finite-SNR noise needs an RNG")
+    if not x.flags.c_contiguous:
+        raise ValueError("noise is added in place to a C-contiguous array")
     p_sig = signal_power if signal_power is not None \
         else float(np.mean(np.abs(x) ** 2))
-    var = p_sig / (10.0 ** (snr_db / 10.0))
-    noise = np.empty(x.shape, dtype=complex)
-    noise.real = rng.standard_normal(x.shape)
-    noise.imag = rng.standard_normal(x.shape)
-    noise *= math.sqrt(var / 2.0)
-    x += noise
+    scale = math.sqrt(p_sig / (10.0 ** (snr_db / 10.0)) / 2.0)
+    flat = x.reshape(-1)
+    draw = np.empty(min(NOISE_CHUNK, flat.size))
+    for part in (flat.real, flat.imag):
+        for i in range(0, flat.size, NOISE_CHUNK):
+            d = draw[:min(NOISE_CHUNK, flat.size - i)]
+            rng.standard_normal(out=d)
+            d *= scale
+            part[i:i + NOISE_CHUNK] += d
 
 
 def propagate(sig: BasebandSignal, chan: ChannelRealization,

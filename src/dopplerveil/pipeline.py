@@ -131,46 +131,48 @@ def simulate_csi(cfg: ScenarioConfig, derived: DerivedParams,
     per-symbol mean of rx * conj(clean tx), i.e. the reference-conjugated
     received signal already decimated to one sample per probe symbol.
     `h` is chan's CFR on the probe grid (PointInvariant.cfr); when it is not
-    given it is evaluated here and released when the pass ends.  It is only
-    read.
+    given it is evaluated here and becomes the pass's working grid.  A given
+    `h` is only read: the pass works on one copy of it.
     """
     grid = _probe_grid(cfg, derived)
     ratio, times = grid.ratio, grid.times_s
+    # y = x * h * obf is built in place in one (subcarrier, probe) grid: this
+    # pass holds the largest array of a run, and a sweep runs several at once.
     if h is None:
-        h = chan_mod.cfr_matrix(chan, grid.k, cfg.subcarrier_spacing_hz,
+        y = chan_mod.cfr_matrix(chan, grid.k, cfg.subcarrier_spacing_hz,
                                 times)
     elif h.shape != (len(grid.k), len(times)):
         raise ValueError(f"CFR grid shape {h.shape} does not match the probe "
                          f"grid {(len(grid.k), len(times))}")
+    else:
+        y = h.copy()
 
     n = cfg.n_subcarriers
     x_used = wf.known_symbol_table(n, derived.used_bins)[derived.used_bins]
-    # y = x * obf * h, built in place: this pass holds the largest arrays of
-    # a run, and a sweep runs several of them at once.
-    y = transmit_multiplier(cfg.obfuscation, derived.used_k[:, None],
-                            times[None, :], cfg.subcarrier_spacing_hz,
-                            cfg.carrier_hz)
     np.multiply(x_used[:, None], y, out=y)
-    y *= h
-    del h
+    transmit_multiplier(cfg.obfuscation, y, grid.k, times,
+                        cfg.subcarrier_spacing_hz, cfg.carrier_hz)
 
     if math.isfinite(cfg.snr_db):
         # Only the used bins carry power: size the noise to the mean power of
         # the time-domain samples.
         chan_mod.add_awgn(y, cfg.snr_db, rng_noise, signal_power=float(
-            np.mean(np.abs(y) ** 2)) * len(x_used) / n)
+            np.vdot(y, y).real / y.size) * len(x_used) / n)
 
     # Reference-conjugated series: (1/N) sum_k Y[k] X*[k]  (Parseval form of the
     # per-symbol time-domain mean of rx * conj(tx)).
-    m1 = (y * np.conj(x_used)[:, None]).sum(axis=0) / n
+    m1 = np.conj(x_used) @ y / n
     m1_sig = wf.BasebandSignal(samples=m1, sample_rate_hz=grid.rate_hz,
                                t0=times[0])
 
     h_hat = rx_mod.estimate_cfr(y[:, ::ratio], x_used)
+    del y
+    power = np.abs(h_hat)
+    np.square(power, out=power)
     series = rx_mod.CfrSeries(
         subcarriers=derived.used_k,
         h_hat=h_hat,
-        power=np.abs(h_hat) ** 2,
+        power=power,
         t_s=times[::ratio],
         csi_rate_hz=cfg.csi_rate_hz,
     )
@@ -200,12 +202,16 @@ def simulate_demod(cfg: ScenarioConfig, derived: DerivedParams,
     obf = cfg.obfuscation
     n = cfg.n_subcarriers
     n_frames, bits_per_frame = payload_frames(cfg)
-    bits = rngs.bits.integers(0, 2, size=n_frames * bits_per_frame)
+    bits = rngs.bits.integers(0, 2, size=n_frames * bits_per_frame).astype(
+        np.uint8)
 
     sym_per_frame = wf.PREAMBLE_SYMBOLS + wf.DATA_SYMBOLS_PER_FRAME
-    # The payload-sized arrays are released as soon as they are used: this
-    # pass sets the peak memory of a long run.
+    # The payload-sized arrays are released as soon as they are used.
     grid, tx_air = wf.frame_stream(cfg, derived, bits)
+    # The data symbols as mapped, in transmit order: the EVM reference.
+    ideal = np.take(grid.values.reshape(n, n_frames, sym_per_frame)[
+        :, :, wf.PREAMBLE_SYMBOLS:].transpose(1, 2, 0), derived.data_bins,
+        axis=2).reshape(-1)
     if obf.kind == "spoof":
         tx_air = None
         # Constant over each symbol (its mid-time value), so subcarriers
@@ -214,16 +220,16 @@ def simulate_demod(cfg: ScenarioConfig, derived: DerivedParams,
         # differently from (j + 0.5) t_sym over the whole stream.
         t0 = np.arange(n_frames) * sym_per_frame * derived.t_sym_s
         mid = wf.symbol_midtimes(sym_per_frame, derived.t_sym_s, t0[:, None])
-        grid.values *= transmit_multiplier(
-            obf, wf.signed_subcarriers(n)[:, None], mid.reshape(1, -1),
-            cfg.subcarrier_spacing_hz, cfg.carrier_hz)
+        transmit_multiplier(obf, grid.values, wf.signed_subcarriers(n),
+                            mid.reshape(-1), cfg.subcarrier_spacing_hz,
+                            cfg.carrier_hz)
         tx_air = wf.ofdm_modulate(grid, cfg.cp_len, derived.sample_rate_hz)
     del grid
     if obf.kind == "smear":
         # Per sample over the whole stream, CP and preambles included: the FM
         # phase runs continuously, so no frame-rate lines appear.
-        tx_air.samples *= transmit_multiplier(
-            obf, 0, tx_air.times(), cfg.subcarrier_spacing_hz, cfg.carrier_hz)
+        transmit_multiplier(obf, tx_air.samples, 0, tx_air.times(),
+                            cfg.subcarrier_spacing_hz, cfg.carrier_hz)
 
     rx = chan_mod.propagate(tx_air, chan, n, cfg.cp_len, snr_db=cfg.snr_db,
                             rng=rngs.noise)
@@ -246,9 +252,72 @@ def simulate_demod(cfg: ScenarioConfig, derived: DerivedParams,
     measured_ber = rx_mod.ber(rx_bits, bits)
     # EVM against the pre-spoof ideal constellation: any spoof rotation is
     # absorbed into the per-frame channel estimate the receiver uses.
-    ideal = wf.qam_map(bits, cfg.qam_order)
     evm = rx_mod.evm_rms(eq_syms, ideal)
     return measured_ber, evm, tx_air
+
+
+def _attacker_half(cfg: ScenarioConfig, derived: DerivedParams,
+                   chan: chan_mod.ChannelRealization, rng_noise, h,
+                   baseline_dir, baselines, out: Path, formats):
+    """The passive attacker's CSI pass, spectra, metrics and artifacts.
+
+    Returns (metrics, artifacts).  Its arrays are released when it returns,
+    so the demodulation pass that follows starts with them gone.
+    """
+    m1_sig, cfr_series = simulate_csi(cfg, derived, chan, rng_noise, h=h)
+    w1, h1, f1 = _stft_samples(m1_sig.sample_rate_hz, cfg)
+    spec1 = spec_mod.stft(m1_sig.samples, m1_sig.sample_rate_hz, w1, h1, f1,
+                          cfg.stft.window_kind, t0=m1_sig.t0)
+    w2, h2, f2 = _stft_samples(cfr_series.csi_rate_hz, cfg)
+    spec2 = spec_mod.method2_view(cfr_series, window_len=w2, hop=h2, n_fft=f2,
+                                  window_kind=cfg.stft.window_kind)
+
+    track = spec_mod.peak_doppler_track(spec2)
+    metrics = {
+        "occupied_bandwidth_hz": spec_mod.occupied_bandwidth(spec1),
+        "peak_doppler_mean_abs_hz": float(np.mean(np.abs(track))),
+        "peak_doppler_max_abs_hz": float(np.max(np.abs(track))),
+    }
+    for name, spec in zip(BASELINE_VIEWS, (spec1, spec2)):
+        key = f"correlation_{name}_vs_baseline"
+        if baseline_dir is None:
+            metrics[key] = "skipped:no-baseline"
+            continue
+        # A run on its own holds one baseline view at a time.
+        base = (_load_baseline(baseline_dir, name) if baselines is None
+                else baselines[name])
+        if base is None:
+            metrics[key] = "skipped:baseline-artifact-missing"
+        elif base.power.shape != spec.power.shape:
+            metrics[key] = "skipped:dimension-mismatch"
+        elif not (_axis_matches(base.freqs_hz, spec.freqs_hz)
+                  and _axis_matches(base.times_s, spec.times_s)):
+            metrics[key] = "skipped:axis-mismatch"
+        else:
+            metrics[key] = spec_mod.spectrogram_correlation(spec, base)
+
+    artifacts = {}
+    if "csv" in formats:
+        for name, spec in (("method1", spec1), ("method2", spec2)):
+            p = out / f"{name}_spectrogram.csv"
+            spec_mod.save_spectrogram_csv(spec, p)
+            artifacts[f"{name}_spectrogram_csv"] = str(p)
+        p = out / "cfr.csv"
+        rx_mod.dump_cfr_csv(cfr_series, p)
+        artifacts["cfr_csv"] = str(p)
+        p = out / "tracks.csv"
+        chan_mod.dump_tracks(chan.tracks, p)
+        artifacts["tracks_csv"] = str(p)
+    if "pgm" in formats:
+        for name, spec in (("method1", spec1), ("method2", spec2)):
+            p = out / f"{name}_spectrogram.pgm"
+            spec_mod.save_spectrogram_pgm(spec, p)
+            artifacts[f"{name}_spectrogram_pgm"] = str(p)
+    if "bin" in formats:
+        p = out / "cfr.bin"
+        rx_mod.dump_cfr_bin(cfr_series, p)
+        artifacts["cfr_bin"] = str(p)
+    return metrics, artifacts
 
 
 def run_scenario(cfg: ScenarioConfig, out_dir, baseline_dir=None,
@@ -257,8 +326,10 @@ def run_scenario(cfg: ScenarioConfig, out_dir, baseline_dir=None,
                  shared: PointInvariant | None = None) -> RunReport:
     """Execute one scenario and write all artifacts into out_dir.
 
-    `shared` is `point_invariant(cfg, baseline_dir)`, built once for all the
-    points of a sweep; without it the run builds each piece itself.
+    The attacker half (CSI pass, spectra, their metrics and artifacts) runs
+    and is released first; the demodulation pass runs after it.  `shared`
+    is `point_invariant(cfg, baseline_dir)`, built once for all the points
+    of a sweep; without it the run builds each piece itself.
     """
     start = time.perf_counter()
     if shared is not None and (
@@ -275,14 +346,9 @@ def run_scenario(cfg: ScenarioConfig, out_dir, baseline_dir=None,
     else:
         chan, h, baselines = shared.chan, shared.cfr, shared.baselines
 
-    m1_sig, cfr_series = simulate_csi(cfg, derived, chan, rngs.noise, h=h)
-    w1, h1, f1 = _stft_samples(m1_sig.sample_rate_hz, cfg)
-    spec1 = spec_mod.stft(m1_sig.samples, m1_sig.sample_rate_hz, w1, h1, f1,
-                          cfg.stft.window_kind, t0=m1_sig.t0)
-    w2, h2, f2 = _stft_samples(cfr_series.csi_rate_hz, cfg)
-    spec2 = spec_mod.method2_view(cfr_series, window_len=w2, hop=h2, n_fft=f2,
-                                  window_kind=cfg.stft.window_kind)
-
+    attacker, artifacts = _attacker_half(cfg, derived, chan, rngs.noise, h,
+                                         baseline_dir, baselines, out,
+                                         formats)
     measured_ber, evm, tx_air = simulate_demod(cfg, derived, chan, rngs)
 
     report = RunReport()
@@ -302,55 +368,9 @@ def run_scenario(cfg: ScenarioConfig, out_dir, baseline_dir=None,
         "obfuscation_f_m_hz": cfg.obfuscation.f_m_hz,
         "obfuscation_v_sp_mps": cfg.obfuscation.v_sp_mps,
     }
-
-    track = spec_mod.peak_doppler_track(spec2)
-    report.metrics = {
-        "ber": measured_ber,
-        "evm_pct": 100.0 * evm,
-        "occupied_bandwidth_hz": spec_mod.occupied_bandwidth(spec1),
-        "peak_doppler_mean_abs_hz": float(np.mean(np.abs(track))),
-        "peak_doppler_max_abs_hz": float(np.max(np.abs(track))),
-    }
-
-    if baseline_dir is not None:
-        for name, spec in zip(BASELINE_VIEWS, (spec1, spec2)):
-            key = f"correlation_{name}_vs_baseline"
-            # A run on its own holds one baseline view at a time.
-            base = (_load_baseline(baseline_dir, name) if baselines is None
-                    else baselines[name])
-            if base is None:
-                report.metrics[key] = "skipped:baseline-artifact-missing"
-            elif base.power.shape != spec.power.shape:
-                report.metrics[key] = "skipped:dimension-mismatch"
-            elif not (_axis_matches(base.freqs_hz, spec.freqs_hz)
-                      and _axis_matches(base.times_s, spec.times_s)):
-                report.metrics[key] = "skipped:axis-mismatch"
-            else:
-                report.metrics[key] = spec_mod.spectrogram_correlation(spec, base)
-    else:
-        report.metrics["correlation_method1_vs_baseline"] = "skipped:no-baseline"
-        report.metrics["correlation_method2_vs_baseline"] = "skipped:no-baseline"
-
-    if "csv" in formats:
-        for name, spec in (("method1", spec1), ("method2", spec2)):
-            p = out / f"{name}_spectrogram.csv"
-            spec_mod.save_spectrogram_csv(spec, p)
-            report.artifacts[f"{name}_spectrogram_csv"] = str(p)
-        p = out / "cfr.csv"
-        rx_mod.dump_cfr_csv(cfr_series, p)
-        report.artifacts["cfr_csv"] = str(p)
-        p = out / "tracks.csv"
-        chan_mod.dump_tracks(chan.tracks, p)
-        report.artifacts["tracks_csv"] = str(p)
-    if "pgm" in formats:
-        for name, spec in (("method1", spec1), ("method2", spec2)):
-            p = out / f"{name}_spectrogram.pgm"
-            spec_mod.save_spectrogram_pgm(spec, p)
-            report.artifacts[f"{name}_spectrogram_pgm"] = str(p)
-    if "bin" in formats:
-        p = out / "cfr.bin"
-        rx_mod.dump_cfr_bin(cfr_series, p)
-        report.artifacts["cfr_bin"] = str(p)
+    report.metrics = {"ber": measured_ber, "evm_pct": 100.0 * evm,
+                      **attacker}
+    report.artifacts = artifacts
     if dump_iq:
         p = out / "tx.iq"
         wf.dump_iq(tx_air, p)

@@ -34,7 +34,9 @@ def ofdm_demodulate(sig: BasebandSignal, n_subcarriers: int,
     if len(sig.samples) % sym_len:
         raise ValueError("sample count not divisible by the symbol length")
     blocks = sig.samples.reshape(-1, sym_len)[:, cp_len:]
-    values = (np.fft.fft(blocks, axis=1) / np.sqrt(n)).T
+    values = np.fft.fft(blocks, axis=1)
+    values /= np.sqrt(n)
+    values = values.T
     kinds = np.full(values.shape, KIND_DATA, dtype=np.uint8)
     return SymbolGrid(values=values, kinds=kinds)
 
@@ -48,7 +50,9 @@ def estimate_cfr(y_used: np.ndarray, x_used: np.ndarray) -> np.ndarray:
     if np.any(np.abs(x_used) == 0):
         raise ValueError("known symbol is zero on a used subcarrier")
     x = np.reshape(x_used, (-1,) + (1,) * (np.ndim(y_used) - 1))
-    return np.conj(x) * y_used / np.abs(x) ** 2
+    h = np.conj(x) * y_used
+    h /= np.abs(x) ** 2
+    return h
 
 
 def pilot_phase_correct(y_values: np.ndarray, pilot_bins: np.ndarray,
@@ -79,9 +83,11 @@ def equalize_demap(y_values: np.ndarray, h_ref: np.ndarray,
     """
     if np.any(np.abs(h_ref[data_bins]) == 0):
         raise ValueError("zero channel estimate on a data subcarrier")
-    eq = y_values[data_bins] / h_ref[data_bins]
+    eq = np.take(y_values, data_bins, axis=0)
+    eq /= h_ref[data_bins]
     # symbol-major, matching frame_stream bit order
     syms = np.moveaxis(eq, 0, -1).reshape(-1)
+    del eq
     return demap(syms, order), syms
 
 

@@ -15,6 +15,7 @@ from dopplerveil import _textfmt
 from dopplerveil.receiver import CfrSeries
 
 DEFAULT_METHOD1_RATE_HZ = 2000.0
+FRAME_BLOCK = 32  # frames whose spectra a spectrogram builds at once
 PGM_FLOOR_DB = -60.0
 
 
@@ -41,35 +42,55 @@ def next_pow2(n: int) -> int:
     return 1 << max(0, int(np.ceil(np.log2(max(1, n)))))
 
 
-def _frames(series: np.ndarray, rate_hz: float, window_len: int, hop: int,
-            n_fft: int, window_kind: str, t0: float, width: int,
-            dtype=float):
-    """Windowed frames of series, zero-padded to width samples.
-
-    Returns the (frame, sample) array, of series' dtype promoted with dtype,
-    and the frame center times.
-    """
+def _frame_times(n_samples: int, rate_hz: float, window_len: int, hop: int,
+                 n_fft: int, t0: float) -> np.ndarray:
+    """Center times of the window_len-sample frames, hop apart, of a series."""
     if window_len > n_fft:
         raise ValueError("window_len must be <= n_fft")
     if hop < 1:
         raise ValueError("hop must be >= 1")
-    if len(series) < window_len:
+    if n_samples < window_len:
         raise ValueError("series shorter than one window")
-    n_frames = 1 + (len(series) - window_len) // hop
-    frames = np.zeros((n_frames, width),
-                      dtype=np.result_type(series.dtype, dtype))
-    np.multiply(np.lib.stride_tricks.sliding_window_view(
-        series, window_len)[::hop], _window(window_kind, window_len),
-        out=frames[:, :window_len])
-    times = t0 + (np.arange(n_frames) * hop + window_len / 2.0) / rate_hz
-    return frames, times
+    n_frames = 1 + (n_samples - window_len) // hop
+    return t0 + (np.arange(n_frames) * hop + window_len / 2.0) / rate_hz
+
+
+def _frame_view(series: np.ndarray, window_len: int, hop: int) -> np.ndarray:
+    """The (frame, sample) frames of series, a view without a copy."""
+    return np.lib.stride_tricks.sliding_window_view(
+        series, window_len)[::hop]
+
+
+def _windowed_fft(buf: np.ndarray, frames: np.ndarray, window: np.ndarray,
+                  offset=None) -> np.ndarray:
+    """DFTs of (frames - offset) * window, zero-padded to buf's width.
+
+    The spectra are built in place in buf's first len(frames) rows, which
+    are returned; a caller that reuses buf for the next frames bounds the
+    work memory of a long series.
+    """
+    spec = buf[:len(frames)]
+    head = spec[:, :len(window)]
+    if offset is None:
+        np.multiply(frames, window, out=head)
+    else:
+        np.subtract(frames, offset, out=head)
+        head *= window
+    spec[:, len(window):] = 0.0
+    return np.fft.fft(spec, axis=1, out=spec)
 
 
 def _spectrogram(power: np.ndarray, rate_hz: float, times: np.ndarray,
                  window_len: int, hop: int, n_fft: int,
                  window_kind: str) -> Spectrogram:
-    """Spectrogram of (frame, FFT-order bin) power, shifted to DC-centered."""
-    return Spectrogram(power=np.fft.fftshift(power, axes=1).T,
+    """Spectrogram of (frame, FFT-order bin) power, shifted to DC-centered.
+
+    The shift moves power's rows in place, FRAME_BLOCK at a time.
+    """
+    for i in range(0, len(power), FRAME_BLOCK):
+        power[i:i + FRAME_BLOCK] = np.fft.fftshift(power[i:i + FRAME_BLOCK],
+                                                   axes=1)
+    return Spectrogram(power=power.T,
                        freqs_hz=np.fft.fftshift(
                            np.fft.fftfreq(n_fft, d=1.0 / rate_hz)),
                        times_s=times, window_len=window_len, hop=hop,
@@ -86,9 +107,17 @@ def stft(series: np.ndarray, rate_hz: float, window_len: int, hop: int,
     """
     if n_fft is None:
         n_fft = next_pow2(4 * window_len)
-    frames, times = _frames(np.asarray(series), rate_hz, window_len, hop,
-                            n_fft, window_kind, t0, n_fft)
-    power = np.abs(np.fft.fft(frames, axis=1)) ** 2 / n_fft
+    series = np.asarray(series)
+    times = _frame_times(len(series), rate_hz, window_len, hop, n_fft, t0)
+    frames = _frame_view(series, window_len, hop)
+    window = _window(window_kind, window_len)
+    buf = np.empty((min(FRAME_BLOCK, len(times)), n_fft), dtype=complex)
+    power = np.empty((len(times), n_fft))
+    for i in range(0, len(times), FRAME_BLOCK):
+        spec = _windowed_fft(buf, frames[i:i + FRAME_BLOCK], window)
+        np.abs(spec, out=power[i:i + len(spec)])
+    np.square(power, out=power)
+    power /= n_fft
     return _spectrogram(power, rate_hz, times, window_len, hop, n_fft,
                         window_kind)
 
@@ -130,27 +159,40 @@ def method2_view(series: CfrSeries,
     if n_fft is None:
         n_fft = next_pow2(4 * window_len)
     lag_fft = next_pow2(2 * window_len - 1)
-    # Summed |DFT|^2 per frame, one subcarrier at a time to bound memory.
-    acc = None
-    for row in data:
-        spec, times = _frames(row - row.mean(), rate, window_len, hop,
-                              n_fft, window_kind, series.t_s[0], lag_fft,
-                              complex)
-        np.fft.fft(spec, axis=1, out=spec)
-        if acc is None:
-            acc = spec.real ** 2
-        else:
-            acc += spec.real ** 2
-        acc += spec.imag ** 2
-    # Autocorrelation lags -(W-1)..W-1 of every frame, placed modulo n_fft;
-    # lags n_fft apart share a bin, so each block of n_fft lags is added.
-    lags = np.fft.ifft(acc, axis=1)
+    times = _frame_times(data.shape[1], rate, window_len, hop, n_fft,
+                         series.t_s[0])
+    window = _window(window_kind, window_len)
+    rows = [(_frame_view(row, window_len, hop), row.mean()) for row in data]
     lag = np.arange(1 - window_len, window_len)
-    placed = np.zeros((len(lags), n_fft), dtype=complex)
-    for i in range(0, len(lag), n_fft):
-        block = lag[i:i + n_fft]
-        placed[:, block % n_fft] += lags[:, block % lag_fft]
-    power = np.fft.fft(placed, axis=1).real / (n_fft * len(data))
+    scale = n_fft * len(data)
+    # FRAME_BLOCK frames at a time: their |DFT|^2 summed subcarrier by
+    # subcarrier through one spectrum and one square buffer, then their
+    # autocorrelation lags -(W-1)..W-1 placed modulo n_fft (lags n_fft apart
+    # share a bin, so each block of n_fft lags is added) and transformed.
+    power = np.empty((len(times), n_fft))
+    buf = np.empty((min(FRAME_BLOCK, len(times)), lag_fft), dtype=complex)
+    sq = np.empty(buf.shape)
+    total = np.empty(buf.shape)
+    placed = np.empty((len(buf), n_fft), dtype=complex)
+    for i in range(0, len(times), FRAME_BLOCK):
+        m = min(FRAME_BLOCK, len(times) - i)
+        for j, (frames, mean) in enumerate(rows):
+            spec = _windowed_fft(buf, frames[i:i + m], window, mean)
+            if j == 0:
+                np.square(spec.real, out=total[:m])
+            else:
+                np.square(spec.real, out=sq[:m])
+                total[:m] += sq[:m]
+            np.square(spec.imag, out=sq[:m])
+            total[:m] += sq[:m]
+        lags = np.fft.ifft(total[:m], axis=1)
+        out = placed[:m]
+        out[:] = 0.0
+        for first in range(0, len(lag), n_fft):
+            block = lag[first:first + n_fft]
+            out[:, block % n_fft] += lags[:, block % lag_fft]
+        np.fft.fft(out, axis=1, out=out)
+        np.divide(out.real, scale, out=power[i:i + m])
     # Rounding can leave a residue just below zero where the power is nil.
     np.maximum(power, 0.0, out=power)
     return _spectrogram(power, rate, times, window_len, hop, n_fft,

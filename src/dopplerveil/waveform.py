@@ -108,13 +108,14 @@ def ofdm_modulate(grid: SymbolGrid, cp_len: int,
     if grid.n_symbols < 1:
         raise ValueError("grid needs at least one symbol column")
     n = grid.n_subcarriers
-    body = np.fft.ifft(grid.values, axis=0) * np.sqrt(n)
-    if cp_len:
-        sym = np.concatenate([body[-cp_len:, :], body], axis=0)
-    else:
-        sym = body
-    samples = sym.T.reshape(-1)
-    return BasebandSignal(samples=samples, sample_rate_hz=sample_rate_hz, t0=t0)
+    # Built in place in the (symbol, CP + body) sample layout.
+    sym = np.empty((grid.n_symbols, cp_len + n), dtype=complex)
+    body = sym[:, cp_len:]
+    np.fft.ifft(grid.values.T, axis=1, out=body)
+    body *= np.sqrt(n)
+    sym[:, :cp_len] = sym[:, n:]
+    return BasebandSignal(samples=sym.reshape(-1),
+                          sample_rate_hz=sample_rate_hz, t0=t0)
 
 
 def frame_stream(cfg, derived, payload_bits):

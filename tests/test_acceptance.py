@@ -196,8 +196,9 @@ def test_criterion_7_numerical_identities():
         stft_err = max(stft_err, abs(np.sum(s.power[:, j]) - e) / e)
 
     from dopplerveil.obfuscator import transmit_multiplier
-    smeared = x * transmit_multiplier(
-        Obfuscation(kind="smear", delta_f_hz=200.0, f_m_hz=10.0), 0,
+    smeared = x.copy()
+    transmit_multiplier(
+        Obfuscation(kind="smear", delta_f_hz=200.0, f_m_hz=10.0), smeared, 0,
         np.arange(len(x)) / 10_000.0, 312_500.0, F_C)
     energy_ratio = float(np.sum(np.abs(smeared) ** 2)
                          / np.sum(np.abs(x) ** 2))

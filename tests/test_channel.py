@@ -201,6 +201,15 @@ def test_awgn_in_place_any_shape_real_parts_first():
                                rtol=1e-15, atol=0)
     np.testing.assert_allclose(flat.imag, 1.0 + scale * draws[flat.size:],
                                rtol=1e-15, atol=0)
+    # A grid larger than one draw chunk, whose size is not a multiple of it,
+    # gets exactly one draw's values: 0 dB at signal power 2 scales the
+    # noise by exactly 1.
+    big = np.zeros((3, ch.NOISE_CHUNK // 2 + 1), dtype=complex)
+    assert big.size > ch.NOISE_CHUNK and big.size % ch.NOISE_CHUNK
+    ch.add_awgn(big, 0.0, rng=np.random.default_rng(6), signal_power=2.0)
+    draws = np.random.default_rng(6).standard_normal(2 * big.size)
+    np.testing.assert_array_equal(big.real.reshape(-1), draws[:big.size])
+    np.testing.assert_array_equal(big.imag.reshape(-1), draws[big.size:])
 
 
 def _known_signal(cfg, n_symbols):

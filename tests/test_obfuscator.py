@@ -18,16 +18,26 @@ def _spoof(v_sp):
     return Obfuscation(kind="spoof", v_sp_mps=v_sp)
 
 
+def _multiplier(obf, k, t, carrier_hz=F_C):
+    """M(k, t) itself: the multiplier applied to a grid of ones."""
+    out = np.ones(np.shape(k) + np.shape(t), dtype=complex)
+    transmit_multiplier(obf, out, k, t, DF, carrier_hz)
+    return out
+
+
 def _smeared(x, t, obf=SMEAR):
     """x smeared per sample, as the demodulation pass does."""
-    return x * transmit_multiplier(obf, 0, t, DF, F_C)
+    out = np.array(x, dtype=complex)
+    transmit_multiplier(obf, out, 0, t, DF, F_C)
+    return out
 
 
 def _spoofed(values, t, obf, carrier_hz=F_C):
     """Grid values spoofed per (signed subcarrier, symbol time)."""
-    k = signed_subcarriers(values.shape[0])
-    return values * transmit_multiplier(obf, k[:, None], t[None, :], DF,
-                                        carrier_hz)
+    out = np.array(values, dtype=complex)
+    transmit_multiplier(obf, out, signed_subcarriers(values.shape[0]), t,
+                        DF, carrier_hz)
+    return out
 
 
 def test_smear_phasor_at_origin():
@@ -168,12 +178,18 @@ def test_apply_spoofing_phase_is_linear_in_signed_k():
 
 
 def test_apply_spoofing_checks_time_axis():
-    # k and t must broadcast, for every kind: smearing ignores k but still
-    # refuses a time axis that does not fit the subcarrier axis.
+    # values must be the (k, t) grid, for every kind: smearing ignores k but
+    # still refuses a grid that does not fit the subcarrier and time axes.
     k = signed_subcarriers(8)
+    t = np.arange(4) * 1e-3
     for obf in (Obfuscation(), SMEAR, _spoof(16.0)):
+        for shape in ((4, 8), (8,), (4,), (8, 4, 1)):
+            with pytest.raises(ValueError, match="shape mismatch"):
+                transmit_multiplier(obf, np.ones(shape, dtype=complex), k, t,
+                                    DF, F_C)
         with pytest.raises(ValueError, match="shape mismatch"):
-            transmit_multiplier(obf, k, np.arange(4) * 1e-3, DF, F_C)
+            transmit_multiplier(obf, np.ones((8, 4), dtype=complex),
+                                k[:, None], t, DF, F_C)
 
 
 def test_transmit_multiplier_spoof_subtracts_v_sp():
@@ -183,24 +199,53 @@ def test_transmit_multiplier_spoof_subtracts_v_sp():
     v, v_sp = 0.8, 5.0
     t = np.linspace(0.0, 0.01, 11)
     path = np.exp(2j * np.pi * F_C * v / SPEED_OF_LIGHT * t)
-    seen = path * transmit_multiplier(_spoof(v_sp), 0, t, DF, F_C)
+    seen = path * _multiplier(_spoof(v_sp), 0, t)
     rate = np.angle(seen[1:] / seen[:-1]) / np.diff(t) / (2 * np.pi)
     np.testing.assert_allclose(rate, F_C * (v - v_sp) / SPEED_OF_LIGHT,
                                rtol=1e-9)
 
 
 def test_transmit_multiplier_shapes_and_unit_modulus():
-    k = signed_subcarriers(64)[:, None]
-    t = np.arange(5)[None, :] * 4e-6
+    k = signed_subcarriers(64)
+    t = np.arange(5) * 4e-6
     for obf in (Obfuscation(), SMEAR, _spoof(16.0)):
-        out = transmit_multiplier(obf, k, t, DF, F_C)
-        assert out.shape == (64, 5) and out.flags.writeable
-        np.testing.assert_allclose(np.abs(out), 1.0, rtol=1e-15)
-    np.testing.assert_array_equal(
-        transmit_multiplier(Obfuscation(), k, t, DF, F_C), 1.0)
+        grid = np.ones((64, 5), dtype=complex)
+        assert transmit_multiplier(obf, grid, k, t, DF, F_C) is None
+        np.testing.assert_allclose(np.abs(grid), 1.0, rtol=1e-15)
+    np.testing.assert_array_equal(_multiplier(Obfuscation(), k, t), 1.0)
     # smearing is common to every subcarrier and equals the bare phasor
-    smear = transmit_multiplier(SMEAR, k, t, DF, F_C)
+    smear = _multiplier(SMEAR, k, t)
     np.testing.assert_array_equal(smear, np.broadcast_to(
         smear_phasor(t, 200.0, 10.0), smear.shape))
-    spoof = transmit_multiplier(_spoof(16.0), k, t, DF, F_C)
-    np.testing.assert_array_equal(spoof, spoof_phasor(k, t, DF, -16.0, F_C))
+    # spoofing is the per-cell phasor, factored: equal to two ulps of 1
+    spoof = _multiplier(_spoof(16.0), k, t)
+    np.testing.assert_allclose(
+        spoof, spoof_phasor(k[:, None], t, DF, -16.0, F_C), rtol=0,
+        atol=4.5e-16)
+
+
+def test_spoof_multiplier_matches_per_cell_oracle():
+    # 64 FFT-ordered subcarriers over a 20 s walk at 2 kHz: the factored
+    # multiplier against exp(j phase) taken per cell, row by row.  Both
+    # round the ~1.2e4 rad phase, so they agree to a few ulps of it.
+    v_sp = 5.0
+    k = signed_subcarriers(64)
+    t = np.arange(40_000) / 2000.0 + 2e-6
+    m = _multiplier(_spoof(v_sp), k, t)
+    assert np.max(np.abs(np.abs(m) - 1.0)) <= 1e-15
+    for row, kk in zip(m, k):
+        phase = 2 * np.pi * (F_C + kk * DF) * (-v_sp / SPEED_OF_LIGHT) * t
+        np.testing.assert_allclose(row, np.exp(1j * phase), rtol=0,
+                                   atol=1e-11)
+
+
+def test_spoof_multiplier_rows_follow_k_with_gaps_and_repeats():
+    # Each row is M at its own subcarrier, whatever the other rows hold.
+    k = np.array([5, -3, 5, 12, -20, 0])
+    t = np.arange(7) * 0.37
+    m = _multiplier(_spoof(7.0), k, t)
+    for row, kk in zip(m, k):
+        np.testing.assert_array_equal(row, _multiplier(_spoof(7.0), kk, t))
+        phase = 2 * np.pi * (F_C + kk * DF) * (-7.0 / SPEED_OF_LIGHT) * t
+        np.testing.assert_allclose(row, np.exp(1j * phase), rtol=0,
+                                   atol=1e-12)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -73,15 +74,14 @@ def _per_frame_demod(cfg, d, chan, rngs):
             cfg, d, bits[f * bits_per_frame:(f + 1) * bits_per_frame])
         if obf.kind == "spoof":
             mid = wf.symbol_midtimes(grid.n_symbols, d.t_sym_s, t0)
-            grid.values *= transmit_multiplier(
-                obf, k[:, None], mid[None, :], cfg.subcarrier_spacing_hz,
-                cfg.carrier_hz)
+            transmit_multiplier(obf, grid.values, k, mid,
+                                cfg.subcarrier_spacing_hz, cfg.carrier_hz)
             sig = wf.ofdm_modulate(grid, cfg.cp_len, d.sample_rate_hz)
         chunks.append(sig.samples)
     tx = wf.BasebandSignal(np.concatenate(chunks), d.sample_rate_hz)
     if obf.kind == "smear":
-        tx.samples *= transmit_multiplier(
-            obf, 0, tx.times(), cfg.subcarrier_spacing_hz, cfg.carrier_hz)
+        transmit_multiplier(obf, tx.samples, 0, tx.times(),
+                            cfg.subcarrier_spacing_hz, cfg.carrier_hz)
 
     y_all = rx.ofdm_demodulate(
         ch.propagate(tx, chan, n, cfg.cp_len, snr_db=cfg.snr_db,
@@ -258,9 +258,9 @@ def test_method1_series_is_parseval_form_of_rx_times_conj_tx(obf):
                           kinds=np.zeros((n, m), dtype=np.uint8))
     k = wf.signed_subcarriers(n)
     mid = wf.symbol_midtimes(m, d.t_sym_s)
-    air = wf.SymbolGrid(values=clean.values * transmit_multiplier(
-        obf, k[:, None], mid[None, :], cfg.subcarrier_spacing_hz,
-        cfg.carrier_hz), kinds=clean.kinds)
+    air = wf.SymbolGrid(values=clean.values.copy(), kinds=clean.kinds)
+    transmit_multiplier(obf, air.values, k, mid, cfg.subcarrier_spacing_hz,
+                        cfg.carrier_hz)
     tx = wf.ofdm_modulate(clean, cfg.cp_len, d.sample_rate_hz)
     rx = ch.propagate(wf.ofdm_modulate(air, cfg.cp_len, d.sample_rate_hz),
                       chan, n_subcarriers=n, cp_len=cfg.cp_len)
@@ -270,3 +270,84 @@ def test_method1_series_is_parseval_form_of_rx_times_conj_tx(obf):
     series = (bodies(rx) * np.conj(bodies(tx))).mean(axis=1)
     np.testing.assert_allclose(series, m1.samples, rtol=0, atol=1e-12)
     np.testing.assert_allclose(m1.t0, mid[0], rtol=1e-12)
+
+
+def _traced_peak(fn, *args, **kwargs):
+    """fn's result and the peak memory it allocates beyond what is held."""
+    tracemalloc.start()
+    try:
+        held = tracemalloc.get_traced_memory()[0]
+        result = fn(*args, **kwargs)
+        return result, tracemalloc.get_traced_memory()[1] - held
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("obf", [
+    Obfuscation(),
+    Obfuscation(kind="smear", delta_f_hz=200.0, f_m_hz=10.0),
+    Obfuscation(kind="spoof", v_sp_mps=5.0)], ids=["none", "smear", "spoof"])
+def test_simulate_csi_works_in_one_probe_grid(obf):
+    # The pass builds y in one probe-grid-sized array, in place: with the
+    # CFR grid given or evaluated, its peak stays within 2 grids (y and the
+    # CSI series; a multiplier or noise array the size of y would break it).
+    cfg = _cfg(duration_s=2.0, csi_rate_hz=1000.0, snr_db=20.0,
+               obfuscation=obf)
+    d = derive_streams(cfg)
+    chan = pl.build_channel(cfg, d, rng_streams(cfg.seed).walker)
+    grid = pl._probe_grid(cfg, d)
+    h = pl.chan_mod.cfr_matrix(chan, grid.k, cfg.subcarrier_spacing_hz,
+                               grid.times_s)
+    h.flags.writeable = False
+    results = []
+    for given in (h, None):
+        result, peak = _traced_peak(pl.simulate_csi, cfg, d, chan,
+                                    rng_streams(cfg.seed).noise, h=given)
+        assert peak <= 2.0 * h.nbytes, (given is None, peak / h.nbytes)
+        results.append(result)
+    (m1_a, s_a), (m1_b, s_b) = results
+    np.testing.assert_array_equal(m1_a.samples, m1_b.samples)
+    np.testing.assert_array_equal(s_a.h_hat, s_b.h_hat)
+
+
+def test_demod_pass_starts_after_the_attacker_half_is_released(tmp_path,
+                                                               monkeypatch):
+    cfg = _cfg(duration_s=2.0, csi_rate_hz=1000.0, snr_db=20.0,
+               obfuscation=Obfuscation(kind="spoof", v_sp_mps=5.0))
+    d = derive_streams(cfg)
+    grid = pl._probe_grid(cfg, d)
+    h_hat_nbytes = len(grid.k) * len(grid.times_s[::grid.ratio]) * 16
+    held = []
+    demod = pl.simulate_demod
+
+    def entry(*args, **kwargs):
+        held.append(tracemalloc.get_traced_memory()[0] - start)
+        return demod(*args, **kwargs)
+
+    monkeypatch.setattr(pl, "simulate_demod", entry)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        report = pl.run_scenario(cfg, tmp_path / "run",
+                                 formats=("csv", "pgm", "bin"))
+    finally:
+        tracemalloc.stop()
+    assert len(held) == 1 and held[0] < h_hat_nbytes, (held, h_hat_nbytes)
+    assert list(report.metrics)[:2] == ["ber", "evm_pct"]
+
+
+def test_simulate_demod_maps_the_payload_once(monkeypatch):
+    from dopplerveil import waveform as wf
+    calls = []
+    qam_map = wf.qam_map
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return qam_map(*args, **kwargs)
+
+    monkeypatch.setattr(wf, "qam_map", counted)
+    cfg = _cfg(obfuscation=Obfuscation(kind="spoof", v_sp_mps=5.0))
+    d = derive_streams(cfg)
+    rngs = rng_streams(cfg.seed)
+    pl.simulate_demod(cfg, d, pl.build_channel(cfg, d, rngs.walker), rngs)
+    assert len(calls) == 1

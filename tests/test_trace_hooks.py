@@ -78,3 +78,25 @@ def test_counter_hooks_run_on_a_real_run(tmp_path):
     assert n_frames == 3
     assert [s.counts["data_bits"] for s in tracer.spans
             if s.name == "waveform.frame_stream"] == [n_frames * bits_per_frame]
+
+
+def test_a_multiplier_span_fires_for_each_defense(tmp_path):
+    from dopplerveil import cli
+    tracing = _tracing()
+    for obf in ("{kind: spoof, v_sp_mps: 5.0}",
+                "{kind: smear, delta_f_hz: 200.0, f_m_hz: 10.0}"):
+        scenario = tmp_path / "scenario.yaml"
+        scenario.write_text("duration_s: 0.3\ncsi_rate_hz: 500\n"
+                            "payload_bits: 30000\n"
+                            "stft: {window_len_s: 0.1, hop_s: 0.05}\n"
+                            f"obfuscation: {obf}\n")
+        tracer = tracing.Tracer()
+        tracer.install()
+        try:
+            code = cli.main(["run", "--scenario", str(scenario),
+                             "--out", str(tmp_path / "out"), "--format",
+                             "bin"])
+        finally:
+            tracer.uninstall()
+        assert code == 0
+        assert any(s.name in tracing.MULTIPLIERS for s in tracer.spans), obf
