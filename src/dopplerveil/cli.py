@@ -12,7 +12,8 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from pathlib import Path
 
-from dopplerveil.pipeline import parse_report, point_invariant, run_scenario
+from dopplerveil.pipeline import (DEFAULT_FORMATS, parse_report,
+                                  point_invariant, run_scenario)
 from dopplerveil.scenario import (Obfuscation, ScenarioError,
                                   load_scenario_file, validate)
 
@@ -28,13 +29,18 @@ def _build_parser() -> argparse.ArgumentParser:
         description="OFDM micro-Doppler privacy simulator")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    run_p = sub.add_parser("run", help="run one scenario end to end")
-    run_p.add_argument("--scenario", required=True, help="scenario YAML path")
-    run_p.add_argument("--out", required=True, help="output directory")
-    run_p.add_argument("--baseline", default=None,
-                       help="baseline run directory for correlation metrics")
-    run_p.add_argument("--format", action="append", choices=("csv", "bin", "pgm"),
-                       default=None, help="artifact formats (default: csv, pgm)")
+    # The options run and sweep share.
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--scenario", required=True, help="scenario YAML path")
+    common.add_argument("--out", required=True, help="output directory")
+    common.add_argument("--baseline",
+                        help="baseline run directory for correlation metrics")
+    common.add_argument("--format", action="append",
+                        choices=("csv", "bin", "pgm"), help="artifact formats "
+                        f"(default: {', '.join(DEFAULT_FORMATS)})")
+
+    run_p = sub.add_parser("run", parents=[common],
+                           help="run one scenario end to end")
     run_p.add_argument("--dump-iq", action="store_true",
                        help="also dump the demod-pass transmit I/Q")
 
@@ -45,19 +51,14 @@ def _build_parser() -> argparse.ArgumentParser:
                        metavar="METRIC=MAX_ABS_DELTA",
                        help="fail (exit 4) if |delta| of metric exceeds value")
 
-    sweep_p = sub.add_parser("sweep",
+    sweep_p = sub.add_parser("sweep", parents=[common],
                              help="grid of smear/spoof points, one run each")
-    sweep_p.add_argument("--scenario", required=True)
-    sweep_p.add_argument("--out", required=True)
     sweep_p.add_argument("--delta-f", type=float, nargs="*", default=[],
                          help="smear delta_f values, Hz")
     sweep_p.add_argument("--f-m", type=float, nargs="*", default=[],
                          help="smear f_m values, Hz")
     sweep_p.add_argument("--v-sp", type=float, nargs="*", default=[],
                          help="spoof speeds, m/s")
-    sweep_p.add_argument("--baseline", default=None)
-    sweep_p.add_argument("--format", action="append",
-                         choices=("csv", "bin", "pgm"), default=None)
     sweep_p.add_argument("--threads", type=int, default=1)
     return parser
 
@@ -68,10 +69,10 @@ def _cmd_run(args) -> int:
     except (ScenarioError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    formats = tuple(args.format) if args.format else ("csv", "pgm")
     try:
         report = run_scenario(cfg, args.out, baseline_dir=args.baseline,
-                              formats=formats, dump_iq=args.dump_iq,
+                              formats=tuple(args.format or DEFAULT_FORMATS),
+                              dump_iq=args.dump_iq,
                               scenario_path=str(args.scenario))
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -179,7 +180,7 @@ def _cmd_sweep(args) -> int:
             print(f"error: {name}: {exc}", file=sys.stderr)
             return EXIT_CONFIG
         configs[name] = cfg
-    formats = tuple(args.format) if args.format else ("csv", "pgm")
+    formats = tuple(args.format or DEFAULT_FORMATS)
     out_root = Path(args.out)
 
     def one(point):

@@ -31,6 +31,9 @@ BASELINE_AXIS_RTOL = 1e-9
 # Baseline spectrograms a run correlates against, by attacker view.
 BASELINE_VIEWS = ("method1", "method2")
 
+# Artifact formats a run writes unless told otherwise.
+DEFAULT_FORMATS = ("csv", "pgm")
+
 
 @dataclass
 class RunReport:
@@ -60,10 +63,7 @@ class _ProbeGrid:
 
 def _probe_grid(cfg: ScenarioConfig, derived: DerivedParams) -> _ProbeGrid:
     """The CSI pass's (used subcarrier, probe time) sampling grid."""
-    ratio = max(1, int(math.ceil(spec_mod.DEFAULT_METHOD1_RATE_HZ
-                                 / cfg.csi_rate_hz)))
-    rate = cfg.csi_rate_hz * ratio
-    n_probes = int(math.floor(cfg.duration_s * rate))
+    ratio, rate, n_probes = cfg.probe_sampling()
     return _ProbeGrid(
         ratio=ratio, rate_hz=rate,
         k=derived.used_k,
@@ -179,13 +179,6 @@ def simulate_csi(cfg: ScenarioConfig, derived: DerivedParams,
     return m1_sig, series
 
 
-def _stft_samples(rate_hz: float, cfg: ScenarioConfig):
-    window_len = max(2, int(round(cfg.stft.window_len_s * rate_hz)))
-    hop = max(1, int(round(cfg.stft.hop_s * rate_hz)))
-    n_fft = cfg.stft.n_fft or spec_mod.next_pow2(4 * window_len)
-    return window_len, hop, n_fft
-
-
 def _axis_matches(base_axis: np.ndarray, run_axis: np.ndarray) -> bool:
     return bool(np.allclose(base_axis, run_axis, rtol=BASELINE_AXIS_RTOL,
                             atol=0.0))
@@ -265,10 +258,10 @@ def _attacker_half(cfg: ScenarioConfig, derived: DerivedParams,
     so the demodulation pass that follows starts with them gone.
     """
     m1_sig, cfr_series = simulate_csi(cfg, derived, chan, rng_noise, h=h)
-    w1, h1, f1 = _stft_samples(m1_sig.sample_rate_hz, cfg)
+    w1, h1, f1 = cfg.stft.samples(m1_sig.sample_rate_hz)
     spec1 = spec_mod.stft(m1_sig.samples, m1_sig.sample_rate_hz, w1, h1, f1,
                           cfg.stft.window_kind, t0=m1_sig.t0)
-    w2, h2, f2 = _stft_samples(cfr_series.csi_rate_hz, cfg)
+    w2, h2, f2 = cfg.stft.samples(cfr_series.csi_rate_hz)
     spec2 = spec_mod.method2_view(cfr_series, window_len=w2, hop=h2, n_fft=f2,
                                   window_kind=cfg.stft.window_kind)
 
@@ -321,7 +314,7 @@ def _attacker_half(cfg: ScenarioConfig, derived: DerivedParams,
 
 
 def run_scenario(cfg: ScenarioConfig, out_dir, baseline_dir=None,
-                 formats=("csv", "pgm"), dump_iq: bool = False,
+                 formats=DEFAULT_FORMATS, dump_iq: bool = False,
                  scenario_path: str = "",
                  shared: PointInvariant | None = None) -> RunReport:
     """Execute one scenario and write all artifacts into out_dir.

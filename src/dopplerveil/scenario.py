@@ -7,8 +7,9 @@ grammar is documented in the repository README.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, is_dataclass
 from types import SimpleNamespace
+from typing import get_type_hints
 
 import numpy as np
 import yaml
@@ -16,6 +17,9 @@ import yaml
 from dopplerveil.waveform import DATA_SYMBOLS_PER_FRAME, PREAMBLE_SYMBOLS
 
 SPEED_OF_LIGHT = 299_792_458.0  # m/s
+
+# The method-1 view's series is sampled at least this fast.
+METHOD1_MIN_RATE_HZ = 2000.0
 
 
 class ScenarioError(ValueError):
@@ -63,6 +67,15 @@ class StftParams:
     n_fft: int | None = None  # None: next power of two >= 4 * window samples
     window_kind: str = "hann"
 
+    def samples(self, rate_hz: float) -> tuple:
+        """(window_len, hop, n_fft) of a series sampled at rate_hz.
+
+        n_fft stays None when unset: the spectrogram then takes the next
+        power of two >= 4 * window_len, which always holds the window.
+        """
+        return (max(2, int(round(self.window_len_s * rate_hz))),
+                max(1, int(round(self.hop_s * rate_hz))), self.n_fft)
+
 
 @dataclass(frozen=True)
 class ScenarioConfig:
@@ -83,14 +96,22 @@ class ScenarioConfig:
     obfuscation: Obfuscation = field(default_factory=Obfuscation)
     stft: StftParams = field(default_factory=StftParams)
 
+    def probe_sampling(self) -> tuple:
+        """(ratio, rate_hz, n_probes) of the CSI pass.
+
+        The pass probes at csi_rate_hz times the smallest integer ratio that
+        reaches METHOD1_MIN_RATE_HZ: its n_probes probes are the method-1
+        series, and every ratio-th probe is a CSI sample of method 2.
+        """
+        ratio = max(1, int(math.ceil(METHOD1_MIN_RATE_HZ / self.csi_rate_hz)))
+        rate = self.csi_rate_hz * ratio
+        return ratio, rate, int(math.floor(self.duration_s * rate))
+
 
 @dataclass(frozen=True)
 class DerivedParams:
     sample_rate_hz: float
     t_sym_s: float  # (N + cp) / (N * df)
-    t_useful_s: float  # N / df
-    symbol_rate_hz: float
-    decimation: int  # M: keep every M-th symbol for the CSI series
     used_k: np.ndarray  # signed subcarrier indices (data + pilots)
     data_k: np.ndarray
     pilot_k: np.ndarray
@@ -102,18 +123,19 @@ class DerivedParams:
 _QAM_ORDERS = (4, 16, 64)
 
 
-def _reject_unknown(mapping: dict, allowed: set, where: str) -> None:
-    unknown = set(mapping) - allowed
+def _reject_unknown(mapping: dict, allowed, where: str) -> None:
+    unknown = set(mapping) - set(allowed)
     if unknown:
         raise ScenarioError(f"unknown key(s) in {where}: {sorted(unknown)}")
 
 
 def _number(value, where: str) -> float:
-    try:
-        return float(value)
-    except (TypeError, ValueError):
-        raise ScenarioError(
-            f"{where} must be a number, got {value!r}") from None
+    if not isinstance(value, bool):
+        try:
+            return float(value)
+        except (TypeError, ValueError):
+            pass
+    raise ScenarioError(f"{where} must be a number, got {value!r}")
 
 
 def _integer(value, where: str) -> int:
@@ -131,47 +153,12 @@ def _mapping(value, where: str) -> dict:
     return value
 
 
-def _with_numbers(data: dict, where: str, not_numbers=()) -> dict:
-    """data with every value but those of not_numbers parsed as a float."""
-    return {k: v if k in not_numbers else _number(v, f"{where}{k}")
-            for k, v in data.items()}
-
-
 def _as_gain(value) -> complex:
-    if isinstance(value, (int, float)):
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
         return complex(value)
     if isinstance(value, (list, tuple)) and len(value) == 2:
         return complex(*(_number(v, "path gain") for v in value))
     raise ScenarioError(f"path gain must be scalar or [re, im], got {value!r}")
-
-
-def _parse_walker(data: dict) -> WalkerParams:
-    _reject_unknown(data, {f.strip() for f in (
-        "model speed_mps start_range_m heading_deg gait_stride_coeff "
-        "leg_speed_ratio arm_speed_ratio head_speed_ratio torso_bob_ratio "
-        "reflectivity").split()}, "walker")
-    refl = dict(WalkerParams().reflectivity)
-    if "reflectivity" in data:
-        sub = _mapping(data["reflectivity"], "walker.reflectivity")
-        _reject_unknown(sub, {"torso", "leg", "arm", "head"}, "walker.reflectivity")
-        refl.update(_with_numbers(sub, "walker.reflectivity."))
-    kwargs = _with_numbers({k: v for k, v in data.items() if k != "reflectivity"},
-                           "walker.", not_numbers=("model",))
-    return WalkerParams(reflectivity=refl, **kwargs)
-
-
-def _parse_obfuscation(data: dict) -> Obfuscation:
-    _reject_unknown(data, {"kind", "delta_f_hz", "f_m_hz", "v_sp_mps"}, "obfuscation")
-    return Obfuscation(**_with_numbers(data, "obfuscation.",
-                                       not_numbers=("kind",)))
-
-
-def _parse_stft(data: dict) -> StftParams:
-    _reject_unknown(data, {"window_len_s", "hop_s", "n_fft", "window_kind"}, "stft")
-    kwargs = _with_numbers(data, "stft.", not_numbers=("n_fft", "window_kind"))
-    if kwargs.get("n_fft") is not None:
-        kwargs["n_fft"] = _integer(kwargs["n_fft"], "stft.n_fft")
-    return StftParams(**kwargs)
 
 
 def _parse_static_paths(items) -> tuple:
@@ -189,16 +176,43 @@ def _parse_static_paths(items) -> tuple:
     return tuple(paths)
 
 
-# Top-level keys whose values are parsed as floats; the other scalar keys are
-# integers.
-_TOP_FLOATS = {"carrier_hz", "subcarrier_spacing_hz", "duration_s",
-               "csi_rate_hz"}
+def _read_value(hint, default, value, key: str):
+    """value read as its field's annotation hint says; key names it."""
+    if is_dataclass(hint):
+        return _read(hint, value, key, f"{key}.")
+    if hint is float:
+        # A null SNR is a noiseless run.
+        if key == "snr_db" and value is None:
+            return math.inf
+        return _number(value, key)
+    if hint is int:
+        return _integer(value, key)
+    if hint == int | None:
+        return None if value is None else _integer(value, key)
+    if hint is dict:
+        # A mapping of numbers (walker.reflectivity) takes its keys from its
+        # default and keeps the default of each key it leaves out.
+        value = _mapping(value, key)
+        _reject_unknown(value, default, key)
+        return {**default, **{k: _number(v, f"{key}.{k}")
+                              for k, v in value.items()}}
+    if hint is tuple:  # static_paths
+        return _parse_static_paths(value)
+    return value
 
-_TOP_KEYS = {
-    "carrier_hz", "n_subcarriers", "subcarrier_spacing_hz", "n_data_subcarriers",
-    "n_pilot_subcarriers", "cp_len", "qam_order", "duration_s", "csi_rate_hz",
-    "payload_bits", "snr_db", "seed", "walker", "static_paths", "obfuscation", "stft",
-}
+
+def _read(cls, data, where: str, prefix: str):
+    """cls from a section mapping, each value read by its field's annotation.
+
+    The section's keys are cls's fields; a key it leaves out keeps its
+    default.  where names the section in errors, prefix its keys.
+    """
+    data = _mapping(data, where)
+    _reject_unknown(data, {f.name for f in fields(cls)}, where)
+    hints, defaults = get_type_hints(cls), cls()
+    return cls(**{key: _read_value(hints[key], getattr(defaults, key), value,
+                                   prefix + key)
+                  for key, value in data.items()})
 
 
 def load_scenario(text: str) -> ScenarioConfig:
@@ -207,32 +221,9 @@ def load_scenario(text: str) -> ScenarioConfig:
         data = yaml.safe_load(text)
     except yaml.YAMLError as exc:
         raise ScenarioError(f"scenario document is not valid YAML: {exc}") from exc
-    if data is None:
-        data = {}
-    if not isinstance(data, dict):
+    if data is not None and not isinstance(data, dict):
         raise ScenarioError("scenario document must be a mapping")
-    _reject_unknown(data, _TOP_KEYS, "scenario")
-
-    kwargs = {}
-    for key, value in data.items():
-        if key == "walker":
-            kwargs[key] = _parse_walker(_mapping(value, key))
-        elif key == "obfuscation":
-            kwargs[key] = _parse_obfuscation(_mapping(value, key))
-        elif key == "stft":
-            kwargs[key] = _parse_stft(_mapping(value, key))
-        elif key == "static_paths":
-            kwargs[key] = _parse_static_paths(value)
-        elif key == "snr_db":
-            kwargs[key] = math.inf if value is None else _number(value, key)
-        elif key in _TOP_FLOATS:
-            kwargs[key] = _number(value, key)
-        else:
-            kwargs[key] = _integer(value, key)
-    try:
-        cfg = ScenarioConfig(**kwargs)
-    except TypeError as exc:
-        raise ScenarioError(str(exc)) from exc
+    cfg = _read(ScenarioConfig, data, "scenario", "")
     validate(cfg)
     return cfg
 
@@ -320,6 +311,20 @@ def validate(cfg: ScenarioConfig) -> None:
     require(st.hop_s > 0, "stft.hop_s must be > 0")
     require(st.n_fft is None or st.n_fft >= 1, "stft.n_fft must be >= 1")
     require(st.window_kind in ("hann", "rect"), "stft.window_kind must be hann or rect")
+    # Each view's series must hold one window, and an explicit n_fft the
+    # window: method 1 at the probe rate, method 2 at the CSI rate.
+    ratio, rate, n_probes = cfg.probe_sampling()
+    for view, rate_hz, n_samples in (
+            ("method-1", rate, n_probes),
+            ("method-2", cfg.csi_rate_hz, -(-n_probes // ratio))):
+        window_len, _, n_fft = st.samples(rate_hz)
+        require(n_fft is None or n_fft >= window_len,
+                f"stft.n_fft ({n_fft}) must be >= the {view} window, "
+                f"{window_len} samples at {rate_hz:g} Hz")
+        require(n_samples >= window_len,
+                f"stft.window_len_s: the {view} window ({window_len} "
+                f"samples at {rate_hz:g} Hz) is longer than its "
+                f"{n_samples}-sample series (duration_s)")
 
 
 def _walker_peak_speed(w: WalkerParams) -> float:
@@ -376,23 +381,18 @@ def subcarrier_layout(n_subcarriers: int, n_data: int, n_pilot: int):
 
 
 def derive_streams(cfg: ScenarioConfig) -> DerivedParams:
-    """Timing, decimation, and subcarrier maps implied by a validated config."""
+    """Timing and subcarrier maps implied by a validated config."""
     n = cfg.n_subcarriers
     sample_rate = n * cfg.subcarrier_spacing_hz
     t_sym = (n + cfg.cp_len) / sample_rate
-    symbol_rate = 1.0 / t_sym
-    if cfg.csi_rate_hz > symbol_rate:
+    if cfg.csi_rate_hz > 1.0 / t_sym:
         raise ScenarioError("csi_rate_hz exceeds the OFDM symbol rate")
-    decimation = max(1, int(round(symbol_rate / cfg.csi_rate_hz)))
     data_k, pilot_k = subcarrier_layout(
         n, cfg.n_data_subcarriers, cfg.n_pilot_subcarriers)
     used_k = np.sort(np.concatenate([data_k, pilot_k]))
     return DerivedParams(
         sample_rate_hz=sample_rate,
         t_sym_s=t_sym,
-        t_useful_s=n / sample_rate,
-        symbol_rate_hz=symbol_rate,
-        decimation=decimation,
         used_k=used_k,
         data_k=data_k,
         pilot_k=pilot_k,

@@ -13,8 +13,8 @@ import numpy as np
 
 from dopplerveil import _textfmt
 from dopplerveil.receiver import CfrSeries
+from dopplerveil.scenario import StftParams
 
-DEFAULT_METHOD1_RATE_HZ = 2000.0
 FRAME_BLOCK = 32  # frames whose spectra a spectrogram builds at once
 PGM_FLOOR_DB = -60.0
 
@@ -42,11 +42,17 @@ def next_pow2(n: int) -> int:
     return 1 << max(0, int(np.ceil(np.log2(max(1, n)))))
 
 
-def _frame_times(n_samples: int, rate_hz: float, window_len: int, hop: int,
-                 n_fft: int, t0: float) -> np.ndarray:
-    """Center times of the window_len-sample frames, hop apart, of a series."""
+def _fft_len(window_len: int, n_fft: int | None) -> int:
+    """n_fft, by default the next power of two >= 4 * window_len."""
+    n_fft = next_pow2(4 * window_len) if n_fft is None else n_fft
     if window_len > n_fft:
         raise ValueError("window_len must be <= n_fft")
+    return n_fft
+
+
+def _frame_times(n_samples: int, rate_hz: float, window_len: int, hop: int,
+                 t0: float) -> np.ndarray:
+    """Center times of the window_len-sample frames, hop apart, of a series."""
     if hop < 1:
         raise ValueError("hop must be >= 1")
     if n_samples < window_len:
@@ -105,10 +111,9 @@ def stft(series: np.ndarray, rate_hz: float, window_len: int, hop: int,
     Power is scaled by 1/n_fft so each frame satisfies Parseval:
     sum over bins == sum_n |w[n] x[n]|^2.
     """
-    if n_fft is None:
-        n_fft = next_pow2(4 * window_len)
+    n_fft = _fft_len(window_len, n_fft)
     series = np.asarray(series)
-    times = _frame_times(len(series), rate_hz, window_len, hop, n_fft, t0)
+    times = _frame_times(len(series), rate_hz, window_len, hop, t0)
     frames = _frame_view(series, window_len, hop)
     window = _window(window_kind, window_len)
     buf = np.empty((min(FRAME_BLOCK, len(times)), n_fft), dtype=complex)
@@ -152,15 +157,12 @@ def method2_view(series: CfrSeries,
     else:
         raise ValueError(f"unknown component {component!r}")
     rate = series.csi_rate_hz
-    if window_len is None:
-        window_len = max(2, int(round(0.5 * rate)))
-    if hop is None:
-        hop = max(1, int(round(0.05 * rate)))
-    if n_fft is None:
-        n_fft = next_pow2(4 * window_len)
+    default_window, default_hop, _ = StftParams().samples(rate)
+    window_len = default_window if window_len is None else window_len
+    hop = default_hop if hop is None else hop
+    n_fft = _fft_len(window_len, n_fft)
     lag_fft = next_pow2(2 * window_len - 1)
-    times = _frame_times(data.shape[1], rate, window_len, hop, n_fft,
-                         series.t_s[0])
+    times = _frame_times(data.shape[1], rate, window_len, hop, series.t_s[0])
     window = _window(window_kind, window_len)
     rows = [(_frame_view(row, window_len, hop), row.mean()) for row in data]
     lag = np.arange(1 - window_len, window_len)

@@ -337,3 +337,22 @@ def test_aliasing_spoof_exits_2_naming_key(tmp_path, capsys, command, extra,
                  *extra]) == EXIT_CONFIG
     assert "obfuscation.v_sp_mps" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command, extra", [
+    ("run", []), ("sweep", ["--v-sp", "5", "--delta-f", "100", "--f-m", "10"])])
+@pytest.mark.parametrize("doc, key", [
+    ("stft: {n_fft: 64}\n", "stft.n_fft"),
+    ("duration_s: 0.4\n", "stft.window_len_s"),
+], ids=["n_fft-below-window", "series-below-window"])
+def test_stft_that_cannot_fit_exits_2_before_any_output(tmp_path, capsys,
+                                                        command, extra, doc,
+                                                        key):
+    # Both used to exit 3 from the spectrogram, after making the directory.
+    scenario = tmp_path / "stft.yaml"
+    scenario.write_text("payload_bits: 6000\n" + doc)
+    out = tmp_path / "out"
+    assert main([command, "--scenario", str(scenario), "--out", str(out),
+                 *extra]) == EXIT_CONFIG
+    assert key in capsys.readouterr().err
+    assert not out.exists()

@@ -251,7 +251,7 @@ def test_method1_series_is_parseval_form_of_rx_times_conj_tx(obf):
     chan = pl.build_channel(cfg, d, rngs.walker)
     m1, _ = pl.simulate_csi(cfg, d, chan, rngs.noise)
     n, m = cfg.n_subcarriers, len(m1.samples)
-    assert m == 500 and m1.sample_rate_hz == d.symbol_rate_hz
+    assert m == 500 and m1.sample_rate_hz == 1 / d.t_sym_s
 
     table = wf.known_symbol_table(n, d.used_bins)
     clean = wf.SymbolGrid(values=np.tile(table[:, None], (1, m)),

@@ -1,9 +1,13 @@
 import math
+from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
 
-from dopplerveil.scenario import (ScenarioConfig, ScenarioError,
+from dopplerveil.scenario import (Obfuscation, ScenarioConfig, ScenarioError,
+                                  StaticPath, StftParams, WalkerParams,
                                   derive_streams, load_scenario, rng_streams,
                                   subcarrier_layout, validate)
 
@@ -98,13 +102,18 @@ def test_fuzz_random_valid_documents_load_and_validate():
         n = int(rng.choice([16, 32, 64, 128]))
         n_pilot = int(rng.choice([0, 2, 4]))
         n_data = int(rng.integers(1, (n - 2 - n_pilot) // 2 + 1)) * 2
+        cp_len = int(rng.integers(0, n // 4))
+        qam_order = int(rng.choice([4, 16, 64]))
+        duration = round(float(rng.uniform(0.1, 3.0)), 3)
         doc = "\n".join([
             f"n_subcarriers: {n}",
             f"n_data_subcarriers: {n_data}",
             f"n_pilot_subcarriers: {n_pilot}",
-            f"cp_len: {int(rng.integers(0, n // 4))}",
-            f"qam_order: {int(rng.choice([4, 16, 64]))}",
-            f"duration_s: {float(rng.uniform(0.1, 3.0)):.3f}",
+            f"cp_len: {cp_len}",
+            f"qam_order: {qam_order}",
+            f"duration_s: {duration:.3f}",
+            # a run needs one STFT window of series
+            f"stft: {{window_len_s: {min(0.5, duration / 2)}}}",
             f"seed: {int(rng.integers(0, 2**32))}",
             f"walker: {{speed_mps: {float(rng.uniform(0.0, 2.0)):.3f}}}",
         ])
@@ -120,15 +129,12 @@ def test_fuzz_random_valid_documents_load_and_validate():
 def test_symbol_duration_default_layout():
     d = derive_streams(ScenarioConfig())
     assert d.t_sym_s == pytest.approx(4.0e-6, rel=1e-12)
-    assert d.symbol_rate_hz == pytest.approx(250_000.0, rel=1e-12)
-    assert d.decimation == 250
     assert d.sample_rate_hz == pytest.approx(20e6)
 
 
 def test_useful_duration_without_cp():
     d = derive_streams(ScenarioConfig(cp_len=0))
     assert d.t_sym_s == pytest.approx(3.2e-6, rel=1e-12)
-    assert d.t_useful_s == pytest.approx(3.2e-6, rel=1e-12)
 
 
 def test_default_layout_matches_wifi():
@@ -187,10 +193,22 @@ def test_numeric_fields_parse_as_floats():
     ("obfuscation: {kind: smear, delta_f_hz: null}", "obfuscation.delta_f_hz"),
     ("stft: {hop_s: short}", "stft.hop_s"),
     ("static_paths: [{range_m: far}]", "static path range_m"),
+    # YAML booleans are not numbers.
+    ("snr_db: yes", "snr_db"),
+    ("duration_s: on", "duration_s"),
+    ("obfuscation: {kind: spoof, v_sp_mps: true}", "obfuscation.v_sp_mps"),
+    ("walker: {reflectivity: {torso: false}}", "walker.reflectivity.torso"),
+    ("stft: {window_len_s: true}", "stft.window_len_s"),
+    ("static_paths: [{range_m: 10, gain: [true, 0]}]", "path gain"),
 ])
 def test_non_numeric_value_rejected_naming_key(doc, key):
     with pytest.raises(ScenarioError, match=f"{key} must be a number"):
         load_scenario(doc)
+
+
+def test_boolean_path_gain_rejected():
+    with pytest.raises(ScenarioError, match="path gain must be scalar"):
+        load_scenario("static_paths: [{range_m: 10, gain: true}]")
 
 
 @pytest.mark.parametrize("doc, key", [
@@ -273,3 +291,46 @@ def test_defaults_and_benchmark_points_pass_the_aliasing_check():
                                 f"v_sp_mps: {v_sp}}}")
     # Smear and none ignore v_sp.
     load_scenario("obfuscation: {kind: smear, v_sp_mps: 40}")
+
+
+@pytest.mark.parametrize("doc, match", [
+    # 64 bins cannot hold the 1000-sample method-1 window (0.5 s at 2 kHz).
+    ("stft: {n_fft: 64}", r"stft.n_fft \(64\) must be >= the method-1 window"),
+    # 0.4 s gives 800 method-1 and 400 method-2 samples, short of one window.
+    ("duration_s: 0.4", "stft.window_len_s: the method-1 window"),
+    # At a 1 kHz CSI rate the CSI pass probes at 2 kHz: 1 ms holds the
+    # 2-sample method-1 window but only one method-2 sample.
+    ("duration_s: 0.001\npayload_bits: 100\n"
+     "stft: {window_len_s: 0.0005}", "stft.window_len_s: the method-2 window"),
+])
+def test_stft_that_cannot_fit_rejected_naming_key(doc, match):
+    with pytest.raises(ScenarioError, match=match):
+        load_scenario(doc)
+
+
+def test_stft_fits_at_the_edge():
+    # One window exactly: 1000 method-1 and 500 method-2 samples.
+    load_scenario("duration_s: 0.5\npayload_bits: 1000")
+    load_scenario("stft: {n_fft: 1000}")
+
+
+def _readme_scenario() -> str:
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    intro = readme.index("A scenario file is a YAML mapping")
+    start = readme.index("```yaml\n", intro) + len("```yaml\n")
+    return readme[start:readme.index("```", start)]
+
+
+def test_readme_scenario_block_is_the_defaults_and_names_every_field():
+    text = _readme_scenario()
+    assert load_scenario(text) == ScenarioConfig()
+    data = yaml.safe_load(text)
+    sections = {"scenario": (ScenarioConfig, data),
+                "walker": (WalkerParams, data["walker"]),
+                "obfuscation": (Obfuscation, data["obfuscation"]),
+                "stft": (StftParams, data["stft"]),
+                "static_paths": (StaticPath, data["static_paths"][0])}
+    for name, (cls, section) in sections.items():
+        assert set(section) == {f.name for f in fields(cls)}, name
+    assert set(data["walker"]["reflectivity"]) \
+        == set(WalkerParams().reflectivity)

@@ -85,7 +85,7 @@ def test_method1_view_static_is_dc_only():
     rngs = rng_streams(cfg.seed)
     m1, _ = pl.simulate_csi(cfg, d, pl.build_channel(cfg, d, rngs.walker),
                             rngs.noise)
-    w, h, n_fft = pl._stft_samples(m1.sample_rate_hz, cfg)
+    w, h, n_fft = cfg.stft.samples(m1.sample_rate_hz)
     s = sp.stft(m1.samples, m1.sample_rate_hz, w, h, n_fft)
     near_dc = np.abs(s.freqs_hz) <= 5.0  # window mainlobe around DC
     assert np.sum(s.power[near_dc]) / np.sum(s.power) > 0.999
