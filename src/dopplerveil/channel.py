@@ -220,6 +220,5 @@ def dump_tracks(tracks: list, path) -> None:
             label = b"," + track.label.encode("utf-8") + b","
             for i in range(0, len(track.times_s), step):
                 fh.write(_textfmt._join_rows(
-                    _textfmt._format_e9(track.times_s[i:i + step]), label,
-                    _textfmt._format_e9(track.path_length_m[i:i + step]),
-                    b"\n"))
+                    track.times_s[i:i + step], label,
+                    track.path_length_m[i:i + step], b"\n"))

@@ -147,8 +147,7 @@ def dump_cfr_csv(series: CfrSeries, path) -> None:
                               axis=-1).reshape(len(t) * n_k, 3)
             fh.write(_textfmt._join_rows(
                 np.repeat(_textfmt._format_e9(t), n_k, axis=0), b",",
-                np.tile(k_text, (len(t), 1)),
-                _textfmt._format_e9_cells(values), b"\n"))
+                np.tile(k_text, (len(t), 1)), values, b"\n"))
 
 
 def dump_cfr_bin(series: CfrSeries, path) -> None:

@@ -130,11 +130,15 @@ def _reject_unknown(mapping: dict, allowed, where: str) -> None:
 
 
 def _number(value, where: str) -> float:
+    """value as a finite float; `.inf` and `.nan` are not numbers here."""
     if not isinstance(value, bool):
         try:
-            return float(value)
+            number = float(value)
         except (TypeError, ValueError):
             pass
+        else:
+            if math.isfinite(number):
+                return number
     raise ScenarioError(f"{where} must be a number, got {value!r}")
 
 
@@ -155,7 +159,7 @@ def _mapping(value, where: str) -> dict:
 
 def _as_gain(value) -> complex:
     if isinstance(value, (int, float)) and not isinstance(value, bool):
-        return complex(value)
+        return complex(_number(value, "path gain"))
     if isinstance(value, (list, tuple)) and len(value) == 2:
         return complex(*(_number(v, "path gain") for v in value))
     raise ScenarioError(f"path gain must be scalar or [re, im], got {value!r}")
@@ -181,8 +185,8 @@ def _read_value(hint, default, value, key: str):
     if is_dataclass(hint):
         return _read(hint, value, key, f"{key}.")
     if hint is float:
-        # A null SNR is a noiseless run.
-        if key == "snr_db" and value is None:
+        # A null or infinite SNR is a noiseless run.
+        if key == "snr_db" and (value is None or value == math.inf):
             return math.inf
         return _number(value, key)
     if hint is int:

@@ -244,13 +244,12 @@ def peak_doppler_track(s: Spectrogram) -> np.ndarray:
 def save_spectrogram_csv(s: Spectrogram, path) -> None:
     """CSV matrix with axis header rows: first row times, first column freqs."""
     with open(path, "wb") as fh:
-        fh.write(b"freq_hz\\time_s" + _textfmt._join_rows(
-            _textfmt._format_e9_cells(s.times_s[None, :]), b"\n"))
+        fh.write(b"freq_hz\\time_s"
+                 + _textfmt._join_rows(s.times_s[None, :], b"\n"))
         step = max(1, _textfmt.BLOCK_VALUES // (1 + len(s.times_s)))
         for i in range(0, len(s.freqs_hz), step):
             fh.write(_textfmt._join_rows(
-                _textfmt._format_e9(s.freqs_hz[i:i + step]),
-                _textfmt._format_e9_cells(s.power[i:i + step]), b"\n"))
+                s.freqs_hz[i:i + step], s.power[i:i + step], b"\n"))
 
 
 def save_spectrogram_pgm(s: Spectrogram, path, floor_db: float = PGM_FLOOR_DB) -> None:

@@ -287,7 +287,9 @@ def test_non_numeric_scenario_value_exits_2(tmp_path, capsys):
 @pytest.mark.parametrize("doc, reason", [
     ("n_subcarriers: 64.5\n", "n_subcarriers must be an integer"),
     ("walker: 5\n", "walker must be a mapping"),
-], ids=["float-integer-field", "non-mapping-section"])
+    # Used to make the directory, then die in receiver.demap.
+    ("walker: {speed_mps: .inf}\n", "walker.speed_mps must be a number"),
+], ids=["float-integer-field", "non-mapping-section", "infinite-float"])
 def test_malformed_scenario_exits_2_naming_key(tmp_path, capsys, doc,
                                                reason):
     bad = tmp_path / "bad.yaml"

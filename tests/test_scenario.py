@@ -68,6 +68,8 @@ def test_non_mapping_document_rejected():
 def test_null_snr_means_noiseless():
     cfg = load_scenario("snr_db: null")
     assert math.isinf(cfg.snr_db)
+    # snr_db is the one float field that takes `.inf`.
+    assert load_scenario("snr_db: .inf").snr_db == math.inf
 
 
 def test_complex_static_path_gain():
@@ -200,6 +202,20 @@ def test_numeric_fields_parse_as_floats():
     ("walker: {reflectivity: {torso: false}}", "walker.reflectivity.torso"),
     ("stft: {window_len_s: true}", "stft.window_len_s"),
     ("static_paths: [{range_m: 10, gain: [true, 0]}]", "path gain"),
+    # Nor are infinities and NaN: `.inf` used to pass validate and crash the
+    # run in the demapper.
+    ("walker: {speed_mps: .inf}", "walker.speed_mps"),
+    ("walker: {start_range_m: .inf}", "walker.start_range_m"),
+    ("carrier_hz: .inf\nobfuscation: {kind: none}", "carrier_hz"),
+    ("duration_s: .nan", "duration_s"),
+    ("walker: {reflectivity: {leg: .inf}}", "walker.reflectivity.leg"),
+    ("obfuscation: {kind: spoof, v_sp_mps: -.inf}", "obfuscation.v_sp_mps"),
+    ("stft: {hop_s: .nan}", "stft.hop_s"),
+    ("static_paths: [{range_m: .inf}]", "static path range_m"),
+    ("static_paths: [{range_m: 10, gain: .nan}]", "path gain"),
+    ("static_paths: [{range_m: 10, gain: [0, .inf]}]", "path gain"),
+    ("snr_db: -.inf", "snr_db"),
+    ("snr_db: .nan", "snr_db"),
 ])
 def test_non_numeric_value_rejected_naming_key(doc, key):
     with pytest.raises(ScenarioError, match=f"{key} must be a number"):
