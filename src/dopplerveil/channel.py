@@ -203,9 +203,9 @@ def propagate(sig: BasebandSignal, chan: ChannelRealization,
 
     y = ofdm_demodulate(sig, n_subcarriers, cp_len)
     t_mid = symbol_midtimes(
-        y.n_symbols, (n_subcarriers + cp_len) / sig.sample_rate_hz, sig.t0)
-    y.values *= cfr_matrix(chan, signed_subcarriers(n_subcarriers),
-                           sig.sample_rate_hz / n_subcarriers, t_mid)
+        y.shape[1], (n_subcarriers + cp_len) / sig.sample_rate_hz, sig.t0)
+    y *= cfr_matrix(chan, signed_subcarriers(n_subcarriers),
+                    sig.sample_rate_hz / n_subcarriers, t_mid)
     result = ofdm_modulate(y, cp_len, sig.sample_rate_hz, sig.t0)
     add_awgn(result.samples, snr_db, rng)
     return result

@@ -94,7 +94,7 @@ def _cmd_compare(args) -> int:
     try:
         a = parse_report(args.report_a)
         b = parse_report(args.report_b)
-    except OSError as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
 

@@ -57,16 +57,14 @@ def build_channel(cfg: ScenarioConfig, derived: DerivedParams,
 class _ProbeGrid:
     ratio: int  # probe symbols per CSI sample
     rate_hz: float
-    k: np.ndarray  # used subcarriers
     times_s: np.ndarray  # probe symbol mid-times
 
 
 def _probe_grid(cfg: ScenarioConfig, derived: DerivedParams) -> _ProbeGrid:
-    """The CSI pass's (used subcarrier, probe time) sampling grid."""
+    """The CSI pass's probe times; its subcarriers are derived.used_k."""
     ratio, rate, n_probes = cfg.probe_sampling()
     return _ProbeGrid(
         ratio=ratio, rate_hz=rate,
-        k=derived.used_k,
         times_s=np.arange(n_probes) / rate + 0.5 * derived.t_sym_s)
 
 
@@ -108,7 +106,7 @@ def point_invariant(cfg: ScenarioConfig, baseline_dir=None) -> PointInvariant:
     derived = derive_streams(cfg)
     chan = build_channel(cfg, derived, rng_streams(cfg.seed).walker)
     grid = _probe_grid(cfg, derived)
-    h = chan_mod.cfr_matrix(chan, grid.k, cfg.subcarrier_spacing_hz,
+    h = chan_mod.cfr_matrix(chan, derived.used_k, cfg.subcarrier_spacing_hz,
                             grid.times_s)
     _freeze(h, *(a for tr in chan.tracks
                  for a in (tr.times_s, tr.path_length_m)))
@@ -135,22 +133,21 @@ def simulate_csi(cfg: ScenarioConfig, derived: DerivedParams,
     `h` is only read: the pass works on one copy of it.
     """
     grid = _probe_grid(cfg, derived)
-    ratio, times = grid.ratio, grid.times_s
+    k, ratio, times = derived.used_k, grid.ratio, grid.times_s
     # y = x * h * obf is built in place in one (subcarrier, probe) grid: this
     # pass holds the largest array of a run, and a sweep runs several at once.
     if h is None:
-        y = chan_mod.cfr_matrix(chan, grid.k, cfg.subcarrier_spacing_hz,
-                                times)
-    elif h.shape != (len(grid.k), len(times)):
+        y = chan_mod.cfr_matrix(chan, k, cfg.subcarrier_spacing_hz, times)
+    elif h.shape != (len(k), len(times)):
         raise ValueError(f"CFR grid shape {h.shape} does not match the probe "
-                         f"grid {(len(grid.k), len(times))}")
+                         f"grid {(len(k), len(times))}")
     else:
         y = h.copy()
 
     n = cfg.n_subcarriers
     x_used = wf.known_symbol_table(n, derived.used_bins)[derived.used_bins]
     np.multiply(x_used[:, None], y, out=y)
-    transmit_multiplier(cfg.obfuscation, y, grid.k, times,
+    transmit_multiplier(cfg.obfuscation, y, k, times,
                         cfg.subcarrier_spacing_hz, cfg.carrier_hz)
 
     if math.isfinite(cfg.snr_db):
@@ -167,12 +164,9 @@ def simulate_csi(cfg: ScenarioConfig, derived: DerivedParams,
 
     h_hat = rx_mod.estimate_cfr(y[:, ::ratio], x_used)
     del y
-    power = np.abs(h_hat)
-    np.square(power, out=power)
     series = rx_mod.CfrSeries(
-        subcarriers=derived.used_k,
+        subcarriers=k,
         h_hat=h_hat,
-        power=power,
         t_s=times[::ratio],
         csi_rate_hz=cfg.csi_rate_hz,
     )
@@ -216,7 +210,8 @@ def simulate_demod(cfg: ScenarioConfig, derived: DerivedParams,
         transmit_multiplier(obf, grid.values, wf.signed_subcarriers(n),
                             mid.reshape(-1), cfg.subcarrier_spacing_hz,
                             cfg.carrier_hz)
-        tx_air = wf.ofdm_modulate(grid, cfg.cp_len, derived.sample_rate_hz)
+        tx_air = wf.ofdm_modulate(grid.values, cfg.cp_len,
+                                  derived.sample_rate_hz)
     del grid
     if obf.kind == "smear":
         # Per sample over the whole stream, CP and preambles included: the FM
@@ -226,7 +221,7 @@ def simulate_demod(cfg: ScenarioConfig, derived: DerivedParams,
 
     rx = chan_mod.propagate(tx_air, chan, n, cfg.cp_len, snr_db=cfg.snr_db,
                             rng=rngs.noise)
-    y = rx_mod.ofdm_demodulate(rx, n, cfg.cp_len).values.reshape(
+    y = rx_mod.ofdm_demodulate(rx, n, cfg.cp_len).reshape(
         n, n_frames, sym_per_frame)
     del rx
 
@@ -393,13 +388,20 @@ def write_report(report: RunReport, path) -> None:
 
 
 def parse_report(path) -> dict:
-    """Read a report back as a flat {key: string} mapping."""
-    entries = {}
+    """Read a report back as a flat {key: string} mapping.
+
+    Raises ValueError naming the file when it is not UTF-8 text.
+    """
     with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or "=" not in line:
-                continue
-            key, _, value = line.partition("=")
-            entries[key.strip()] = value.strip()
+        try:
+            lines = fh.readlines()
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"{path} is not UTF-8 text: {exc}") from exc
+    entries = {}
+    for line in lines:
+        line = line.strip()
+        if not line or "=" not in line:
+            continue
+        key, _, value = line.partition("=")
+        entries[key.strip()] = value.strip()
     return entries

@@ -12,23 +12,24 @@ from dataclasses import dataclass
 import numpy as np
 
 from dopplerveil import _textfmt
-from dopplerveil.waveform import (BasebandSignal, SymbolGrid, KIND_DATA,
-                                  _axis_levels, qam_energy)
+from dopplerveil.waveform import BasebandSignal, _axis_levels, qam_energy
 
 
 @dataclass
 class CfrSeries:
-    """Per-subcarrier complex CFR and power at uniformly spaced symbol instants."""
+    """Per-subcarrier complex CFR at uniformly spaced symbol instants."""
     subcarriers: np.ndarray  # signed k, one per row
     h_hat: np.ndarray  # complex, shape (K, M)
-    power: np.ndarray  # |h_hat|^2
     t_s: np.ndarray  # timestamps, strictly increasing, uniform
     csi_rate_hz: float
 
 
 def ofdm_demodulate(sig: BasebandSignal, n_subcarriers: int,
-                    cp_len: int) -> SymbolGrid:
-    """Strip the CP per symbol and forward-DFT with 1/sqrt(N) scaling."""
+                    cp_len: int) -> np.ndarray:
+    """Strip the CP per symbol and forward-DFT with 1/sqrt(N) scaling.
+
+    Returns the complex values indexed (bin, symbol).
+    """
     n = n_subcarriers
     sym_len = n + cp_len
     if len(sig.samples) % sym_len:
@@ -36,9 +37,7 @@ def ofdm_demodulate(sig: BasebandSignal, n_subcarriers: int,
     blocks = sig.samples.reshape(-1, sym_len)[:, cp_len:]
     values = np.fft.fft(blocks, axis=1)
     values /= np.sqrt(n)
-    values = values.T
-    kinds = np.full(values.shape, KIND_DATA, dtype=np.uint8)
-    return SymbolGrid(values=values, kinds=kinds)
+    return values.T
 
 
 def estimate_cfr(y_used: np.ndarray, x_used: np.ndarray) -> np.ndarray:
@@ -143,7 +142,7 @@ def dump_cfr_csv(series: CfrSeries, path) -> None:
         for j in range(0, len(series.t_s), step):
             t = series.t_s[j:j + step]
             h = series.h_hat[:, j:j + step].T
-            values = np.stack([h.real, h.imag, series.power[:, j:j + step].T],
+            values = np.stack([h.real, h.imag, np.square(np.abs(h))],
                               axis=-1).reshape(len(t) * n_k, 3)
             fh.write(_textfmt._join_rows(
                 np.repeat(_textfmt._format_e9(t), n_k, axis=0), b",",

@@ -234,7 +234,11 @@ def load_scenario(text: str) -> ScenarioConfig:
 
 def load_scenario_file(path) -> ScenarioConfig:
     with open(path, "r", encoding="utf-8") as fh:
-        return load_scenario(fh.read())
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise ScenarioError(f"{path} is not UTF-8 text: {exc}") from exc
+    return load_scenario(text)
 
 
 def validate(cfg: ScenarioConfig) -> None:
@@ -389,8 +393,6 @@ def derive_streams(cfg: ScenarioConfig) -> DerivedParams:
     n = cfg.n_subcarriers
     sample_rate = n * cfg.subcarrier_spacing_hz
     t_sym = (n + cfg.cp_len) / sample_rate
-    if cfg.csi_rate_hz > 1.0 / t_sym:
-        raise ScenarioError("csi_rate_hz exceeds the OFDM symbol rate")
     data_k, pilot_k = subcarrier_layout(
         n, cfg.n_data_subcarriers, cfg.n_pilot_subcarriers)
     used_k = np.sort(np.concatenate([data_k, pilot_k]))

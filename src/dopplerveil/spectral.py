@@ -13,7 +13,6 @@ import numpy as np
 
 from dopplerveil import _textfmt
 from dopplerveil.receiver import CfrSeries
-from dopplerveil.scenario import StftParams
 
 FRAME_BLOCK = 32  # frames whose spectra a spectrogram builds at once
 PGM_FLOOR_DB = -60.0
@@ -24,10 +23,6 @@ class Spectrogram:
     power: np.ndarray  # (freq bin, time frame), >= 0
     freqs_hz: np.ndarray  # two-sided, ascending, DC-centered
     times_s: np.ndarray
-    window_len: int
-    hop: int
-    n_fft: int
-    window_kind: str
 
 
 def _window(kind: str, length: int) -> np.ndarray:
@@ -86,9 +81,8 @@ def _windowed_fft(buf: np.ndarray, frames: np.ndarray, window: np.ndarray,
     return np.fft.fft(spec, axis=1, out=spec)
 
 
-def _spectrogram(power: np.ndarray, rate_hz: float, times: np.ndarray,
-                 window_len: int, hop: int, n_fft: int,
-                 window_kind: str) -> Spectrogram:
+def _spectrogram(power: np.ndarray, rate_hz: float,
+                 times: np.ndarray) -> Spectrogram:
     """Spectrogram of (frame, FFT-order bin) power, shifted to DC-centered.
 
     The shift moves power's rows in place, FRAME_BLOCK at a time.
@@ -98,9 +92,8 @@ def _spectrogram(power: np.ndarray, rate_hz: float, times: np.ndarray,
                                                    axes=1)
     return Spectrogram(power=power.T,
                        freqs_hz=np.fft.fftshift(
-                           np.fft.fftfreq(n_fft, d=1.0 / rate_hz)),
-                       times_s=times, window_len=window_len, hop=hop,
-                       n_fft=n_fft, window_kind=window_kind)
+                           np.fft.fftfreq(power.shape[1], d=1.0 / rate_hz)),
+                       times_s=times)
 
 
 def stft(series: np.ndarray, rate_hz: float, window_len: int, hop: int,
@@ -123,12 +116,10 @@ def stft(series: np.ndarray, rate_hz: float, window_len: int, hop: int,
         np.abs(spec, out=power[i:i + len(spec)])
     np.square(power, out=power)
     power /= n_fft
-    return _spectrogram(power, rate_hz, times, window_len, hop, n_fft,
-                        window_kind)
+    return _spectrogram(power, rate_hz, times)
 
 
-def method2_view(series: CfrSeries,
-                 window_len: int | None = None, hop: int | None = None,
+def method2_view(series: CfrSeries, window_len: int, hop: int,
                  n_fft: int | None = None, window_kind: str = "hann",
                  component: str = "complex") -> Spectrogram:
     """Average spectrogram of the mean-removed CFR series per subcarrier.
@@ -153,13 +144,11 @@ def method2_view(series: CfrSeries,
     if component == "complex":
         data = series.h_hat
     elif component == "power":
-        data = series.power
+        data = np.abs(series.h_hat)
+        np.square(data, out=data)
     else:
         raise ValueError(f"unknown component {component!r}")
     rate = series.csi_rate_hz
-    default_window, default_hop, _ = StftParams().samples(rate)
-    window_len = default_window if window_len is None else window_len
-    hop = default_hop if hop is None else hop
     n_fft = _fft_len(window_len, n_fft)
     lag_fft = next_pow2(2 * window_len - 1)
     times = _frame_times(data.shape[1], rate, window_len, hop, series.t_s[0])
@@ -197,8 +186,7 @@ def method2_view(series: CfrSeries,
         np.divide(out.real, scale, out=power[i:i + m])
     # Rounding can leave a residue just below zero where the power is nil.
     np.maximum(power, 0.0, out=power)
-    return _spectrogram(power, rate, times, window_len, hop, n_fft,
-                        window_kind)
+    return _spectrogram(power, rate, times)
 
 
 def spectrogram_correlation(a: Spectrogram, b: Spectrogram) -> float:
@@ -277,6 +265,4 @@ def load_spectrogram_csv(path) -> Spectrogram:
         table = np.loadtxt(fh, delimiter=",", ndmin=2)
     # Contiguous, so sums over it round as they did over a row-built array.
     power = np.ascontiguousarray(table[:, 1:])
-    return Spectrogram(power=power, freqs_hz=table[:, 0], times_s=times,
-                       window_len=0, hop=0, n_fft=power.shape[0],
-                       window_kind="unknown")
+    return Spectrogram(power=power, freqs_hz=table[:, 0], times_s=times)

@@ -33,14 +33,6 @@ class SymbolGrid:
     values: np.ndarray  # complex, shape (N, M)
     kinds: np.ndarray  # uint8, shape (N, M)
 
-    @property
-    def n_subcarriers(self) -> int:
-        return self.values.shape[0]
-
-    @property
-    def n_symbols(self) -> int:
-        return self.values.shape[1]
-
 
 @dataclass
 class BasebandSignal:
@@ -102,16 +94,16 @@ def signed_subcarriers(n: int) -> np.ndarray:
     return (np.arange(n) + n // 2) % n - n // 2
 
 
-def ofdm_modulate(grid: SymbolGrid, cp_len: int,
+def ofdm_modulate(values: np.ndarray, cp_len: int,
                   sample_rate_hz: float, t0: float = 0.0) -> BasebandSignal:
-    """IDFT each grid column with 1/sqrt(N) scaling and prepend the cyclic prefix."""
-    if grid.n_symbols < 1:
+    """IDFT each (bin, symbol) column with 1/sqrt(N) scaling and prepend the CP."""
+    n, n_symbols = values.shape
+    if n_symbols < 1:
         raise ValueError("grid needs at least one symbol column")
-    n = grid.n_subcarriers
     # Built in place in the (symbol, CP + body) sample layout.
-    sym = np.empty((grid.n_symbols, cp_len + n), dtype=complex)
+    sym = np.empty((n_symbols, cp_len + n), dtype=complex)
     body = sym[:, cp_len:]
-    np.fft.ifft(grid.values.T, axis=1, out=body)
+    np.fft.ifft(values.T, axis=1, out=body)
     body *= np.sqrt(n)
     sym[:, :cp_len] = sym[:, n:]
     return BasebandSignal(samples=sym.reshape(-1),
@@ -148,7 +140,7 @@ def frame_stream(cfg, derived, payload_bits):
         table[derived.pilot_bins][:, None, None]
     kinds[derived.pilot_bins, :, PREAMBLE_SYMBOLS:] = KIND_PILOT
     grid = SymbolGrid(values=values.reshape(n, -1), kinds=kinds.reshape(n, -1))
-    return grid, ofdm_modulate(grid, cfg.cp_len, derived.sample_rate_hz)
+    return grid, ofdm_modulate(grid.values, cfg.cp_len, derived.sample_rate_hz)
 
 
 def symbol_midtimes(n_symbols: int, t_sym_s: float, t0: float = 0.0) -> np.ndarray:

@@ -216,11 +216,8 @@ def _known_signal(cfg, n_symbols):
     """A stream of n_symbols known symbols, as the CSI pass models it."""
     d = derive_streams(cfg)
     table = wf.known_symbol_table(cfg.n_subcarriers, d.used_bins)
-    grid = wf.SymbolGrid(
-        values=np.tile(table[:, None], (1, n_symbols)),
-        kinds=np.full((cfg.n_subcarriers, n_symbols), wf.KIND_PREAMBLE,
-                      dtype=np.uint8))
-    return d, wf.ofdm_modulate(grid, cfg.cp_len, d.sample_rate_hz)
+    return d, wf.ofdm_modulate(np.tile(table[:, None], (1, n_symbols)),
+                               cfg.cp_len, d.sample_rate_hz)
 
 
 def test_propagate_fast_matches_per_symbol_cfr():
@@ -238,7 +235,7 @@ def test_propagate_fast_matches_per_symbol_cfr():
                     t_mid[None, :])
     table = wf.known_symbol_table(cfg.n_subcarriers, d.used_bins)
     expected = table[d.used_bins][:, None] * h
-    np.testing.assert_allclose(y.values[d.used_bins], expected, atol=1e-9)
+    np.testing.assert_allclose(y[d.used_bins], expected, atol=1e-9)
 
 
 def _delayed_sum(sig, chan):

@@ -358,3 +358,27 @@ def test_stft_that_cannot_fit_exits_2_before_any_output(tmp_path, capsys,
                  *extra]) == EXIT_CONFIG
     assert key in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command, extra", [
+    ("run", []), ("sweep", ["--v-sp", "5"])])
+def test_non_utf8_scenario_exits_2_before_any_output(tmp_path, capsys,
+                                                     command, extra):
+    # Used to end in a UnicodeDecodeError traceback and exit 1.
+    scenario = tmp_path / "latin.yaml"
+    scenario.write_bytes(b"\xff\xfeduration_s: 0.6\n")
+    out = tmp_path / "out"
+    assert main([command, "--scenario", str(scenario), "--out", str(out),
+                 *extra]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "not UTF-8 text" in err
+    assert not out.exists()
+
+
+def test_compare_non_utf8_report_exits_3(scenario_file, tmp_path, capsys):
+    report = _run_once(scenario_file, tmp_path / "a")
+    bad = tmp_path / "bad_report.txt"
+    bad.write_bytes(b"\xff\xfemetric.ber = 0.0\n")
+    assert main(["compare", str(report), str(bad)]) == EXIT_RUNTIME
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "bad_report.txt" in err

@@ -66,7 +66,7 @@ def test_smear_params_validated():
             validate(replace(cfg, obfuscation=obf))
 
 
-def test_apply_smearing_preserves_energy_exactly():
+def test_transmit_multiplier_smear_preserves_energy_exactly():
     rng = np.random.default_rng(9)
     x = rng.standard_normal(4096) + 1j * rng.standard_normal(4096)
     out = _smeared(x, np.arange(4096) / 20e6)
@@ -74,13 +74,13 @@ def test_apply_smearing_preserves_energy_exactly():
         np.sum(np.abs(x) ** 2), rel=1e-12)
 
 
-def test_apply_smearing_zero_deviation_is_identity():
+def test_transmit_multiplier_smear_zero_deviation_is_identity():
     x = np.ones(128, dtype=complex)
     out = _smeared(x, np.arange(128) / 20e6, replace(SMEAR, delta_f_hz=0.0))
     np.testing.assert_array_equal(out, x)
 
 
-def test_apply_smearing_needs_headroom():
+def test_transmit_multiplier_smear_needs_headroom():
     # The default sample rate is 20 MHz: the smear sweep may reach a tenth.
     cfg = ScenarioConfig()
     validate(replace(cfg, obfuscation=replace(SMEAR, delta_f_hz=2e6 - 10.0)))
@@ -150,20 +150,20 @@ def test_signed_subcarriers_layout():
     assert k.tolist() == [0, 1, 2, 3, -4, -3, -2, -1]
 
 
-def test_apply_spoofing_zero_speed_is_identity():
+def test_transmit_multiplier_spoof_zero_speed_is_identity():
     values = np.full((16, 4), 1.0 + 0.0j)
     out = _spoofed(values, np.arange(4) * 1e-3, _spoof(0.0))
     np.testing.assert_array_equal(out, values)
 
 
-def test_apply_spoofing_preserves_magnitudes_exactly():
+def test_transmit_multiplier_spoof_preserves_magnitudes_exactly():
     rng = np.random.default_rng(4)
     vals = rng.standard_normal((32, 6)) + 1j * rng.standard_normal((32, 6))
     out = _spoofed(vals, np.arange(6) * 4e-6, _spoof(16.0))
     np.testing.assert_allclose(np.abs(out), np.abs(vals), rtol=1e-14)
 
 
-def test_apply_spoofing_phase_is_linear_in_signed_k():
+def test_transmit_multiplier_spoof_phase_is_linear_in_signed_k():
     n = 16
     t = np.array([2e-3])
     out = _spoofed(np.ones((n, 1), dtype=complex), t, _spoof(16.0),
@@ -177,7 +177,7 @@ def test_apply_spoofing_phase_is_linear_in_signed_k():
     assert phases[n - 1] == pytest.approx(-phases[1], abs=1e-15)
 
 
-def test_apply_spoofing_checks_time_axis():
+def test_transmit_multiplier_checks_time_axis():
     # values must be the (k, t) grid, for every kind: smearing ignores k but
     # still refuses a grid that does not fit the subcarrier and time axes.
     k = signed_subcarriers(8)

@@ -29,7 +29,7 @@ def test_simulate_csi_shapes_and_rates():
     assert series.csi_rate_hz == cfg.csi_rate_hz
     assert m1.sample_rate_hz >= 2000.0
     assert m1.sample_rate_hz % cfg.csi_rate_hz == 0
-    np.testing.assert_allclose(series.power, np.abs(series.h_hat) ** 2)
+    np.testing.assert_array_equal(series.subcarriers, d.used_k)
 
 
 def test_simulate_csi_noise_uses_rng_stream():
@@ -73,10 +73,10 @@ def _per_frame_demod(cfg, d, chan, rngs):
         grid, sig = wf.frame_stream(
             cfg, d, bits[f * bits_per_frame:(f + 1) * bits_per_frame])
         if obf.kind == "spoof":
-            mid = wf.symbol_midtimes(grid.n_symbols, d.t_sym_s, t0)
+            mid = wf.symbol_midtimes(grid.values.shape[1], d.t_sym_s, t0)
             transmit_multiplier(obf, grid.values, k, mid,
                                 cfg.subcarrier_spacing_hz, cfg.carrier_hz)
-            sig = wf.ofdm_modulate(grid, cfg.cp_len, d.sample_rate_hz)
+            sig = wf.ofdm_modulate(grid.values, cfg.cp_len, d.sample_rate_hz)
         chunks.append(sig.samples)
     tx = wf.BasebandSignal(np.concatenate(chunks), d.sample_rate_hz)
     if obf.kind == "smear":
@@ -85,7 +85,7 @@ def _per_frame_demod(cfg, d, chan, rngs):
 
     y_all = rx.ofdm_demodulate(
         ch.propagate(tx, chan, n, cfg.cp_len, snr_db=cfg.snr_db,
-                     rng=rngs.noise), n, cfg.cp_len).values
+                     rng=rngs.noise), n, cfg.cp_len)
     table = wf.known_symbol_table(n, d.used_bins)
     x_used, pilots = table[d.used_bins], table[d.pilot_bins]
     rx_bits, eq_syms = [], []
@@ -182,9 +182,43 @@ def test_walker_point_csi_doppler_line():
     rngs = rng_streams(cfg.seed)
     chan = pl.build_channel(cfg, d, rngs.walker)
     _, series = pl.simulate_csi(cfg, d, chan, rngs.noise)
-    s = sp.method2_view(series)
+    s = sp.method2_view(series, *cfg.stft.samples(series.csi_rate_hz))
     track = sp.peak_doppler_track(s)
     assert np.median(track) == pytest.approx(15.48, abs=0.5)
+
+
+def _method2_views(obf):
+    """The complex and power method-2 views of a 2 s, 25 dB, seed-1 CSI pass."""
+    from dopplerveil import spectral as sp
+    cfg = ScenarioConfig(duration_s=2.0, snr_db=25.0, seed=1, obfuscation=obf)
+    d = derive_streams(cfg)
+    rngs = rng_streams(cfg.seed)
+    chan = pl.build_channel(cfg, d, rngs.walker)
+    _, series = pl.simulate_csi(cfg, d, chan, rngs.noise)
+    sizes = cfg.stft.samples(series.csi_rate_hz)
+    return {c: sp.method2_view(series, *sizes, cfg.stft.window_kind,
+                               component=c) for c in ("complex", "power")}
+
+
+@pytest.mark.parametrize("obf", [
+    Obfuscation(kind="smear", delta_f_hz=200.0, f_m_hz=10.0),
+    Obfuscation(kind="spoof", v_sp_mps=5.0),
+    Obfuscation(kind="spoof", v_sp_mps=16.0)],
+    ids=["smear", "spoof5", "spoof16"])
+def test_power_view_sees_through_both_defenses(obf):
+    # Both defenses multiply the transmit signal by a unit-modulus factor,
+    # which |H|^2 cancels: they hide the walker from the complex-CSI
+    # attacker only, and a power-CSI attacker sees the clean spectrogram.
+    from dopplerveil import spectral as sp
+    clean, defended = _method2_views(Obfuscation()), _method2_views(obf)
+    assert sp.spectrogram_correlation(defended["complex"],
+                                      clean["complex"]) < 0.1
+    power, base = defended["power"], clean["power"]
+    assert sp.spectrogram_correlation(power, base) > 0.99
+    bin_width = base.freqs_hz[1] - base.freqs_hz[0]
+    mean_abs = [float(np.mean(np.abs(sp.peak_doppler_track(s))))
+                for s in (power, base)]
+    assert abs(mean_abs[0] - mean_abs[1]) <= bin_width
 
 
 def test_run_scenario_baseline_axis_mismatch(tmp_path):
@@ -254,12 +288,11 @@ def test_method1_series_is_parseval_form_of_rx_times_conj_tx(obf):
     assert m == 500 and m1.sample_rate_hz == 1 / d.t_sym_s
 
     table = wf.known_symbol_table(n, d.used_bins)
-    clean = wf.SymbolGrid(values=np.tile(table[:, None], (1, m)),
-                          kinds=np.zeros((n, m), dtype=np.uint8))
+    clean = np.tile(table[:, None], (1, m))
     k = wf.signed_subcarriers(n)
     mid = wf.symbol_midtimes(m, d.t_sym_s)
-    air = wf.SymbolGrid(values=clean.values.copy(), kinds=clean.kinds)
-    transmit_multiplier(obf, air.values, k, mid, cfg.subcarrier_spacing_hz,
+    air = clean.copy()
+    transmit_multiplier(obf, air, k, mid, cfg.subcarrier_spacing_hz,
                         cfg.carrier_hz)
     tx = wf.ofdm_modulate(clean, cfg.cp_len, d.sample_rate_hz)
     rx = ch.propagate(wf.ofdm_modulate(air, cfg.cp_len, d.sample_rate_hz),
@@ -296,7 +329,7 @@ def test_simulate_csi_works_in_one_probe_grid(obf):
     d = derive_streams(cfg)
     chan = pl.build_channel(cfg, d, rng_streams(cfg.seed).walker)
     grid = pl._probe_grid(cfg, d)
-    h = pl.chan_mod.cfr_matrix(chan, grid.k, cfg.subcarrier_spacing_hz,
+    h = pl.chan_mod.cfr_matrix(chan, d.used_k, cfg.subcarrier_spacing_hz,
                                grid.times_s)
     h.flags.writeable = False
     results = []
@@ -316,7 +349,7 @@ def test_demod_pass_starts_after_the_attacker_half_is_released(tmp_path,
                obfuscation=Obfuscation(kind="spoof", v_sp_mps=5.0))
     d = derive_streams(cfg)
     grid = pl._probe_grid(cfg, d)
-    h_hat_nbytes = len(grid.k) * len(grid.times_s[::grid.ratio]) * 16
+    h_hat_nbytes = len(d.used_k) * len(grid.times_s[::grid.ratio]) * 16
     held = []
     demod = pl.simulate_demod
 

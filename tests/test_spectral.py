@@ -13,8 +13,11 @@ def _tone(freq, rate, duration, amp=1.0):
 def _series(h_hat, rate=1000.0):
     k = np.arange(h_hat.shape[0]) + 1
     t = np.arange(h_hat.shape[1]) / rate
-    return CfrSeries(subcarriers=k, h_hat=h_hat,
-                     power=np.abs(h_hat) ** 2, t_s=t, csi_rate_hz=rate)
+    return CfrSeries(subcarriers=k, h_hat=h_hat, t_s=t, csi_rate_hz=rate)
+
+
+# The default STFT's window and hop at a 1 kHz CSI rate, in samples.
+W, HOP = 500, 50
 
 
 def test_next_pow2():
@@ -103,7 +106,7 @@ def _mover_series(f_d, duration=2.0, rate=1000.0, gain=0.3, n_k=4,
 def test_method2_static_channel_is_empty_after_mean_removal():
     series = _series(np.full((4, 2000), 0.7 + 0.2j))
     for component in ("complex", "power"):
-        s = sp.method2_view(series, component=component)
+        s = sp.method2_view(series, W, HOP, component=component)
         assert np.max(s.power) < 1e-18
         assert np.min(s.power) >= 0.0
 
@@ -113,7 +116,7 @@ def test_method2_single_mover_ridge_at_doppler():
     series = _mover_series(f_d)
     bin_width = None
     for component in ("complex", "power"):
-        s = sp.method2_view(series, component=component)
+        s = sp.method2_view(series, W, HOP, component=component)
         bin_width = s.freqs_hz[1] - s.freqs_hz[0]
         track = sp.peak_doppler_track(s)
         # power mode sees the beat against the LoS at +-f_d
@@ -126,8 +129,8 @@ def test_method2_power_view_blind_to_unit_modulus_spoofing():
     series = _mover_series(15.5)
     ramp = np.exp(2j * np.pi * 300.0 * series.t_s)
     spoofed = _series(series.h_hat * ramp[None, :])
-    a = sp.method2_view(series, component="power")
-    b = sp.method2_view(spoofed, component="power")
+    a = sp.method2_view(series, W, HOP, component="power")
+    b = sp.method2_view(spoofed, W, HOP, component="power")
     np.testing.assert_allclose(a.power, b.power, atol=1e-12)
 
 
@@ -135,7 +138,7 @@ def test_method2_complex_view_shifts_under_spoofing():
     series = _mover_series(15.5, los=0.0)
     ramp = np.exp(-2j * np.pi * 300.0 * series.t_s)
     spoofed = _series(series.h_hat * ramp[None, :])
-    s = sp.method2_view(spoofed)
+    s = sp.method2_view(spoofed, W, HOP)
     track = sp.peak_doppler_track(s)
     bin_width = s.freqs_hz[1] - s.freqs_hz[0]
     assert np.all(np.abs(track - (15.5 - 300.0)) <= bin_width)
@@ -144,7 +147,7 @@ def test_method2_complex_view_shifts_under_spoofing():
 def _method2_direct(series, window_len, hop, n_fft, window_kind, component):
     """Reference method-2 power: the mean over subcarriers of each
     mean-removed row's zero-padded |DFT|^2 / n_fft, frame by frame."""
-    data = series.h_hat if component == "complex" else series.power
+    data = series.h_hat if component == "complex" else np.abs(series.h_hat) ** 2
     n = np.arange(window_len)
     win = (0.5 - 0.5 * np.cos(2 * np.pi * n / window_len)
            if window_kind == "hann" else np.ones(window_len))
@@ -189,12 +192,11 @@ def test_method2_matches_direct_stft_mean(kwargs):
     # The lag-domain average equals the per-subcarrier mean of |STFT|^2,
     # including a non-power-of-two n_fft and n_fft < 2W-1 (lags wrap).
     series = _busy_series()
-    s = sp.method2_view(series, **kwargs)
-    args = {"window_len": 500, "hop": 50, "n_fft": 2048,
+    args = {"window_len": W, "hop": HOP, "n_fft": 2048,
             "window_kind": "hann", "component": "complex", **kwargs}
+    s = sp.method2_view(series, **args)
     ref = _method2_direct(series, **args)
     assert s.power.shape == ref.shape
-    assert s.n_fft == args["n_fft"]
     np.testing.assert_allclose(s.power, ref, rtol=1e-12,
                                atol=1e-12 * ref.max())
     assert s.power.min() >= 0.0
@@ -212,7 +214,7 @@ def test_method2_matches_direct_stft_mean(kwargs):
 def test_method2_rejects_unknown_component():
     series = _mover_series(15.5)
     with pytest.raises(ValueError, match="component"):
-        sp.method2_view(series, component="magnitude")
+        sp.method2_view(series, W, HOP, component="magnitude")
 
 
 def test_correlation_properties():
@@ -221,8 +223,7 @@ def test_correlation_properties():
     a = sp.stft(x, 1000.0, window_len=256, hop=64)
     assert sp.spectrogram_correlation(a, a) == pytest.approx(1.0)
     scaled = sp.Spectrogram(power=3.0 * a.power, freqs_hz=a.freqs_hz,
-                            times_s=a.times_s, window_len=a.window_len,
-                            hop=a.hop, n_fft=a.n_fft, window_kind=a.window_kind)
+                            times_s=a.times_s)
     assert sp.spectrogram_correlation(a, scaled) == pytest.approx(1.0)
     y = rng.standard_normal(2000) + 1j * rng.standard_normal(2000)
     b = sp.stft(y, 1000.0, window_len=256, hop=64)
@@ -239,8 +240,7 @@ def test_correlation_validates_inputs():
     with pytest.raises(ValueError, match="dimensions"):
         sp.spectrogram_correlation(a, b)
     zero = sp.Spectrogram(power=np.ones_like(a.power), freqs_hz=a.freqs_hz,
-                          times_s=a.times_s, window_len=a.window_len,
-                          hop=a.hop, n_fft=a.n_fft, window_kind=a.window_kind)
+                          times_s=a.times_s)
     with pytest.raises(ValueError, match="zero-energy"):
         sp.spectrogram_correlation(zero, zero)
 
@@ -271,8 +271,8 @@ def test_peak_track_constant_tone():
 
 def test_peak_track_speed_ratio():
     f0 = 5.8e9 / 299_792_458.0
-    slow = sp.method2_view(_mover_series(f0 * 0.8, los=0.0))
-    fast = sp.method2_view(_mover_series(f0 * 1.5, los=0.0))
+    slow = sp.method2_view(_mover_series(f0 * 0.8, los=0.0), W, HOP)
+    fast = sp.method2_view(_mover_series(f0 * 1.5, los=0.0), W, HOP)
     r = np.max(np.abs(sp.peak_doppler_track(fast))) \
         / np.max(np.abs(sp.peak_doppler_track(slow)))
     assert r == pytest.approx(1.875, rel=0.3)

@@ -21,13 +21,14 @@ from dopplerveil.scenario import Obfuscation, ScenarioConfig
 
 
 def _ref_dump_cfr_csv(series, path):
+    power = np.abs(series.h_hat) ** 2
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("t_s,k,re,im,power\n")
         for j, t in enumerate(series.t_s):
             for i, k in enumerate(series.subcarriers):
                 h = series.h_hat[i, j]
                 fh.write(f"{t:.9e},{int(k)},{h.real:.9e},{h.imag:.9e},"
-                         f"{series.power[i, j]:.9e}\n")
+                         f"{power[i, j]:.9e}\n")
 
 
 def _ref_save_spectrogram_csv(s, path):
@@ -176,8 +177,7 @@ def _cfr_series(seconds):
     m = int(1000 * seconds)
     h = rng.standard_normal((56, m)) + 1j * rng.standard_normal((56, m))
     return rx.CfrSeries(subcarriers=np.arange(-28, 28), h_hat=h,
-                        power=np.abs(h) ** 2, t_s=np.arange(m) * 1e-3,
-                        csi_rate_hz=1000.0)
+                        t_s=np.arange(m) * 1e-3, csi_rate_hz=1000.0)
 
 
 def _spectrogram(seconds):
@@ -185,8 +185,7 @@ def _spectrogram(seconds):
     frames = int(seconds / 0.05) - 9
     return sp.Spectrogram(power=rng.random((4096, frames)) ** 3,
                           freqs_hz=np.linspace(-1e3, 1e3, 4096),
-                          times_s=np.arange(frames) * 0.05 + 0.25,
-                          window_len=0, hop=0, n_fft=4096, window_kind="hann")
+                          times_s=np.arange(frames) * 0.05 + 0.25)
 
 
 def _tracks(seconds):
@@ -258,12 +257,10 @@ def test_writers_match_loop_writers_across_blocks(tmp_path, monkeypatch):
     rng = np.random.default_rng(5)
     h = rng.standard_normal((9, 40)) + 1j * rng.standard_normal((9, 40))
     series = rx.CfrSeries(subcarriers=np.arange(-4, 5), h_hat=h,
-                          power=np.abs(h) ** 2, t_s=np.arange(40) * 1e-3,
-                          csi_rate_hz=1000.0)
+                          t_s=np.arange(40) * 1e-3, csi_rate_hz=1000.0)
     spec = sp.Spectrogram(power=rng.random((50, 7)) ** 3,
                           freqs_hz=np.linspace(-250.0, 250.0, 50),
-                          times_s=np.arange(7) * 0.05 + 0.25, window_len=0,
-                          hop=0, n_fft=50, window_kind="hann")
+                          times_s=np.arange(7) * 0.05 + 0.25)
     tracks = [ch.ScattererTrack("torso", np.arange(120) * 0.005,
                                 6.0 - np.arange(120) * 0.004),
               ch.static_track(10.0, 1.0, 0.3, label="static-0")]
