@@ -24,6 +24,7 @@ from dopplerveil.waveform import (BasebandSignal, ofdm_modulate,
                                   signed_subcarriers, symbol_midtimes)
 
 TRACK_DT_S = 0.005  # walker track sampling step; gait harmonics live below 20 Hz
+TX_POS = (-10.0, 0.0)  # transmitter position, m
 NOISE_CHUNK = 1 << 16  # noise values drawn at once by add_awgn
 
 
@@ -58,8 +59,7 @@ def static_track(range_m: float, gain: complex, duration_s: float,
 
 
 def walker_tracks(walker: WalkerParams, duration_s: float,
-                  dt_s: float = TRACK_DT_S,
-                  tx_pos=(-10.0, 0.0), rx_pos=(0.0, 0.0),
+                  rx_pos=(0.0, 0.0),
                   rng: np.random.Generator | None = None) -> list:
     """Simplified Boulic-style body-part tracks for a straight-line walker.
 
@@ -74,14 +74,14 @@ def walker_tracks(walker: WalkerParams, duration_s: float,
         raise ValueError("duration_s must be > 0")
     if walker.model == "none":
         return []
-    tx = np.asarray(tx_pos, dtype=float)
+    tx = np.asarray(TX_POS, dtype=float)
     rx = np.asarray(rx_pos, dtype=float)
     v = walker.speed_mps
     heading = math.radians(walker.heading_deg)
     u = np.array([math.cos(heading), math.sin(heading)])
     start = rx + np.array([walker.start_range_m, 0.0])
 
-    times = np.arange(0.0, duration_s + 2 * dt_s, dt_s)
+    times = np.arange(0.0, duration_s + 2 * TRACK_DT_S, TRACK_DT_S)
     torso = start[None, :] + v * times[:, None] * u[None, :]
 
     gait_hz = math.sqrt(v) / walker.gait_stride_coeff if v > 0 else 0.0

@@ -39,10 +39,7 @@ def _build_parser() -> argparse.ArgumentParser:
                         choices=("csv", "bin", "pgm"), help="artifact formats "
                         f"(default: {', '.join(DEFAULT_FORMATS)})")
 
-    run_p = sub.add_parser("run", parents=[common],
-                           help="run one scenario end to end")
-    run_p.add_argument("--dump-iq", action="store_true",
-                       help="also dump the demod-pass transmit I/Q")
+    sub.add_parser("run", parents=[common], help="run one scenario end to end")
 
     cmp_p = sub.add_parser("compare", help="diff two run reports")
     cmp_p.add_argument("report_a")
@@ -72,7 +69,6 @@ def _cmd_run(args) -> int:
     try:
         report = run_scenario(cfg, args.out, baseline_dir=args.baseline,
                               formats=tuple(args.format or DEFAULT_FORMATS),
-                              dump_iq=args.dump_iq,
                               scenario_path=str(args.scenario))
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -110,7 +106,8 @@ def _cmd_compare(args) -> int:
     for spec in args.threshold:
         name, _, raw = spec.partition("=")
         value = _numeric(raw)
-        if not name or value is None:
+        # A NaN limit could never be exceeded, a negative one always is.
+        if not name or value is None or not value >= 0:
             print(f"error: bad --threshold {spec!r}", file=sys.stderr)
             return EXIT_RUNTIME
         thresholds[name if name.startswith("metric.") else f"metric.{name}"] \
@@ -159,6 +156,12 @@ def _cmd_sweep(args) -> int:
         base_cfg = load_scenario_file(args.scenario)
     except (ScenarioError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    # Smear points are the product of the two lists: one alone gives none.
+    if bool(args.delta_f) != bool(args.f_m):
+        missing = "--f-m" if args.delta_f else "--delta-f"
+        print(f"error: smear points need {missing} values too",
+              file=sys.stderr)
         return EXIT_CONFIG
     points = _sweep_points(args)
     if not points:

@@ -182,9 +182,9 @@ def simulate_demod(cfg: ScenarioConfig, derived: DerivedParams,
                    chan: chan_mod.ChannelRealization, rngs):
     """Framed payload pass: per-frame preamble CSI, pilot tracking, BER/EVM.
 
-    The payload is one (subcarrier, symbol) grid of back-to-back frames; the
-    receiver views it as (subcarrier, frame, symbol).  Returns (ber, evm
-    fraction, tx BasebandSignal).
+    The payload is one (subcarrier, symbol) grid of back-to-back frames,
+    modulated once after any spoof; the receiver views it as (subcarrier,
+    frame, symbol).  Returns (ber, evm fraction).
     """
     obf = cfg.obfuscation
     n = cfg.n_subcarriers
@@ -193,14 +193,10 @@ def simulate_demod(cfg: ScenarioConfig, derived: DerivedParams,
         np.uint8)
 
     sym_per_frame = wf.PREAMBLE_SYMBOLS + wf.DATA_SYMBOLS_PER_FRAME
-    # The payload-sized arrays are released as soon as they are used.
-    grid, tx_air = wf.frame_stream(cfg, derived, bits)
-    # The data symbols as mapped, in transmit order: the EVM reference.
-    ideal = np.take(grid.values.reshape(n, n_frames, sym_per_frame)[
-        :, :, wf.PREAMBLE_SYMBOLS:].transpose(1, 2, 0), derived.data_bins,
-        axis=2).reshape(-1)
+    # The payload-sized arrays are released as soon as they are used.  The
+    # data symbols as mapped, before any defense, are the EVM reference.
+    grid, ideal = wf.frame_stream(cfg, derived, bits)
     if obf.kind == "spoof":
-        tx_air = None
         # Constant over each symbol (its mid-time value), so subcarriers
         # stay orthogonal; the rotation within a symbol is sub-milliradian.
         # Mid-times are frame start + (m + 0.5) t_sym, which rounds
@@ -210,8 +206,7 @@ def simulate_demod(cfg: ScenarioConfig, derived: DerivedParams,
         transmit_multiplier(obf, grid.values, wf.signed_subcarriers(n),
                             mid.reshape(-1), cfg.subcarrier_spacing_hz,
                             cfg.carrier_hz)
-        tx_air = wf.ofdm_modulate(grid.values, cfg.cp_len,
-                                  derived.sample_rate_hz)
+    tx_air = wf.ofdm_modulate(grid.values, cfg.cp_len, derived.sample_rate_hz)
     del grid
     if obf.kind == "smear":
         # Per sample over the whole stream, CP and preambles included: the FM
@@ -221,6 +216,7 @@ def simulate_demod(cfg: ScenarioConfig, derived: DerivedParams,
 
     rx = chan_mod.propagate(tx_air, chan, n, cfg.cp_len, snr_db=cfg.snr_db,
                             rng=rngs.noise)
+    del tx_air
     y = rx_mod.ofdm_demodulate(rx, n, cfg.cp_len).reshape(
         n, n_frames, sym_per_frame)
     del rx
@@ -241,7 +237,7 @@ def simulate_demod(cfg: ScenarioConfig, derived: DerivedParams,
     # EVM against the pre-spoof ideal constellation: any spoof rotation is
     # absorbed into the per-frame channel estimate the receiver uses.
     evm = rx_mod.evm_rms(eq_syms, ideal)
-    return measured_ber, evm, tx_air
+    return measured_ber, evm
 
 
 def _attacker_half(cfg: ScenarioConfig, derived: DerivedParams,
@@ -309,8 +305,7 @@ def _attacker_half(cfg: ScenarioConfig, derived: DerivedParams,
 
 
 def run_scenario(cfg: ScenarioConfig, out_dir, baseline_dir=None,
-                 formats=DEFAULT_FORMATS, dump_iq: bool = False,
-                 scenario_path: str = "",
+                 formats=DEFAULT_FORMATS, scenario_path: str = "",
                  shared: PointInvariant | None = None) -> RunReport:
     """Execute one scenario and write all artifacts into out_dir.
 
@@ -337,7 +332,7 @@ def run_scenario(cfg: ScenarioConfig, out_dir, baseline_dir=None,
     attacker, artifacts = _attacker_half(cfg, derived, chan, rngs.noise, h,
                                          baseline_dir, baselines, out,
                                          formats)
-    measured_ber, evm, tx_air = simulate_demod(cfg, derived, chan, rngs)
+    measured_ber, evm = simulate_demod(cfg, derived, chan, rngs)
 
     report = RunReport()
     report.scenario = {
@@ -359,10 +354,6 @@ def run_scenario(cfg: ScenarioConfig, out_dir, baseline_dir=None,
     report.metrics = {"ber": measured_ber, "evm_pct": 100.0 * evm,
                       **attacker}
     report.artifacts = artifacts
-    if dump_iq:
-        p = out / "tx.iq"
-        wf.dump_iq(tx_air, p)
-        report.artifacts["tx_iq"] = str(p)
 
     report.wall_time_s = time.perf_counter() - start
     report_path = out / "report.txt"

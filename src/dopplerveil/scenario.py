@@ -257,7 +257,8 @@ def validate(cfg: ScenarioConfig) -> None:
             f"qam_order must be one of {_QAM_ORDERS}")
     n_used = cfg.n_data_subcarriers + cfg.n_pilot_subcarriers
     require(cfg.n_data_subcarriers > 0, "n_data_subcarriers must be > 0")
-    require(cfg.n_pilot_subcarriers >= 0, "n_pilot_subcarriers must be >= 0")
+    # The receiver tracks each data symbol's common phase on the pilots.
+    require(cfg.n_pilot_subcarriers > 0, "n_pilot_subcarriers must be > 0")
     require(n_used <= cfg.n_subcarriers,
             "n_data_subcarriers + n_pilot_subcarriers must be <= n_subcarriers")
     require(n_used <= cfg.n_subcarriers - 1,

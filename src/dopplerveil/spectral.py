@@ -202,8 +202,8 @@ def spectrogram_correlation(a: Spectrogram, b: Spectrogram) -> float:
     return float(np.clip(np.sum(am * bm) / (na * nb), 0.0, 1.0))
 
 
-def occupied_bandwidth(s: Spectrogram, energy_fraction: float = 0.9) -> float:
-    """Smallest symmetric band around 0 Hz holding the energy fraction.
+def occupied_bandwidth(s: Spectrogram) -> float:
+    """Smallest symmetric band around 0 Hz holding 90% of the energy.
 
     Note the source text for the smearing method states the Carson bandwidth
     as 2*(delta_f/f_m + 1), which is dimensionless; the physical Carson value
@@ -215,7 +215,7 @@ def occupied_bandwidth(s: Spectrogram, energy_fraction: float = 0.9) -> float:
         raise ValueError("zero-energy spectrogram")
     order = np.argsort(np.abs(s.freqs_hz), kind="stable")
     csum = np.cumsum(profile[order])
-    stop = int(np.searchsorted(csum, energy_fraction * total))
+    stop = int(np.searchsorted(csum, 0.9 * total))
     stop = min(stop, len(order) - 1)
     bin_width = s.freqs_hz[1] - s.freqs_hz[0]
     return float(2.0 * np.abs(s.freqs_hz[order[stop]]) + bin_width)
@@ -240,17 +240,17 @@ def save_spectrogram_csv(s: Spectrogram, path) -> None:
                 s.freqs_hz[i:i + step], s.power[i:i + step], b"\n"))
 
 
-def save_spectrogram_pgm(s: Spectrogram, path, floor_db: float = PGM_FLOOR_DB) -> None:
+def save_spectrogram_pgm(s: Spectrogram, path) -> None:
     """8-bit PGM quick-look: row 0 = highest frequency, linear in dB.
 
-    Values map floor_db..0 dB (relative to the matrix peak) onto 0..255.
+    Values map PGM_FLOOR_DB..0 dB (relative to the matrix peak) onto 0..255.
     """
     peak = s.power.max()
     if peak <= 0:
         raise ValueError("zero-energy spectrogram")
     with np.errstate(divide="ignore"):
         db = 10.0 * np.log10(np.maximum(s.power / peak, 1e-300))
-    img = np.clip((db - floor_db) / (-floor_db), 0.0, 1.0)
+    img = np.clip((db - PGM_FLOOR_DB) / (-PGM_FLOOR_DB), 0.0, 1.0)
     pix = np.round(img[::-1, :] * 255).astype(np.uint8)
     h, w = pix.shape[0], pix.shape[1]
     with open(path, "wb") as fh:

@@ -115,7 +115,8 @@ def frame_stream(cfg, derived, payload_bits):
 
     A frame is PREAMBLE_SYMBOLS known symbols, then DATA_SYMBOLS_PER_FRAME
     QAM data symbols with pilots; the payload must fill whole frames.
-    Returns (SymbolGrid, BasebandSignal).
+    Returns (SymbolGrid, data symbols): the symbols are the QAM values of
+    the payload in transmit order, (frame, symbol, data bin) flattened.
     """
     n = cfg.n_subcarriers
     table = known_symbol_table(n, derived.used_bins)
@@ -126,36 +127,23 @@ def frame_stream(cfg, derived, payload_bits):
     if n_frames == 0 or len(bits) % bits_per_frame:
         raise ValueError(f"payload of {len(bits)} bits does not fill whole "
                          f"frames of {bits_per_frame} bits")
-    syms = qam_map(bits, cfg.qam_order).reshape(
-        n_frames, DATA_SYMBOLS_PER_FRAME, -1)
+    syms = qam_map(bits, cfg.qam_order)
     # (bin, frame, symbol within the frame)
     values = np.zeros((n, n_frames, PREAMBLE_SYMBOLS + DATA_SYMBOLS_PER_FRAME),
                       dtype=complex)
     kinds = np.zeros(values.shape, dtype=np.uint8)
     values[:, :, :PREAMBLE_SYMBOLS] = table[:, None, None]
     kinds[derived.used_bins, :, :PREAMBLE_SYMBOLS] = KIND_PREAMBLE
-    values[derived.data_bins, :, PREAMBLE_SYMBOLS:] = syms.transpose(2, 0, 1)
+    values[derived.data_bins, :, PREAMBLE_SYMBOLS:] = syms.reshape(
+        n_frames, DATA_SYMBOLS_PER_FRAME, -1).transpose(2, 0, 1)
     kinds[derived.data_bins, :, PREAMBLE_SYMBOLS:] = KIND_DATA
     values[derived.pilot_bins, :, PREAMBLE_SYMBOLS:] = \
         table[derived.pilot_bins][:, None, None]
     kinds[derived.pilot_bins, :, PREAMBLE_SYMBOLS:] = KIND_PILOT
-    grid = SymbolGrid(values=values.reshape(n, -1), kinds=kinds.reshape(n, -1))
-    return grid, ofdm_modulate(grid.values, cfg.cp_len, derived.sample_rate_hz)
+    return SymbolGrid(values=values.reshape(n, -1),
+                      kinds=kinds.reshape(n, -1)), syms
 
 
 def symbol_midtimes(n_symbols: int, t_sym_s: float, t0: float = 0.0) -> np.ndarray:
     return t0 + (np.arange(n_symbols) + 0.5) * t_sym_s
 
-
-def dump_iq(sig: BasebandSignal, path) -> None:
-    """Interleaved little-endian float32 I/Q, with a sidecar header text file."""
-    path = str(path)
-    inter = np.empty(2 * len(sig.samples), dtype="<f4")
-    inter[0::2] = sig.samples.real
-    inter[1::2] = sig.samples.imag
-    inter.tofile(path)
-    with open(path + ".txt", "w", encoding="utf-8") as fh:
-        fh.write("format = interleaved little-endian float32 I/Q\n")
-        fh.write(f"sample_rate_hz = {sig.sample_rate_hz:.9e}\n")
-        fh.write(f"n_samples = {len(sig.samples)}\n")
-        fh.write(f"t0_s = {sig.t0:.9e}\n")

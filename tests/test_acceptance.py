@@ -128,7 +128,7 @@ def test_criterion_5_demodulation_unharmed():
         d = derive_streams(cfg)
         rngs = rng_streams(cfg.seed)
         chan = pl.build_channel(cfg, d, rngs.walker)
-        results[name] = pl.simulate_demod(cfg, d, chan, rngs)[:2]
+        results[name] = pl.simulate_demod(cfg, d, chan, rngs)
     max_ber_delta = max(abs(results[a][0] - results[b][0])
                         for a, b in (("clean", "smear"), ("clean", "spoof")))
     # Additive-noise EVM floor of this receiver: the noise is sized to the

@@ -1,8 +1,11 @@
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-from dopplerveil import channel, pipeline, spectral
+from dopplerveil import channel, cli, pipeline, spectral
 from dopplerveil.cli import (EXIT_CONFIG, EXIT_OK, EXIT_RUNTIME,
                              EXIT_THRESHOLD, main)
 from dopplerveil.pipeline import parse_report
@@ -86,6 +89,10 @@ def test_compare_bad_threshold_and_missing_metric(scenario_file, tmp_path):
                  "--threshold", "ber"]) == EXIT_RUNTIME
     assert main(["compare", str(report), str(report),
                  "--threshold", "no_such_metric=1"]) == EXIT_RUNTIME
+    # A NaN limit can never be exceeded and a negative one always is.
+    for limit in ("nan", "-1"):
+        assert main(["compare", str(report), str(report),
+                     "--threshold", f"ber={limit}"]) == EXIT_RUNTIME
     assert main(["compare", str(report), str(tmp_path / "missing.txt")]) \
         == EXIT_RUNTIME
 
@@ -113,6 +120,19 @@ def test_sweep(scenario_file, tmp_path):
 def test_sweep_needs_points(scenario_file, tmp_path):
     assert main(["sweep", "--scenario", str(scenario_file),
                  "--out", str(tmp_path / "s")]) == EXIT_CONFIG
+
+
+@pytest.mark.parametrize("given, missing", [
+    (["--delta-f", "100", "200"], "--f-m"), (["--f-m", "10"], "--delta-f")])
+def test_sweep_lone_smear_flag_exits_2(scenario_file, tmp_path, capsys,
+                                       given, missing):
+    # The smear points are the product of both lists; a lone list used to be
+    # dropped while the spoof points ran.
+    out = tmp_path / "s"
+    assert main(["sweep", "--scenario", str(scenario_file), "--out", str(out),
+                 *given, "--v-sp", "5"]) == EXIT_CONFIG
+    assert missing in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_sweep_threaded_matches_serial(scenario_file, tmp_path):
@@ -361,6 +381,22 @@ def test_stft_that_cannot_fit_exits_2_before_any_output(tmp_path, capsys,
 
 
 @pytest.mark.parametrize("command, extra", [
+    ("run", []), ("sweep", ["--v-sp", "5", "--delta-f", "100", "--f-m", "10"])])
+def test_zero_pilots_exit_2_before_any_output(tmp_path, capsys, command,
+                                              extra):
+    # Used to write the attacker's artifacts, then exit 3 from the receiver's
+    # pilot phase tracking.
+    scenario = tmp_path / "nopilots.yaml"
+    scenario.write_text("duration_s: 0.6\npayload_bits: 6000\n"
+                        "n_data_subcarriers: 56\nn_pilot_subcarriers: 0\n")
+    out = tmp_path / "out"
+    assert main([command, "--scenario", str(scenario), "--out", str(out),
+                 *extra]) == EXIT_CONFIG
+    assert "n_pilot_subcarriers" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, extra", [
     ("run", []), ("sweep", ["--v-sp", "5"])])
 def test_non_utf8_scenario_exits_2_before_any_output(tmp_path, capsys,
                                                      command, extra):
@@ -382,3 +418,27 @@ def test_compare_non_utf8_report_exits_3(scenario_file, tmp_path, capsys):
     assert main(["compare", str(report), str(bad)]) == EXIT_RUNTIME
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "bad_report.txt" in err
+
+
+def test_console_entry_point(scenario_file, tmp_path):
+    # `python -m dopplerveil.cli` runs cli.entry, the installed script's
+    # target: it must exit with main's code.
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+
+    def cli_run(*argv):
+        return subprocess.run(
+            [sys.executable, "-m", "dopplerveil.cli", "run", "--scenario",
+             str(scenario_file), *argv], env=env, capture_output=True,
+            text=True, timeout=300)
+
+    out = tmp_path / "out"
+    done = cli_run("--out", str(out))
+    assert done.returncode == EXIT_OK, done.stderr
+    assert (out / "report.txt").exists()
+    # The transmit I/Q dump is gone from the CLI.
+    gone = cli_run("--out", str(tmp_path / "iq"), "--dump-iq")
+    assert gone.returncode == EXIT_CONFIG
+    assert "--dump-iq" in gone.stderr
+    assert not (tmp_path / "iq").exists()

@@ -48,10 +48,9 @@ def test_simulate_demod_clean_noiseless():
     d = derive_streams(cfg)
     rngs = rng_streams(cfg.seed)
     chan = pl.build_channel(cfg, d, rngs.walker)
-    ber, evm, tx = pl.simulate_demod(cfg, d, chan, rngs)
+    ber, evm = pl.simulate_demod(cfg, d, chan, rngs)
     assert ber == 0.0
     assert evm < 0.02
-    assert len(tx.samples) % (cfg.n_subcarriers + cfg.cp_len) == 0
 
 
 def _per_frame_demod(cfg, d, chan, rngs):
@@ -70,13 +69,13 @@ def _per_frame_demod(cfg, d, chan, rngs):
     chunks = []
     for f in range(n_frames):
         t0 = f * sym_per_frame * d.t_sym_s
-        grid, sig = wf.frame_stream(
+        grid, _ = wf.frame_stream(
             cfg, d, bits[f * bits_per_frame:(f + 1) * bits_per_frame])
         if obf.kind == "spoof":
             mid = wf.symbol_midtimes(grid.values.shape[1], d.t_sym_s, t0)
             transmit_multiplier(obf, grid.values, k, mid,
                                 cfg.subcarrier_spacing_hz, cfg.carrier_hz)
-            sig = wf.ofdm_modulate(grid.values, cfg.cp_len, d.sample_rate_hz)
+        sig = wf.ofdm_modulate(grid.values, cfg.cp_len, d.sample_rate_hz)
         chunks.append(sig.samples)
     tx = wf.BasebandSignal(np.concatenate(chunks), d.sample_rate_hz)
     if obf.kind == "smear":
@@ -114,16 +113,25 @@ def _per_frame_demod(cfg, d, chan, rngs):
          obfuscation=Obfuscation(kind="smear", delta_f_hz=500.0, f_m_hz=20.0)),
     dict(snr_db=10.0, obfuscation=Obfuscation(kind="spoof", v_sp_mps=-7.0)),
 ], ids=["qam16-none-8dB", "qam64-smear-12dB", "spoof-minus7-10dB"])
-def test_simulate_demod_matches_per_frame_reference(over):
+def test_simulate_demod_matches_per_frame_reference(over, monkeypatch):
     cfg = _cfg(payload_bits=40000, **over)
     d = derive_streams(cfg)
     chan = pl.build_channel(cfg, d, rng_streams(cfg.seed).walker)
-    ber, evm, tx = pl.simulate_demod(cfg, d, chan, rng_streams(cfg.seed))
+    sent = []
+    propagate = pl.chan_mod.propagate
+
+    def captured(sig, *args, **kwargs):
+        sent.append(sig.samples.tobytes())
+        return propagate(sig, *args, **kwargs)
+
+    monkeypatch.setattr(pl.chan_mod, "propagate", captured)
+    ber, evm = pl.simulate_demod(cfg, d, chan, rng_streams(cfg.seed))
+    monkeypatch.undo()
     ref_ber, ref_evm, ref_tx = _per_frame_demod(cfg, d, chan,
                                                 rng_streams(cfg.seed))
     assert ref_ber > 0
     assert ber == ref_ber and evm == ref_evm
-    assert tx.samples.tobytes() == ref_tx.samples.tobytes()
+    assert sent == [ref_tx.samples.tobytes()]
 
 
 def test_simulate_demod_rejects_oversized_payload():
@@ -138,10 +146,10 @@ def test_simulate_demod_rejects_oversized_payload():
 def test_run_scenario_writes_artifacts_and_report(tmp_path):
     cfg = _cfg()
     report = pl.run_scenario(cfg, tmp_path / "run", formats=("csv", "pgm", "bin"),
-                             dump_iq=True, scenario_path="inline")
+                             scenario_path="inline")
     for key in ("method1_spectrogram_csv", "method2_spectrogram_csv",
                 "method1_spectrogram_pgm", "method2_spectrogram_pgm",
-                "cfr_csv", "cfr_bin", "tracks_csv", "tx_iq", "report"):
+                "cfr_csv", "cfr_bin", "tracks_csv", "report"):
         assert key in report.artifacts
         assert (tmp_path / "run").joinpath(
             report.artifacts[key].rsplit("/", 1)[-1]).exists()

@@ -222,7 +222,7 @@ def test_smeared_static_link_demodulates_cleanly():
         payload_bits=40_000, duration_s=0.1)
     d = derive_streams(cfg)
     chan = pl.build_channel(cfg, d, rng_streams(cfg.seed).walker)
-    ber_val, evm, _ = simulate_demod(cfg, d, chan, rng_streams(cfg.seed))
+    ber_val, evm = simulate_demod(cfg, d, chan, rng_streams(cfg.seed))
     assert ber_val == 0.0
     assert evm < 0.01
 
@@ -238,7 +238,7 @@ def test_spoofed_16qam_noiseless_ber_zero():
         payload_bits=40_000, duration_s=0.1)
     d = derive_streams(cfg)
     chan = pl.build_channel(cfg, d, rng_streams(cfg.seed).walker)
-    ber_val, evm, _ = simulate_demod(cfg, d, chan, rng_streams(cfg.seed))
+    ber_val, evm = simulate_demod(cfg, d, chan, rng_streams(cfg.seed))
     assert ber_val == 0.0
     assert evm < 0.01
 

@@ -93,6 +93,13 @@ def test_odd_used_count_rejected():
         load_scenario("n_data_subcarriers: 51\nn_pilot_subcarriers: 4")
 
 
+def test_zero_pilots_rejected():
+    # The receiver tracks the common phase on the pilots; without them the
+    # run used to fail after writing the attacker's artifacts.
+    with pytest.raises(ScenarioError, match="n_pilot_subcarriers must be > 0"):
+        validate(ScenarioConfig(n_data_subcarriers=56, n_pilot_subcarriers=0))
+
+
 def test_dc_bin_must_stay_free():
     with pytest.raises(ScenarioError, match="DC"):
         load_scenario("n_data_subcarriers: 60\nn_pilot_subcarriers: 4")
@@ -102,7 +109,7 @@ def test_fuzz_random_valid_documents_load_and_validate():
     rng = np.random.default_rng(7)
     for _ in range(50):
         n = int(rng.choice([16, 32, 64, 128]))
-        n_pilot = int(rng.choice([0, 2, 4]))
+        n_pilot = int(rng.choice([2, 4]))
         n_data = int(rng.integers(1, (n - 2 - n_pilot) // 2 + 1)) * 2
         cp_len = int(rng.integers(0, n // 4))
         qam_order = int(rng.choice([4, 16, 64]))

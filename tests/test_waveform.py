@@ -111,7 +111,7 @@ def test_frame_stream_payload_layout():
     d = derive_streams(cfg)
     n_data_sym = wf.DATA_SYMBOLS_PER_FRAME
     bits = _frame_bits(cfg, d, 1)
-    grid, sig = wf.frame_stream(cfg, d, payload_bits=bits)
+    grid, syms = wf.frame_stream(cfg, d, payload_bits=bits)
     assert grid.values.shape[1] == wf.PREAMBLE_SYMBOLS + n_data_sym
     table = wf.known_symbol_table(cfg.n_subcarriers, d.used_bins)
     for m in range(wf.PREAMBLE_SYMBOLS):
@@ -120,18 +120,17 @@ def test_frame_stream_payload_layout():
         grid.values[d.pilot_bins, wf.PREAMBLE_SYMBOLS:],
         np.tile(table[d.pilot_bins][:, None], (1, n_data_sym)))
     assert np.all(grid.kinds[d.data_bins, wf.PREAMBLE_SYMBOLS:] == wf.KIND_DATA)
-    assert len(sig.samples) == grid.values.shape[1] * (cfg.n_subcarriers
-                                                       + cfg.cp_len)
-    syms = wf.qam_map(bits, cfg.qam_order).reshape(n_data_sym, -1).T
+    np.testing.assert_array_equal(syms, wf.qam_map(bits, cfg.qam_order))
     np.testing.assert_array_equal(
-        grid.values[d.data_bins, wf.PREAMBLE_SYMBOLS:], syms)
+        grid.values[d.data_bins, wf.PREAMBLE_SYMBOLS:],
+        syms.reshape(n_data_sym, -1).T)
 
 
 def test_frame_stream_puts_preambles_at_frame_starts():
     cfg = ScenarioConfig()
     d = derive_streams(cfg)
     bits = _frame_bits(cfg, d, 3)
-    grid, sig = wf.frame_stream(cfg, d, bits)
+    grid, syms = wf.frame_stream(cfg, d, bits)
     assert grid.values.shape[1] == 3 * 57
     preamble = np.all(grid.kinds[d.used_bins] == wf.KIND_PREAMBLE, axis=0)
     starts = np.flatnonzero(preamble & ~np.r_[False, preamble[:-1]])
@@ -140,16 +139,15 @@ def test_frame_stream_puts_preambles_at_frame_starts():
     # each frame is the one-frame stream of its own bits, back to back
     per_frame = len(bits) // 3
     for f in range(3):
-        one, one_sig = wf.frame_stream(
+        one, one_syms = wf.frame_stream(
             cfg, d, bits[f * per_frame:(f + 1) * per_frame])
         np.testing.assert_array_equal(
             grid.values[:, f * 57:(f + 1) * 57], one.values)
         np.testing.assert_array_equal(
             grid.kinds[:, f * 57:(f + 1) * 57], one.kinds)
-        n = len(one_sig.samples)
-        np.testing.assert_array_equal(sig.samples[f * n:(f + 1) * n],
-                                      one_sig.samples)
-    assert sig.t0 == 0.0
+        n = len(one_syms)
+        np.testing.assert_array_equal(syms[f * n:(f + 1) * n], one_syms)
+    assert len(syms) == 3 * n
 
 
 def test_frame_stream_short_payload_rejected():
@@ -169,16 +167,3 @@ def test_frame_stream_rejects_partial_frames():
         with pytest.raises(ValueError, match="does not fill whole frames"):
             wf.frame_stream(cfg, d, partial)
 
-
-def test_dump_iq_roundtrip(tmp_path):
-    rng = np.random.default_rng(5)
-    samples = rng.standard_normal(64) + 1j * rng.standard_normal(64)
-    sig = wf.BasebandSignal(samples, 20e6, t0=0.25)
-    path = tmp_path / "tx.iq"
-    wf.dump_iq(sig, path)
-    raw = np.fromfile(path, dtype="<f4")
-    back = raw[0::2] + 1j * raw[1::2]
-    np.testing.assert_allclose(back, samples, atol=1e-6)
-    sidecar = (tmp_path / "tx.iq.txt").read_text()
-    assert "sample_rate_hz = 2.000000000e+07" in sidecar
-    assert "n_samples = 64" in sidecar
