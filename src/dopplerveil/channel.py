@@ -26,6 +26,7 @@ from dopplerveil.waveform import (BasebandSignal, ofdm_modulate,
 TRACK_DT_S = 0.005  # walker track sampling step; gait harmonics live below 20 Hz
 TX_POS = (-10.0, 0.0)  # transmitter position, m
 NOISE_CHUNK = 1 << 16  # noise values drawn at once by add_awgn
+PROPAGATE_CHUNK = 4096  # symbols whose CFR propagate evaluates at once
 
 
 @dataclass
@@ -154,14 +155,15 @@ def cfr_matrix(chan: ChannelRealization, k, spacing_hz: float,
     return total
 
 
-def add_awgn(x: np.ndarray, snr_db: float,
-             rng: np.random.Generator | None = None,
+def add_awgn(x, snr_db: float, rng: np.random.Generator | None = None,
              signal_power: float | None = None) -> None:
     """Add complex AWGN to x in place so 10 log10(P_sig / P_noise) = snr_db.
 
-    x is a C-contiguous complex array of any shape; P_sig is signal_power,
-    or the mean power of x when it is not given.  The noise takes every real
-    part, then every imaginary part, from rng in x's C order.  It is drawn
+    x is a C-contiguous complex array of any shape, or a list of the planes
+    of one: plane p of r holds the columns (last axis) p, p + r, ... of the
+    logical array.  P_sig is signal_power, or the mean power of x when it is
+    not given.  The noise takes every real part, then every imaginary part,
+    from rng in the logical array's C order.  It is drawn at most
     NOISE_CHUNK values at a time, which gives the same values as one draw.
     An infinite snr_db leaves x and rng untouched.
     """
@@ -169,19 +171,37 @@ def add_awgn(x: np.ndarray, snr_db: float,
         return
     if rng is None:
         raise ValueError("finite-SNR noise needs an RNG")
-    if not x.flags.c_contiguous:
-        raise ValueError("noise is added in place to a C-contiguous array")
-    p_sig = signal_power if signal_power is not None \
-        else float(np.mean(np.abs(x) ** 2))
-    scale = math.sqrt(p_sig / (10.0 ** (snr_db / 10.0)) / 2.0)
-    flat = x.reshape(-1)
-    draw = np.empty(min(NOISE_CHUNK, flat.size))
-    for part in (flat.real, flat.imag):
-        for i in range(0, flat.size, NOISE_CHUNK):
-            d = draw[:min(NOISE_CHUNK, flat.size - i)]
-            rng.standard_normal(out=d)
-            d *= scale
-            part[i:i + NOISE_CHUNK] += d
+    planes = list(x) if isinstance(x, (list, tuple)) else [x]
+    if not all(p.flags.c_contiguous for p in planes):
+        raise ValueError("noise is added in place to C-contiguous arrays")
+    ratio = len(planes)
+    width = sum(p.shape[-1] for p in planes)
+    if ([p.shape for p in planes]
+            != [planes[0].shape[:-1] + (len(range(i, width, ratio)),)
+                for i in range(ratio)]):
+        raise ValueError("planes do not interleave into one array")
+    rows = [p.reshape(-1, p.shape[-1]) for p in planes]
+    if signal_power is None:
+        total = 0.0
+        for p in planes:
+            power = np.abs(p)
+            np.square(power, out=power)
+            total += float(np.sum(power))
+        signal_power = total / sum(p.size for p in planes)
+    scale = math.sqrt(signal_power / (10.0 ** (snr_db / 10.0)) / 2.0)
+    step = max(1, NOISE_CHUNK // ratio) * ratio
+    draw = np.empty(min(step, width))
+    for imag in (False, True):
+        for row in range(len(rows[0])):
+            for j in range(0, width, step):
+                d = draw[:min(step, width - j)]
+                rng.standard_normal(out=d)
+                d *= scale
+                for i, plane in enumerate(rows):
+                    seg = d[i::ratio]
+                    cells = plane[row, j // ratio:j // ratio + len(seg)]
+                    part = cells.imag if imag else cells.real
+                    part += seg
 
 
 def propagate(sig: BasebandSignal, chan: ChannelRealization,
@@ -193,7 +213,8 @@ def propagate(sig: BasebandSignal, chan: ChannelRealization,
     frequency domain, which realizes the fractional path delay as an exact
     band-limited shift; the input must carry true cyclic prefixes.  Valid
     because channel coherence time (milliseconds and up) vastly exceeds the
-    4 us symbol.
+    4 us symbol.  Works in place: the returned signal's samples are sig's,
+    and the channel is evaluated PROPAGATE_CHUNK symbols at a time.
     """
     duration = len(sig.samples) / sig.sample_rate_hz
     max_tau = max(float(np.max(tr.path_length_m)) for tr in chan.tracks) \
@@ -204,8 +225,11 @@ def propagate(sig: BasebandSignal, chan: ChannelRealization,
     y = ofdm_demodulate(sig, n_subcarriers, cp_len)
     t_mid = symbol_midtimes(
         y.shape[1], (n_subcarriers + cp_len) / sig.sample_rate_hz, sig.t0)
-    y *= cfr_matrix(chan, signed_subcarriers(n_subcarriers),
-                    sig.sample_rate_hz / n_subcarriers, t_mid)
+    k = signed_subcarriers(n_subcarriers)
+    for j in range(0, len(t_mid), PROPAGATE_CHUNK):
+        y[:, j:j + PROPAGATE_CHUNK] *= cfr_matrix(
+            chan, k, sig.sample_rate_hz / n_subcarriers,
+            t_mid[j:j + PROPAGATE_CHUNK])
     result = ofdm_modulate(y, cp_len, sig.sample_rate_hz, sig.t0)
     add_awgn(result.samples, snr_db, rng)
     return result

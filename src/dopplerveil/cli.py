@@ -152,6 +152,10 @@ def _sweep_points(args):
 
 
 def _cmd_sweep(args) -> int:
+    if args.threads < 1:
+        print(f"error: --threads must be >= 1, got {args.threads}",
+              file=sys.stderr)
+        return EXIT_CONFIG
     try:
         base_cfg = load_scenario_file(args.scenario)
     except (ScenarioError, OSError) as exc:

@@ -34,6 +34,9 @@ BASELINE_VIEWS = ("method1", "method2")
 # Artifact formats a run writes unless told otherwise.
 DEFAULT_FORMATS = ("csv", "pgm")
 
+# Transmit samples the demodulation pass smears at once.
+SMEAR_CHUNK = 1 << 16
+
 
 @dataclass
 class RunReport:
@@ -59,6 +62,10 @@ class _ProbeGrid:
     rate_hz: float
     times_s: np.ndarray  # probe symbol mid-times
 
+    def plane_times(self) -> list:
+        """Probe times of each plane: plane p holds probes p, p + ratio, ..."""
+        return [self.times_s[p::self.ratio] for p in range(self.ratio)]
+
 
 def _probe_grid(cfg: ScenarioConfig, derived: DerivedParams) -> _ProbeGrid:
     """The CSI pass's probe times; its subcarriers are derived.used_k."""
@@ -68,12 +75,21 @@ def _probe_grid(cfg: ScenarioConfig, derived: DerivedParams) -> _ProbeGrid:
         times_s=np.arange(n_probes) / rate + 0.5 * derived.t_sym_s)
 
 
+def _cfr_planes(chan: chan_mod.ChannelRealization, cfg: ScenarioConfig,
+                derived: DerivedParams, grid: _ProbeGrid) -> list:
+    """chan's CFR on each plane of the probe grid, one array per plane."""
+    return [chan_mod.cfr_matrix(chan, derived.used_k,
+                                cfg.subcarrier_spacing_hz, t)
+            for t in grid.plane_times()]
+
+
 @dataclass(frozen=True)
 class PointInvariant:
     """The work every point of a sweep shares: all but the obfuscation.
 
     `cfg` is the scenario with obfuscation none; `cfr` is H on the CSI pass's
-    probe grid; `baselines` maps each view in BASELINE_VIEWS to its loaded
+    probe grid, as its tuple of probe-phase planes (see simulate_csi);
+    `baselines` maps each view in BASELINE_VIEWS to its loaded
     baseline spectrogram, or None when the CSV is missing, and is None when
     no baseline directory was given.  Every array is read-only, so a sweep
     thread that writes to one raises instead of corrupting another point.
@@ -81,7 +97,7 @@ class PointInvariant:
     cfg: ScenarioConfig
     baseline_dir: Path | None
     chan: chan_mod.ChannelRealization
-    cfr: np.ndarray
+    cfr: tuple
     baselines: dict | None
 
 
@@ -105,11 +121,9 @@ def point_invariant(cfg: ScenarioConfig, baseline_dir=None) -> PointInvariant:
     cfg = replace(cfg, obfuscation=Obfuscation())
     derived = derive_streams(cfg)
     chan = build_channel(cfg, derived, rng_streams(cfg.seed).walker)
-    grid = _probe_grid(cfg, derived)
-    h = chan_mod.cfr_matrix(chan, derived.used_k, cfg.subcarrier_spacing_hz,
-                            grid.times_s)
-    _freeze(h, *(a for tr in chan.tracks
-                 for a in (tr.times_s, tr.path_length_m)))
+    h = tuple(_cfr_planes(chan, cfg, derived, _probe_grid(cfg, derived)))
+    _freeze(*h, *(a for tr in chan.tracks
+                  for a in (tr.times_s, tr.path_length_m)))
     baselines = None
     if baseline_dir is not None:
         baselines = {view: _load_baseline(baseline_dir, view)
@@ -128,46 +142,54 @@ def simulate_csi(cfg: ScenarioConfig, derived: DerivedParams,
     CfrSeries at the configured CSI rate).  The method1 series is the
     per-symbol mean of rx * conj(clean tx), i.e. the reference-conjugated
     received signal already decimated to one sample per probe symbol.
-    `h` is chan's CFR on the probe grid (PointInvariant.cfr); when it is not
-    given it is evaluated here and becomes the pass's working grid.  A given
-    `h` is only read: the pass works on one copy of it.
+
+    The (subcarrier, probe) grid is held as `ratio` probe-phase planes, one
+    array each: plane p holds probes p, p + ratio, ...  Every step works
+    plane by plane and in place; the noise follows the whole grid's C order,
+    and the CSI series, every ratio-th probe, is estimated in place in plane
+    0, so the pass holds one grid and returns a part of it.  `h` is chan's
+    CFR as those planes (PointInvariant.cfr); when it is not given it is
+    evaluated here and becomes the working grid.  A given `h` is only read:
+    the pass works on one copy of it.
     """
     grid = _probe_grid(cfg, derived)
     k, ratio, times = derived.used_k, grid.ratio, grid.times_s
-    # y = x * h * obf is built in place in one (subcarrier, probe) grid: this
-    # pass holds the largest array of a run, and a sweep runs several at once.
+    plane_times = grid.plane_times()
     if h is None:
-        y = chan_mod.cfr_matrix(chan, k, cfg.subcarrier_spacing_hz, times)
-    elif h.shape != (len(k), len(times)):
-        raise ValueError(f"CFR grid shape {h.shape} does not match the probe "
-                         f"grid {(len(k), len(times))}")
+        y = _cfr_planes(chan, cfg, derived, grid)
+    elif [p.shape for p in h] != [(len(k), len(t)) for t in plane_times]:
+        raise ValueError(f"CFR plane shapes {[p.shape for p in h]} do not "
+                         f"match the probe grid {(len(k), len(times))} in "
+                         f"{ratio} planes")
     else:
-        y = h.copy()
+        y = [p.copy() for p in h]
 
     n = cfg.n_subcarriers
     x_used = wf.known_symbol_table(n, derived.used_bins)[derived.used_bins]
-    np.multiply(x_used[:, None], y, out=y)
-    transmit_multiplier(cfg.obfuscation, y, k, times,
-                        cfg.subcarrier_spacing_hz, cfg.carrier_hz)
+    for plane, t in zip(y, plane_times):
+        np.multiply(x_used[:, None], plane, out=plane)
+        transmit_multiplier(cfg.obfuscation, plane, k, t,
+                            cfg.subcarrier_spacing_hz, cfg.carrier_hz)
 
     if math.isfinite(cfg.snr_db):
         # Only the used bins carry power: size the noise to the mean power of
         # the time-domain samples.
-        chan_mod.add_awgn(y, cfg.snr_db, rng_noise, signal_power=float(
-            np.vdot(y, y).real / y.size) * len(x_used) / n)
+        power = sum(np.vdot(p, p).real for p in y) / (len(k) * len(times))
+        chan_mod.add_awgn(y, cfg.snr_db, rng_noise,
+                          signal_power=float(power) * len(x_used) / n)
 
     # Reference-conjugated series: (1/N) sum_k Y[k] X*[k]  (Parseval form of the
     # per-symbol time-domain mean of rx * conj(tx)).
-    m1 = np.conj(x_used) @ y / n
+    m1 = np.empty(len(times), dtype=complex)
+    for p, plane in enumerate(y):
+        m1[p::ratio] = np.conj(x_used) @ plane / n
     m1_sig = wf.BasebandSignal(samples=m1, sample_rate_hz=grid.rate_hz,
                                t0=times[0])
 
-    h_hat = rx_mod.estimate_cfr(y[:, ::ratio], x_used)
-    del y
     series = rx_mod.CfrSeries(
         subcarriers=k,
-        h_hat=h_hat,
-        t_s=times[::ratio],
+        h_hat=rx_mod.estimate_cfr(y[0], x_used),
+        t_s=plane_times[0],
         csi_rate_hz=cfg.csi_rate_hz,
     )
     return m1_sig, series
@@ -184,7 +206,11 @@ def simulate_demod(cfg: ScenarioConfig, derived: DerivedParams,
 
     The payload is one (subcarrier, symbol) grid of back-to-back frames,
     modulated once after any spoof; the receiver views it as (subcarrier,
-    frame, symbol).  Returns (ber, evm fraction).
+    frame, symbol).  The grid is stored in sample layout, and every step
+    from mapping to pilot correction works in that one buffer, in place:
+    beside it the pass holds the payload bits, the EVM reference and one
+    bounded chunk, until equalization writes the data symbols out.
+    Returns (ber, evm fraction).
     """
     obf = cfg.obfuscation
     n = cfg.n_subcarriers
@@ -193,8 +219,7 @@ def simulate_demod(cfg: ScenarioConfig, derived: DerivedParams,
         np.uint8)
 
     sym_per_frame = wf.PREAMBLE_SYMBOLS + wf.DATA_SYMBOLS_PER_FRAME
-    # The payload-sized arrays are released as soon as they are used.  The
-    # data symbols as mapped, before any defense, are the EVM reference.
+    # The data symbols as mapped, before any defense, are the EVM reference.
     grid, ideal = wf.frame_stream(cfg, derived, bits)
     if obf.kind == "spoof":
         # Constant over each symbol (its mid-time value), so subcarriers
@@ -210,13 +235,17 @@ def simulate_demod(cfg: ScenarioConfig, derived: DerivedParams,
     del grid
     if obf.kind == "smear":
         # Per sample over the whole stream, CP and preambles included: the FM
-        # phase runs continuously, so no frame-rate lines appear.
-        transmit_multiplier(obf, tx_air.samples, 0, tx_air.times(),
-                            cfg.subcarrier_spacing_hz, cfg.carrier_hz)
+        # phase runs continuously, so no frame-rate lines appear.  The
+        # sample times are made SMEAR_CHUNK at a time.
+        for j in range(0, len(tx_air.samples), SMEAR_CHUNK):
+            transmit_multiplier(obf, tx_air.samples[j:j + SMEAR_CHUNK], 0,
+                                tx_air.times(j, j + SMEAR_CHUNK),
+                                cfg.subcarrier_spacing_hz, cfg.carrier_hz)
 
     rx = chan_mod.propagate(tx_air, chan, n, cfg.cp_len, snr_db=cfg.snr_db,
                             rng=rngs.noise)
     del tx_air
+    # A view of the received samples: it holds them until equalization.
     y = rx_mod.ofdm_demodulate(rx, n, cfg.cp_len).reshape(
         n, n_frames, sym_per_frame)
     del rx
@@ -232,7 +261,7 @@ def simulate_demod(cfg: ScenarioConfig, derived: DerivedParams,
     del y
     rx_bits, eq_syms = rx_mod.equalize_demap(corrected, h_ref,
                                              derived.data_bins, cfg.qam_order)
-    del corrected
+    del corrected  # the received samples
     measured_ber = rx_mod.ber(rx_bits, bits)
     # EVM against the pre-spoof ideal constellation: any spoof rotation is
     # absorbed into the per-frame channel estimate the receiver uses.
@@ -245,63 +274,78 @@ def _attacker_half(cfg: ScenarioConfig, derived: DerivedParams,
                    baseline_dir, baselines, out: Path, formats):
     """The passive attacker's CSI pass, spectra, metrics and artifacts.
 
-    Returns (metrics, artifacts).  Its arrays are released when it returns,
-    so the demodulation pass that follows starts with them gone.
+    Returns (metrics, artifacts).  Each view's spectrogram is built,
+    measured, written and released before the next view's is built.  Its
+    arrays are released when it returns, so the demodulation pass that
+    follows starts with them gone.
     """
     m1_sig, cfr_series = simulate_csi(cfg, derived, chan, rng_noise, h=h)
-    w1, h1, f1 = cfg.stft.samples(m1_sig.sample_rate_hz)
-    spec1 = spec_mod.stft(m1_sig.samples, m1_sig.sample_rate_hz, w1, h1, f1,
-                          cfg.stft.window_kind, t0=m1_sig.t0)
-    w2, h2, f2 = cfg.stft.samples(cfr_series.csi_rate_hz)
-    spec2 = spec_mod.method2_view(cfr_series, window_len=w2, hop=h2, n_fft=f2,
-                                  window_kind=cfg.stft.window_kind)
 
-    track = spec_mod.peak_doppler_track(spec2)
-    metrics = {
-        "occupied_bandwidth_hz": spec_mod.occupied_bandwidth(spec1),
-        "peak_doppler_mean_abs_hz": float(np.mean(np.abs(track))),
-        "peak_doppler_max_abs_hz": float(np.max(np.abs(track))),
-    }
-    for name, spec in zip(BASELINE_VIEWS, (spec1, spec2)):
-        key = f"correlation_{name}_vs_baseline"
-        if baseline_dir is None:
-            metrics[key] = "skipped:no-baseline"
-            continue
-        # A run on its own holds one baseline view at a time.
-        base = (_load_baseline(baseline_dir, name) if baselines is None
-                else baselines[name])
-        if base is None:
-            metrics[key] = "skipped:baseline-artifact-missing"
-        elif base.power.shape != spec.power.shape:
-            metrics[key] = "skipped:dimension-mismatch"
-        elif not (_axis_matches(base.freqs_hz, spec.freqs_hz)
-                  and _axis_matches(base.times_s, spec.times_s)):
-            metrics[key] = "skipped:axis-mismatch"
-        else:
-            metrics[key] = spec_mod.spectrogram_correlation(spec, base)
+    def method1():
+        w, hop, n_fft = cfg.stft.samples(m1_sig.sample_rate_hz)
+        spec = spec_mod.stft(m1_sig.samples, m1_sig.sample_rate_hz, w, hop,
+                             n_fft, cfg.stft.window_kind, t0=m1_sig.t0)
+        return spec, {"occupied_bandwidth_hz":
+                      spec_mod.occupied_bandwidth(spec)}
 
-    artifacts = {}
-    if "csv" in formats:
-        for name, spec in (("method1", spec1), ("method2", spec2)):
+    def method2():
+        w, hop, n_fft = cfg.stft.samples(cfr_series.csi_rate_hz)
+        spec = spec_mod.method2_view(cfr_series, window_len=w, hop=hop,
+                                     n_fft=n_fft,
+                                     window_kind=cfg.stft.window_kind)
+        track = spec_mod.peak_doppler_track(spec)
+        return spec, {
+            "peak_doppler_mean_abs_hz": float(np.mean(np.abs(track))),
+            "peak_doppler_max_abs_hz": float(np.max(np.abs(track))),
+        }
+
+    measured, correlations, spec_csv, spec_pgm = {}, {}, {}, {}
+    for name, view in zip(BASELINE_VIEWS, (method1, method2)):
+        spec, view_metrics = view()
+        measured.update(view_metrics)
+        correlations[f"correlation_{name}_vs_baseline"] = _correlation(
+            spec, name, baseline_dir, baselines)
+        if "csv" in formats:
             p = out / f"{name}_spectrogram.csv"
             spec_mod.save_spectrogram_csv(spec, p)
-            artifacts[f"{name}_spectrogram_csv"] = str(p)
+            spec_csv[f"{name}_spectrogram_csv"] = str(p)
+        if "pgm" in formats:
+            p = out / f"{name}_spectrogram.pgm"
+            spec_mod.save_spectrogram_pgm(spec, p)
+            spec_pgm[f"{name}_spectrogram_pgm"] = str(p)
+        del spec  # before the next view's is built
+
+    artifacts = dict(spec_csv)
+    if "csv" in formats:
         p = out / "cfr.csv"
         rx_mod.dump_cfr_csv(cfr_series, p)
         artifacts["cfr_csv"] = str(p)
         p = out / "tracks.csv"
         chan_mod.dump_tracks(chan.tracks, p)
         artifacts["tracks_csv"] = str(p)
-    if "pgm" in formats:
-        for name, spec in (("method1", spec1), ("method2", spec2)):
-            p = out / f"{name}_spectrogram.pgm"
-            spec_mod.save_spectrogram_pgm(spec, p)
-            artifacts[f"{name}_spectrogram_pgm"] = str(p)
+    artifacts.update(spec_pgm)
     if "bin" in formats:
         p = out / "cfr.bin"
         rx_mod.dump_cfr_bin(cfr_series, p)
         artifacts["cfr_bin"] = str(p)
-    return metrics, artifacts
+    return {**measured, **correlations}, artifacts
+
+
+def _correlation(spec, view: str, baseline_dir, baselines):
+    """The view's correlation with its baseline, or why it was skipped."""
+    if baseline_dir is None:
+        return "skipped:no-baseline"
+    # A run on its own holds one baseline view at a time.
+    base = (_load_baseline(baseline_dir, view) if baselines is None
+            else baselines[view])
+    if base is None:
+        return "skipped:baseline-artifact-missing"
+    if base.power.shape != spec.power.shape:
+        return "skipped:dimension-mismatch"
+    if not (_axis_matches(base.freqs_hz, spec.freqs_hz)
+            and _axis_matches(base.times_s, spec.times_s)):
+        return "skipped:axis-mismatch"
+    return spec_mod.spectrogram_correlation(spec, base)
 
 
 def run_scenario(cfg: ScenarioConfig, out_dir, baseline_dir=None,

@@ -14,6 +14,8 @@ import numpy as np
 from dopplerveil import _textfmt
 from dopplerveil.waveform import BasebandSignal, _axis_levels, qam_energy
 
+DEMAP_BLOCK = 1 << 14  # symbols demap slices at once
+
 
 @dataclass
 class CfrSeries:
@@ -28,30 +30,36 @@ def ofdm_demodulate(sig: BasebandSignal, n_subcarriers: int,
                     cp_len: int) -> np.ndarray:
     """Strip the CP per symbol and forward-DFT with 1/sqrt(N) scaling.
 
-    Returns the complex values indexed (bin, symbol).
+    Works in place: returns the complex values indexed (bin, symbol) as a
+    view of sig's samples, whose symbol bodies the transform overwrites.
+    The view is in the sample layout waveform.ofdm_modulate works on.
     """
     n = n_subcarriers
     sym_len = n + cp_len
     if len(sig.samples) % sym_len:
         raise ValueError("sample count not divisible by the symbol length")
-    blocks = sig.samples.reshape(-1, sym_len)[:, cp_len:]
-    values = np.fft.fft(blocks, axis=1)
-    values /= np.sqrt(n)
-    return values.T
+    if not sig.samples.flags.c_contiguous or sig.samples.dtype != complex:
+        raise ValueError("samples are demodulated in place: they must be a "
+                         "C-contiguous complex array")
+    body = sig.samples.reshape(-1, sym_len)[:, cp_len:]
+    np.fft.fft(body, axis=1, out=body)
+    body /= np.sqrt(n)
+    return body.T
 
 
 def estimate_cfr(y_used: np.ndarray, x_used: np.ndarray) -> np.ndarray:
-    """Matched-filter CFR estimate X* Y / |X|^2.
+    """Matched-filter CFR estimate X* Y / |X|^2, in place in y_used.
 
     Row i of y_used holds the symbols received on the subcarrier of x_used[i]
-    (shape (K, symbols) or (K, frames, symbols)).
+    (a complex array of shape (K, symbols) or (K, frames, symbols)); the
+    estimate overwrites it and is returned.
     """
     if np.any(np.abs(x_used) == 0):
         raise ValueError("known symbol is zero on a used subcarrier")
     x = np.reshape(x_used, (-1,) + (1,) * (np.ndim(y_used) - 1))
-    h = np.conj(x) * y_used
-    h /= np.abs(x) ** 2
-    return h
+    np.multiply(np.conj(x), y_used, out=y_used)
+    y_used /= np.abs(x) ** 2
+    return y_used
 
 
 def pilot_phase_correct(y_values: np.ndarray, pilot_bins: np.ndarray,
@@ -60,8 +68,8 @@ def pilot_phase_correct(y_values: np.ndarray, pilot_bins: np.ndarray,
 
     y_values is indexed (bin, symbol) or (bin, frame, symbol).  pilot_ref
     holds the known pilot values (per bin); h_ref is the channel estimate
-    used to reference the pilots and broadcasts against y_values.  Returns
-    the corrected values and the removed phase per symbol.
+    used to reference the pilots and broadcasts against y_values.  Corrects
+    y_values in place; returns it and the removed phase per symbol.
     """
     expected = np.reshape(pilot_ref, (-1,) + (1,) * (y_values.ndim - 1)) \
         * h_ref[pilot_bins]
@@ -69,7 +77,8 @@ def pilot_phase_correct(y_values: np.ndarray, pilot_bins: np.ndarray,
     if np.all(inner == 0):
         raise ValueError("all pilots are zero; cannot track phase")
     theta = np.angle(inner)
-    return y_values * np.exp(-1j * theta)[None], theta
+    y_values *= np.exp(-1j * theta)[None]
+    return y_values, theta
 
 
 def equalize_demap(y_values: np.ndarray, h_ref: np.ndarray,
@@ -82,16 +91,21 @@ def equalize_demap(y_values: np.ndarray, h_ref: np.ndarray,
     """
     if np.any(np.abs(h_ref[data_bins]) == 0):
         raise ValueError("zero channel estimate on a data subcarrier")
-    eq = np.take(y_values, data_bins, axis=0)
-    eq /= h_ref[data_bins]
-    # symbol-major, matching frame_stream bit order
-    syms = np.moveaxis(eq, 0, -1).reshape(-1)
-    del eq
+    # Built in transmit order, symbol-major as frame_stream maps the bits,
+    # one data subcarrier at a time.
+    eq = np.empty(y_values.shape[1:] + (len(data_bins),), dtype=complex)
+    for j, b in enumerate(data_bins):
+        np.divide(y_values[b], h_ref[b], out=eq[..., j])
+    syms = eq.reshape(-1)
     return demap(syms, order), syms
 
 
 def demap(symbols: np.ndarray, order: int) -> np.ndarray:
-    """Minimum-distance Gray demapping (per-axis slicing), bits as uint8."""
+    """Minimum-distance Gray demapping (per-axis slicing), bits as uint8.
+
+    DEMAP_BLOCK symbols are sliced at once, so the work memory stays
+    bounded whatever the number of symbols.
+    """
     side = int(round(np.sqrt(order)))
     half = int(np.log2(side))
     scale = np.sqrt(qam_energy(order))
@@ -109,9 +123,12 @@ def demap(symbols: np.ndarray, order: int) -> np.ndarray:
         words = order_by_level[lev.astype(np.intp)]
         return (words[:, None] >> shifts) & 1
 
-    i_bits = axis_bits(symbols.real)
-    q_bits = axis_bits(symbols.imag)
-    return np.concatenate([i_bits, q_bits], axis=1).reshape(-1)
+    bits = np.empty((len(symbols), 2 * half), dtype=np.uint8)
+    for i in range(0, len(symbols), DEMAP_BLOCK):
+        block = symbols[i:i + DEMAP_BLOCK]
+        bits[i:i + DEMAP_BLOCK, :half] = axis_bits(block.real)
+        bits[i:i + DEMAP_BLOCK, half:] = axis_bits(block.imag)
+    return bits.reshape(-1)
 
 
 def ber(bits: np.ndarray, ref_bits: np.ndarray) -> float:
@@ -154,16 +171,21 @@ def dump_cfr_bin(series: CfrSeries, path) -> None:
 
     Header fields: K (subcarrier rows), M (time columns), dtype, layout, the
     CSI rate, start time, and the signed subcarrier list.  Data is K x M
-    complex values stored as interleaved re,im float32, row-major.
+    complex values stored as interleaved re,im float32, row-major.  The
+    data is converted and written a block of rows at a time.
     """
     k, m = series.h_hat.shape
     ks = " ".join(str(int(v)) for v in series.subcarriers)
     header = (f"CFRBIN1 k={k} m={m} dtype=f32 layout=row-major fields=re,im "
               f"rate_hz={series.csi_rate_hz:.9e} t0_s={series.t_s[0]:.9e} "
               f"subcarriers={ks}\n")
-    inter = np.empty((k, m, 2), dtype="<f4")
-    inter[:, :, 0] = series.h_hat.real
-    inter[:, :, 1] = series.h_hat.imag
+    step = max(1, _textfmt.BLOCK_VALUES // (2 * max(1, m)))
+    inter = np.empty((min(step, k), m, 2), dtype="<f4")
     with open(path, "wb") as fh:
         fh.write(header.encode("ascii"))
-        fh.write(inter.tobytes())
+        for i in range(0, k, step):
+            h = series.h_hat[i:i + step]
+            block = inter[:len(h)]
+            block[:, :, 0] = h.real
+            block[:, :, 1] = h.imag
+            fh.write(block)

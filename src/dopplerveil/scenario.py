@@ -304,6 +304,16 @@ def validate(cfg: ScenarioConfig) -> None:
                 >= 10.0 * (ob.delta_f_hz + ob.f_m_hz),
                 "sample rate (n_subcarriers * subcarrier_spacing_hz) must be "
                 ">= 10 * (obfuscation.delta_f_hz + obfuscation.f_m_hz)")
+        # The smeared band, delta_f + f_m each side (Carson), plus the
+        # walker's fastest limb must stay below the method-1 Nyquist rate,
+        # or the spectrogram wraps it silently.
+        _, probe_rate, _ = cfg.probe_sampling()
+        spread = ob.delta_f_hz + ob.f_m_hz \
+            + _walker_peak_speed(w) * cfg.carrier_hz / SPEED_OF_LIGHT
+        require(spread < probe_rate / 2.0,
+                f"obfuscation.delta_f_hz: smear deviation plus f_m plus "
+                f"walker Doppler {spread:.1f} Hz must be below the method-1 "
+                f"probe rate / 2 ({probe_rate / 2.0:.1f} Hz)")
     if ob.kind == "spoof":
         require(math.isfinite(ob.v_sp_mps), "obfuscation.v_sp_mps must be finite")
         # The spoofed line plus the walker's fastest limb must stay below the

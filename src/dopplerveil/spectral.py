@@ -222,11 +222,22 @@ def occupied_bandwidth(s: Spectrogram) -> float:
 
 
 def peak_doppler_track(s: Spectrogram) -> np.ndarray:
-    """Argmax frequency per frame, DC bin excluded."""
+    """Argmax frequency per frame, DC bin excluded; a tie takes the lower bin.
+
+    The bins below and above DC are searched in place and their winners
+    compared, so the power matrix is not copied.
+    """
     dc = int(np.argmin(np.abs(s.freqs_hz)))
-    masked = s.power.copy()
-    masked[dc, :] = -np.inf
-    return s.freqs_hz[np.argmax(masked, axis=0)]
+    below, above = s.power[:dc], s.power[dc + 1:]
+    if not len(below):
+        return s.freqs_hz[dc + 1 + np.argmax(above, axis=0)]
+    best = np.argmax(below, axis=0)
+    if len(above):
+        frames = np.arange(s.power.shape[1])
+        up = np.argmax(above, axis=0)
+        best = np.where(above[up, frames] > below[best, frames],
+                        dc + 1 + up, best)
+    return s.freqs_hz[best]
 
 
 def save_spectrogram_csv(s: Spectrogram, path) -> None:

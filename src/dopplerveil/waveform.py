@@ -40,8 +40,11 @@ class BasebandSignal:
     sample_rate_hz: float
     t0: float = 0.0
 
-    def times(self) -> np.ndarray:
-        return self.t0 + np.arange(len(self.samples)) / self.sample_rate_hz
+    def times(self, start: int = 0, stop: int | None = None) -> np.ndarray:
+        """Sample times of samples[start:stop]."""
+        stop = len(self.samples) if stop is None else min(stop,
+                                                          len(self.samples))
+        return self.t0 + np.arange(start, stop) / self.sample_rate_hz
 
 
 def _axis_levels(order: int) -> np.ndarray:
@@ -62,22 +65,27 @@ def qam_energy(order: int) -> float:
 def qam_map(bits: np.ndarray, order: int) -> np.ndarray:
     """Gray-mapped square QAM with unit average symbol energy.
 
-    QPSK corner convention: bits 00 -> (1+1j)/sqrt(2).
+    QPSK corner convention: bits 00 -> (1+1j)/sqrt(2).  The bits are read
+    as bytes and each axis index is built in bytes, so mapping a payload
+    allocates little beyond its complex symbols.
     """
     if order not in (4, 16, 64):
         raise ValueError(f"unsupported QAM order {order}")
-    bits = np.asarray(bits, dtype=np.int64).ravel()
+    bits = np.asarray(bits, dtype=np.uint8).ravel()
     b = int(np.log2(order))
     if len(bits) % b:
         raise ValueError(f"bit count {len(bits)} not divisible by {b}")
     half = b // 2
     words = bits.reshape(-1, b)
-    weights = 1 << np.arange(half - 1, -1, -1)
-    i_idx = words[:, :half] @ weights
-    q_idx = words[:, half:] @ weights
-    levels = _axis_levels(order)
-    scale = 1.0 / np.sqrt(qam_energy(order))
-    return (levels[i_idx] + 1j * levels[q_idx]) * scale
+    levels = _axis_levels(order) * (1.0 / np.sqrt(qam_energy(order)))
+    syms = np.empty(len(words), dtype=complex)
+    for axis, first in ((syms.real, 0), (syms.imag, half)):
+        idx = words[:, first].copy()
+        for j in range(first + 1, first + half):
+            idx <<= 1
+            idx |= words[:, j]
+        axis[...] = levels[idx]
+    return syms
 
 
 def known_symbol_table(n_subcarriers: int, used_bins: np.ndarray) -> np.ndarray:
@@ -94,16 +102,51 @@ def signed_subcarriers(n: int) -> np.ndarray:
     return (np.arange(n) + n // 2) % n - n // 2
 
 
+def symbol_grid(n_subcarriers: int, n_symbols: int,
+                cp_len: int) -> np.ndarray:
+    """A zeroed complex (bin, symbol) grid stored in sample layout.
+
+    The storage is the (symbol, CP + body) buffer of the modulated signal
+    and the grid is the bodies' view, so ofdm_modulate transforms it in
+    place.
+    """
+    sym = np.zeros((n_symbols, cp_len + n_subcarriers), dtype=complex)
+    return sym[:, cp_len:].T
+
+
+def _sample_rows(values: np.ndarray, cp_len: int) -> np.ndarray:
+    """The (symbol, CP + body) sample buffer whose bodies store values."""
+    n, n_symbols = values.shape
+    base, item = values.base, values.itemsize
+    size = n_symbols * (cp_len + n)
+    if (base is not None and base.flags.c_contiguous
+            and values.dtype == base.dtype == complex
+            and values.strides == (item, (cp_len + n) * item)):
+        # The first symbol's CP starts cp_len values before its body.
+        start, rem = divmod(values.ctypes.data - base.ctypes.data, item)
+        start -= cp_len
+        if not rem and 0 <= start and start + size <= base.size:
+            return base.reshape(-1)[start:start + size].reshape(
+                n_symbols, cp_len + n)
+    raise ValueError(f"grid is not stored as the symbol bodies of a sample "
+                     f"buffer with cp_len {cp_len} (see symbol_grid)")
+
+
 def ofdm_modulate(values: np.ndarray, cp_len: int,
                   sample_rate_hz: float, t0: float = 0.0) -> BasebandSignal:
-    """IDFT each (bin, symbol) column with 1/sqrt(N) scaling and prepend the CP."""
+    """IDFT each (bin, symbol) column with 1/sqrt(N) scaling and write the CP.
+
+    Works in place: values must be stored in sample layout, as
+    symbol_grid and receiver.ofdm_demodulate leave a grid, and the
+    returned signal's samples are that storage, so values holds the symbol
+    bodies afterwards.
+    """
     n, n_symbols = values.shape
     if n_symbols < 1:
         raise ValueError("grid needs at least one symbol column")
-    # Built in place in the (symbol, CP + body) sample layout.
-    sym = np.empty((n_symbols, cp_len + n), dtype=complex)
+    sym = _sample_rows(values, cp_len)
     body = sym[:, cp_len:]
-    np.fft.ifft(values.T, axis=1, out=body)
+    np.fft.ifft(body, axis=1, out=body)
     body *= np.sqrt(n)
     sym[:, :cp_len] = sym[:, n:]
     return BasebandSignal(samples=sym.reshape(-1),
@@ -115,12 +158,14 @@ def frame_stream(cfg, derived, payload_bits):
 
     A frame is PREAMBLE_SYMBOLS known symbols, then DATA_SYMBOLS_PER_FRAME
     QAM data symbols with pilots; the payload must fill whole frames.
-    Returns (SymbolGrid, data symbols): the symbols are the QAM values of
-    the payload in transmit order, (frame, symbol, data bin) flattened.
+    Returns (SymbolGrid, data symbols): the grid's values are a symbol_grid
+    with cfg.cp_len, ready for ofdm_modulate to work on in place, and the
+    symbols are the QAM values of the payload in transmit order, (frame,
+    symbol, data bin) flattened.
     """
     n = cfg.n_subcarriers
     table = known_symbol_table(n, derived.used_bins)
-    bits = np.asarray(payload_bits, dtype=np.int64).ravel()
+    bits = np.asarray(payload_bits, dtype=np.uint8).ravel()
     bits_per_frame = (DATA_SYMBOLS_PER_FRAME * len(derived.data_bins)
                       * int(np.log2(cfg.qam_order)))
     n_frames = len(bits) // bits_per_frame
@@ -128,9 +173,10 @@ def frame_stream(cfg, derived, payload_bits):
         raise ValueError(f"payload of {len(bits)} bits does not fill whole "
                          f"frames of {bits_per_frame} bits")
     syms = qam_map(bits, cfg.qam_order)
-    # (bin, frame, symbol within the frame)
-    values = np.zeros((n, n_frames, PREAMBLE_SYMBOLS + DATA_SYMBOLS_PER_FRAME),
-                      dtype=complex)
+    sym_per_frame = PREAMBLE_SYMBOLS + DATA_SYMBOLS_PER_FRAME
+    grid = symbol_grid(n, n_frames * sym_per_frame, cfg.cp_len)
+    # (bin, frame, symbol within the frame), a view of grid
+    values = grid.reshape(n, n_frames, sym_per_frame)
     kinds = np.zeros(values.shape, dtype=np.uint8)
     values[:, :, :PREAMBLE_SYMBOLS] = table[:, None, None]
     kinds[derived.used_bins, :, :PREAMBLE_SYMBOLS] = KIND_PREAMBLE
@@ -140,8 +186,7 @@ def frame_stream(cfg, derived, payload_bits):
     values[derived.pilot_bins, :, PREAMBLE_SYMBOLS:] = \
         table[derived.pilot_bins][:, None, None]
     kinds[derived.pilot_bins, :, PREAMBLE_SYMBOLS:] = KIND_PILOT
-    return SymbolGrid(values=values.reshape(n, -1),
-                      kinds=kinds.reshape(n, -1)), syms
+    return SymbolGrid(values=grid, kinds=kinds.reshape(n, -1)), syms
 
 
 def symbol_midtimes(n_symbols: int, t_sym_s: float, t0: float = 0.0) -> np.ndarray:

@@ -175,7 +175,9 @@ def test_criterion_7_numerical_identities():
     rng = np.random.default_rng(300)
     n, m, cp = 64, 16, 16
     values = rng.standard_normal((n, m)) + 1j * rng.standard_normal((n, m))
-    sig = wf.ofdm_modulate(values, cp, 20e6)
+    grid = wf.symbol_grid(n, m, cp)
+    grid[...] = values
+    sig = wf.ofdm_modulate(grid, cp, 20e6)
 
     blocks = sig.samples.reshape(m, n + cp)[:, cp:]
     mod_err = float(np.max(np.abs(

@@ -165,6 +165,29 @@ def test_awgn_noiseless_passthrough():
     assert rng.standard_normal() == np.random.default_rng(3).standard_normal()
 
 
+def test_awgn_planes_get_the_noise_of_the_grid_they_interleave():
+    # Plane p of r holds columns p, p + r, ...: the planes get exactly the
+    # noise of the whole grid, in its C order, also when a row is wider
+    # than one draw chunk.
+    for shape, ratio in (((7, 31), 3), ((2, ch.NOISE_CHUNK + 5), 2)):
+        grid = np.full(shape, 2.0 + 1.0j)
+        planes = [grid[:, p::ratio].copy() for p in range(ratio)]
+        ch.add_awgn(grid, 20.0, rng=np.random.default_rng(5),
+                    signal_power=5.0)
+        ch.add_awgn(planes, 20.0, rng=np.random.default_rng(5),
+                    signal_power=5.0)
+        for p in range(ratio):
+            np.testing.assert_array_equal(planes[p], grid[:, p::ratio])
+    with pytest.raises(ValueError, match="interleave"):
+        ch.add_awgn([np.zeros((2, 2), dtype=complex),
+                     np.zeros((2, 3), dtype=complex)], 20.0,
+                    rng=np.random.default_rng(5), signal_power=1.0)
+    with pytest.raises(ValueError, match="interleave"):
+        ch.add_awgn([np.zeros((2, 3), dtype=complex),
+                     np.zeros((3, 3), dtype=complex)], 20.0,
+                    rng=np.random.default_rng(5), signal_power=1.0)
+
+
 def test_awgn_requires_rng():
     with pytest.raises(ValueError, match="RNG"):
         ch.add_awgn(np.ones(16, dtype=complex), 10.0)
@@ -216,8 +239,9 @@ def _known_signal(cfg, n_symbols):
     """A stream of n_symbols known symbols, as the CSI pass models it."""
     d = derive_streams(cfg)
     table = wf.known_symbol_table(cfg.n_subcarriers, d.used_bins)
-    return d, wf.ofdm_modulate(np.tile(table[:, None], (1, n_symbols)),
-                               cfg.cp_len, d.sample_rate_hz)
+    grid = wf.symbol_grid(cfg.n_subcarriers, n_symbols, cfg.cp_len)
+    grid[...] = table[:, None]
+    return d, wf.ofdm_modulate(grid, cfg.cp_len, d.sample_rate_hz)
 
 
 def test_propagate_fast_matches_per_symbol_cfr():
@@ -236,6 +260,35 @@ def test_propagate_fast_matches_per_symbol_cfr():
     table = wf.known_symbol_table(cfg.n_subcarriers, d.used_bins)
     expected = table[d.used_bins][:, None] * h
     np.testing.assert_allclose(y[d.used_bins], expected, atol=1e-9)
+
+
+def test_propagate_works_in_place_chunk_by_chunk(monkeypatch):
+    # The received signal is written over the input, and evaluating the
+    # channel a few symbols at a time changes no bit.
+    cfg = ScenarioConfig()
+    _, sig = _known_signal(cfg, 8)
+    chan = ch.ChannelRealization(
+        [_const_velocity_track(40.0, 0.8, 1.0),
+         ch.static_track(10.0, 0.5, 1.0)], cfg.carrier_hz)
+
+    def received(chunk):
+        monkeypatch.setattr(ch, "PROPAGATE_CHUNK", chunk)
+        x = wf.BasebandSignal(sig.samples.copy(), sig.sample_rate_hz, sig.t0)
+        out = ch.propagate(x, chan, n_subcarriers=cfg.n_subcarriers,
+                           cp_len=cfg.cp_len, snr_db=20.0,
+                           rng=np.random.default_rng(1))
+        assert np.shares_memory(out.samples, x.samples)
+        return out.samples
+    np.testing.assert_array_equal(received(3), received(8))
+    # A signal that is a whole-symbol slice of a longer array works in it.
+    longer = np.concatenate([sig.samples, sig.samples])
+    half = wf.BasebandSignal(longer[len(sig.samples):], sig.sample_rate_hz,
+                             sig.t0)
+    out = ch.propagate(half, chan, n_subcarriers=cfg.n_subcarriers,
+                       cp_len=cfg.cp_len, snr_db=20.0,
+                       rng=np.random.default_rng(1))
+    np.testing.assert_array_equal(out.samples, received(8))
+    np.testing.assert_array_equal(longer[:len(sig.samples)], sig.samples)
 
 
 def _delayed_sum(sig, chan):
@@ -277,8 +330,10 @@ def test_propagate_fast_and_exact_agree_on_integer_delay():
     d, sig = _known_signal(cfg, 6)
     r = 4 * SPEED_OF_LIGHT / d.sample_rate_hz
     chan = ch.ChannelRealization([ch.static_track(r, 1.0, 1.0)], cfg.carrier_hz)
-    fast = ch.propagate(sig, chan, n_subcarriers=cfg.n_subcarriers,
-                        cp_len=cfg.cp_len)
+    # propagate works in place: it gets a copy, the reference the original
+    fast = ch.propagate(
+        wf.BasebandSignal(sig.samples.copy(), sig.sample_rate_hz, sig.t0),
+        chan, n_subcarriers=cfg.n_subcarriers, cp_len=cfg.cp_len)
     exact = _delayed_sum(sig, chan)
     # compare CP-stripped symbol bodies, skipping the first symbol: the
     # reference has no input history before t0 and propagate regenerates

@@ -246,6 +246,8 @@ def test_sweep_computes_point_invariant_work_once(scenario_file, tmp_path,
     def grids():
         # cfr_matrix(chan, k, spacing, times): the CSI pass's probe grid
         # holds the 56 used subcarriers, the demodulation grid all 64 bins.
+        # The probe grid is evaluated as its 4 probe-phase planes (csi_rate
+        # 500 Hz, probed at 2 kHz), the demodulation grid in one chunk.
         return ([len(c[3]) for c in cfrs if len(c[1]) == 56],
                 [len(c[3]) for c in cfrs if len(c[1]) == 64])
 
@@ -254,8 +256,9 @@ def test_sweep_computes_point_invariant_work_once(scenario_file, tmp_path,
                  "--f-m", "10", "--v-sp", "5", "10", "--baseline", str(base),
                  "--threads", "2"]) == EXIT_OK
     probe, demod = grids()
-    assert (len(builds), len(probe), len(demod), len(cfrs)) == (1, 1, 4, 5)
-    assert len(set(demod)) == 1 and demod[0] != probe[0]
+    assert (len(builds), len(probe), len(demod), len(cfrs)) == (1, 4, 4, 8)
+    assert sum(probe) == 1200 and max(probe) - min(probe) <= 1
+    assert len(set(demod)) == 1 and demod[0] != sum(probe)
     assert sorted(Path(a[0]).name for a in loads) \
         == ["method1_spectrogram.csv", "method2_spectrogram.csv"]
 
@@ -266,7 +269,7 @@ def test_sweep_computes_point_invariant_work_once(scenario_file, tmp_path,
                  "--baseline", str(base)]) == EXIT_OK
     probe, demod = grids()
     assert (len(builds), len(probe), len(demod), len(cfrs), len(loads)) \
-        == (1, 1, 1, 2, 2)
+        == (1, 4, 1, 5, 2)
 
 
 @pytest.mark.parametrize("command, extra", [
@@ -291,6 +294,28 @@ def test_sweep_smear_without_headroom_exits_2(scenario_file, tmp_path, capsys):
                  "--f-m", "10"]) == EXIT_CONFIG
     err = capsys.readouterr().err
     assert "smear_df2e+06_fm10" in err and "sample rate" in err
+    assert not out.exists()
+
+
+def test_sweep_smear_point_that_aliases_exits_2(scenario_file, tmp_path,
+                                                capsys):
+    # 1500 Hz of deviation is past the method-1 Nyquist rate (1 kHz).
+    out = tmp_path / "sweep"
+    assert main(["sweep", "--scenario", str(scenario_file), "--out", str(out),
+                 "--v-sp", "5", "--delta-f", "100", "1500",
+                 "--f-m", "10"]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "smear_df1500_fm10" in err and "obfuscation.delta_f_hz" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("threads", ["0", "-3"])
+def test_sweep_rejects_non_positive_threads(scenario_file, tmp_path, capsys,
+                                            threads):
+    out = tmp_path / "sweep"
+    assert main(["sweep", "--scenario", str(scenario_file), "--out", str(out),
+                 "--v-sp", "5", "--threads", threads]) == EXIT_CONFIG
+    assert "--threads" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -82,8 +82,11 @@ def test_transmit_multiplier_smear_zero_deviation_is_identity():
 
 def test_transmit_multiplier_smear_needs_headroom():
     # The default sample rate is 20 MHz: the smear sweep may reach a tenth.
+    # Just inside that headroom the method-1 aliasing rule stops it.
     cfg = ScenarioConfig()
-    validate(replace(cfg, obfuscation=replace(SMEAR, delta_f_hz=2e6 - 10.0)))
+    with pytest.raises(ScenarioError, match="obfuscation.delta_f_hz: smear"):
+        validate(replace(cfg,
+                         obfuscation=replace(SMEAR, delta_f_hz=2e6 - 10.0)))
     with pytest.raises(ScenarioError, match="sample rate"):
         validate(replace(cfg, obfuscation=replace(SMEAR, delta_f_hz=2e6)))
     # 64 subcarriers 32 Hz apart sample at 2048 Hz, short of 10 * 210 Hz.

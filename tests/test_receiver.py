@@ -12,17 +12,42 @@ def _random_grid(n, m, seed=0):
     return rng.standard_normal((n, m)) + 1j * rng.standard_normal((n, m))
 
 
+def _modulate(grid, cp_len):
+    """ofdm_modulate of a copy of grid, stored in sample layout."""
+    stored = wf.symbol_grid(*grid.shape, cp_len)
+    stored[...] = grid
+    return wf.ofdm_modulate(stored, cp_len=cp_len, sample_rate_hz=20e6)
+
+
 def test_loopback_identity():
     grid = _random_grid(64, 12)
-    sig = wf.ofdm_modulate(grid, cp_len=16, sample_rate_hz=20e6)
+    sig = _modulate(grid, 16)
     back = rx.ofdm_demodulate(sig, 64, 16)
     np.testing.assert_allclose(back, grid, atol=1e-9)
+
+
+def test_demodulate_works_in_the_signal_and_modulate_takes_it_back():
+    grid = _random_grid(64, 5, seed=4)
+    sig = _modulate(grid, 16)
+    samples = sig.samples.copy()
+    back = rx.ofdm_demodulate(sig, 64, 16)
+    assert np.shares_memory(back, sig.samples)
+    again = wf.ofdm_modulate(back, cp_len=16, sample_rate_hz=20e6)
+    assert np.shares_memory(again.samples, sig.samples)
+    np.testing.assert_allclose(again.samples, samples, atol=1e-12)
+
+
+def test_demodulate_rejects_a_copying_layout():
+    sig = _modulate(_random_grid(64, 2), 16)
+    strided = wf.BasebandSignal(np.repeat(sig.samples, 2)[::2], 20e6)
+    with pytest.raises(ValueError, match="in place"):
+        rx.ofdm_demodulate(strided, 64, 16)
 
 
 def test_loopback_scalar_channel():
     grid = _random_grid(64, 4, seed=1)
     h = 0.5 * np.exp(1j * np.pi / 4)
-    sig = wf.ofdm_modulate(grid, cp_len=16, sample_rate_hz=20e6)
+    sig = _modulate(grid, 16)
     faded = wf.BasebandSignal(sig.samples * h, sig.sample_rate_hz)
     back = rx.ofdm_demodulate(faded, 64, 16)
     np.testing.assert_allclose(back, h * grid, atol=1e-9)
@@ -38,7 +63,7 @@ def test_whole_sample_delay_phase_slope():
     # DFT shift theorem: circular delay by d gives phase -2 pi k d / N per bin
     n, d = 64, 3
     grid = _random_grid(n, 1, seed=2)
-    sig = wf.ofdm_modulate(grid, cp_len=0, sample_rate_hz=20e6)
+    sig = _modulate(grid, 0)
     rolled = wf.BasebandSignal(np.roll(sig.samples, d), sig.sample_rate_hz)
     back = rx.ofdm_demodulate(rolled, n, 0)
     k = np.arange(n)
@@ -115,6 +140,20 @@ def test_estimate_cfr_noise_bias():
     # var(|1+n|^2) ~= 2 sigma^2 for small sigma
     std_of_mean = np.sqrt(2 * sigma2 / n_cells)
     assert abs(mean_power - (1 + sigma2)) < 3 * std_of_mean
+
+
+def test_estimate_cfr_and_pilot_correction_work_in_place():
+    cfg, d, table = _cfr_setup()
+    x_used = table[d.used_bins]
+    y = np.random.default_rng(3).standard_normal((len(x_used), 4)) + 0j
+    expected = np.conj(x_used)[:, None] * y / np.abs(x_used)[:, None] ** 2
+    h = rx.estimate_cfr(y, x_used)
+    assert h is y
+    np.testing.assert_array_equal(h, expected)
+    values = np.ones((cfg.n_subcarriers, 3), dtype=complex) * 1j
+    corrected, theta = rx.pilot_phase_correct(
+        values, d.pilot_bins, table[d.pilot_bins] * 1j, _FLAT)
+    assert corrected is values and np.allclose(theta, 0.0)
 
 
 # A flat unit channel estimate, one (bin, 1) column.

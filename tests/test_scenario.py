@@ -304,6 +304,25 @@ def test_spoof_aliasing_rejected_naming_key():
                       "obfuscation: {kind: spoof, v_sp_mps: 16}")
 
 
+def test_smear_aliasing_rejected_naming_key():
+    # The method-1 series is probed at 2 kHz (1 kHz Nyquist).  The walker's
+    # fastest limb adds 3 x 0.8 m/s, 46.43 Hz: with f_m 10 Hz the smear
+    # deviation may reach 943.57 Hz.  1500 and 3000 Hz used to pass and
+    # read an occupied bandwidth capped near the 2 kHz probe rate.
+    load_scenario("obfuscation: {kind: smear, delta_f_hz: 943, f_m_hz: 10}")
+    for delta_f in (944, 1500, 3000):
+        with pytest.raises(ScenarioError, match="obfuscation.delta_f_hz"):
+            load_scenario(f"obfuscation: {{kind: smear, "
+                          f"delta_f_hz: {delta_f}, f_m_hz: 10}}")
+    # Without a walker the whole Nyquist band is the smear's.
+    load_scenario("obfuscation: {kind: smear, delta_f_hz: 989, f_m_hz: 10}\n"
+                  "walker: {model: none}\nstatic_paths: [{range_m: 10}]")
+    # The probe rate, not the CSI rate, sets the ceiling: a 3 kHz CSI rate
+    # is probed at 3 kHz.
+    load_scenario("csi_rate_hz: 3000\n"
+                  "obfuscation: {kind: smear, delta_f_hz: 1400, f_m_hz: 10}")
+
+
 def test_defaults_and_benchmark_points_pass_the_aliasing_check():
     # The benchmark spoofs 2..16 m/s at 1 kHz: at most 310 + 46 = 355 Hz.
     validate(ScenarioConfig())
@@ -314,6 +333,10 @@ def test_defaults_and_benchmark_points_pass_the_aliasing_check():
                                 f"v_sp_mps: {v_sp}}}")
     # Smear and none ignore v_sp.
     load_scenario("obfuscation: {kind: smear, v_sp_mps: 40}")
+    # The benchmark smears 100 and 200 Hz at f_m 10 Hz.
+    for delta_f in (100, 200):
+        load_scenario(f"obfuscation: {{kind: smear, delta_f_hz: {delta_f}, "
+                      f"f_m_hz: 10}}")
 
 
 @pytest.mark.parametrize("doc, match", [

@@ -39,6 +39,23 @@ def test_map_demap_roundtrip(order):
     assert np.array_equal(demap(wf.qam_map(bits, order), order), bits)
 
 
+@pytest.mark.parametrize("order", [4, 16, 64])
+def test_qam_map_matches_the_word_formula_bit_for_bit(order):
+    # The byte-wide mapping gives the bits of the int64 word mapping it
+    # replaced: (levels[i] + 1j levels[q]) / sqrt(E).
+    b = int(np.log2(order))
+    bits = np.random.default_rng(order).integers(0, 2, size=b * 999)
+    words = bits.reshape(-1, b)
+    weights = 1 << np.arange(b // 2 - 1, -1, -1)
+    levels = wf._axis_levels(order)
+    expected = (levels[words[:, :b // 2] @ weights]
+                + 1j * levels[words[:, b // 2:] @ weights]) \
+        * (1.0 / np.sqrt(wf.qam_energy(order)))
+    np.testing.assert_array_equal(wf.qam_map(bits.astype(np.uint8), order),
+                                  expected)
+    np.testing.assert_array_equal(wf.qam_map(bits, order), expected)
+
+
 def test_qam_map_rejects_bad_input():
     with pytest.raises(ValueError):
         wf.qam_map([0, 1, 0], 4)  # not a multiple of 2 bits
@@ -48,7 +65,7 @@ def test_qam_map_rejects_bad_input():
 
 def test_single_tone_idft():
     n = 64
-    values = np.zeros((n, 1), dtype=complex)
+    values = wf.symbol_grid(n, 1, 0)
     values[1, 0] = 1.0
     sig = wf.ofdm_modulate(values, cp_len=0, sample_rate_hz=20e6)
     expected = np.exp(2j * np.pi * np.arange(n) / n) / np.sqrt(n)
@@ -56,7 +73,7 @@ def test_single_tone_idft():
 
 
 def test_all_zero_grid_gives_silence():
-    sig = wf.ofdm_modulate(np.zeros((16, 3), dtype=complex), cp_len=4,
+    sig = wf.ofdm_modulate(wf.symbol_grid(16, 3, 4), cp_len=4,
                            sample_rate_hz=1e6)
     assert np.all(sig.samples == 0)
     assert len(sig.samples) == 3 * 20
@@ -66,11 +83,29 @@ def test_modulator_parseval():
     rng = np.random.default_rng(11)
     n, m, cp = 64, 20, 16
     values = rng.standard_normal((n, m)) + 1j * rng.standard_normal((n, m))
-    sig = wf.ofdm_modulate(values, cp_len=cp, sample_rate_hz=20e6)
+    grid = wf.symbol_grid(n, m, cp)
+    grid[...] = values
+    sig = wf.ofdm_modulate(grid, cp_len=cp, sample_rate_hz=20e6)
     blocks = sig.samples.reshape(m, n + cp)[:, cp:]
     e_time = np.sum(np.abs(blocks) ** 2, axis=1)
     e_freq = np.sum(np.abs(values) ** 2, axis=0)
     np.testing.assert_allclose(e_time, e_freq, rtol=1e-9)
+
+
+def test_modulate_works_in_place_on_a_symbol_grid_only():
+    grid = wf.symbol_grid(16, 3, 4)
+    grid[2, 1] = 1.0
+    sig = wf.ofdm_modulate(grid, cp_len=4, sample_rate_hz=1e6)
+    assert np.shares_memory(sig.samples, grid)
+    np.testing.assert_array_equal(sig.samples.reshape(3, 20)[:, 4:], grid.T)
+    # Later symbols of a buffer are in sample layout too.
+    tail = wf.ofdm_modulate(grid[:, 1:], cp_len=4, sample_rate_hz=1e6)
+    assert np.shares_memory(tail.samples, sig.samples[20:])
+    for bad, cp in ((np.zeros((16, 3), dtype=complex), 4),
+                    (wf.symbol_grid(16, 3, 4), 2),
+                    (wf.symbol_grid(16, 3, 4)[1:], 4)):
+        with pytest.raises(ValueError, match="sample buffer"):
+            wf.ofdm_modulate(bad, cp_len=cp, sample_rate_hz=1e6)
 
 
 def _frame_bits(cfg, d, n_frames, seed=2):
@@ -95,6 +130,19 @@ def test_preamble_grid_is_seven_identical_known_columns():
     assert np.all(grid.kinds[null_bins, :] == wf.KIND_NULL)
     assert np.all(grid.kinds[d.used_bins, :wf.PREAMBLE_SYMBOLS]
                   == wf.KIND_PREAMBLE)
+
+
+def test_frame_stream_grid_is_modulated_in_place():
+    cfg = ScenarioConfig()
+    d = derive_streams(cfg)
+    grid, _ = wf.frame_stream(cfg, d, _frame_bits(cfg, d, 2).astype(np.uint8))
+    values = grid.values.copy()
+    sig = wf.ofdm_modulate(grid.values, cfg.cp_len, d.sample_rate_hz)
+    assert np.shares_memory(sig.samples, grid.values)
+    n = cfg.n_subcarriers
+    body = sig.samples.reshape(-1, n + cfg.cp_len)[:, cfg.cp_len:]
+    np.testing.assert_allclose(np.fft.fft(body, axis=1).T / np.sqrt(n),
+                               values, atol=1e-12)
 
 
 def test_known_table_is_deterministic_unit_modulus_qpsk():
