@@ -20,8 +20,8 @@ import numpy as np
 from dopplerveil import _textfmt
 from dopplerveil.scenario import SPEED_OF_LIGHT, WalkerParams
 from dopplerveil.receiver import ofdm_demodulate
-from dopplerveil.waveform import (BasebandSignal, ofdm_modulate,
-                                  signed_subcarriers, symbol_midtimes)
+from dopplerveil.waveform import (ofdm_modulate, signed_subcarriers,
+                                  symbol_midtimes)
 
 TRACK_DT_S = 0.005  # walker track sampling step; gait harmonics live below 20 Hz
 TX_POS = (-10.0, 0.0)  # transmitter position, m
@@ -155,17 +155,17 @@ def cfr_matrix(chan: ChannelRealization, k, spacing_hz: float,
     return total
 
 
-def add_awgn(x, snr_db: float, rng: np.random.Generator | None = None,
-             signal_power: float | None = None) -> None:
+def add_awgn(x, snr_db: float, rng: np.random.Generator | None = None, *,
+             signal_power: float) -> None:
     """Add complex AWGN to x in place so 10 log10(P_sig / P_noise) = snr_db.
 
     x is a C-contiguous complex array of any shape, or a list of the planes
     of one: plane p of r holds the columns (last axis) p, p + r, ... of the
-    logical array.  P_sig is signal_power, or the mean power of x when it is
-    not given.  The noise takes every real part, then every imaginary part,
-    from rng in the logical array's C order.  It is drawn at most
-    NOISE_CHUNK values at a time, which gives the same values as one draw.
-    An infinite snr_db leaves x and rng untouched.
+    logical array.  P_sig is signal_power.  The noise takes every real
+    part, then every imaginary part, from rng in the logical array's C
+    order.  It is drawn at most NOISE_CHUNK values at a time, which gives
+    the same values as one draw.  An infinite snr_db leaves x and rng
+    untouched.
     """
     if math.isinf(snr_db):
         return
@@ -181,13 +181,6 @@ def add_awgn(x, snr_db: float, rng: np.random.Generator | None = None,
                 for i in range(ratio)]):
         raise ValueError("planes do not interleave into one array")
     rows = [p.reshape(-1, p.shape[-1]) for p in planes]
-    if signal_power is None:
-        total = 0.0
-        for p in planes:
-            power = np.abs(p)
-            np.square(power, out=power)
-            total += float(np.sum(power))
-        signal_power = total / sum(p.size for p in planes)
     scale = math.sqrt(signal_power / (10.0 ** (snr_db / 10.0)) / 2.0)
     step = max(1, NOISE_CHUNK // ratio) * ratio
     draw = np.empty(min(step, width))
@@ -204,35 +197,39 @@ def add_awgn(x, snr_db: float, rng: np.random.Generator | None = None,
                     part += seg
 
 
-def propagate(sig: BasebandSignal, chan: ChannelRealization,
-              n_subcarriers: int, cp_len: int, snr_db: float = math.inf,
-              rng: np.random.Generator | None = None) -> BasebandSignal:
-    """Push the signal through the time-varying multipath channel plus AWGN.
+def propagate(rows: np.ndarray, chan: ChannelRealization, cp_len: int,
+              sample_rate_hz: float, snr_db: float = math.inf,
+              rng: np.random.Generator | None = None) -> None:
+    """Push (symbol, CP + N) sample rows through the channel plus AWGN.
 
     The channel is frozen per OFDM symbol (midpoint delay) and applied in the
     frequency domain, which realizes the fractional path delay as an exact
     band-limited shift; the input must carry true cyclic prefixes.  Valid
     because channel coherence time (milliseconds and up) vastly exceeds the
-    4 us symbol.  Works in place: the returned signal's samples are sig's,
-    and the channel is evaluated PROPAGATE_CHUNK symbols at a time.
+    4 us symbol.  Works in place in rows, which must be C-contiguous, and
+    the channel is evaluated PROPAGATE_CHUNK symbols at a time.  The noise
+    is sized to the mean power of the received samples.
     """
-    duration = len(sig.samples) / sig.sample_rate_hz
+    if not rows.flags.c_contiguous:
+        raise ValueError("rows are propagated in place: they must be "
+                         "C-contiguous")
+    duration = rows.size / sample_rate_hz
     max_tau = max(float(np.max(tr.path_length_m)) for tr in chan.tracks) \
         / SPEED_OF_LIGHT
     if max_tau > duration:
         raise ValueError("channel delay spread exceeds the signal duration")
 
-    y = ofdm_demodulate(sig, n_subcarriers, cp_len)
-    t_mid = symbol_midtimes(
-        y.shape[1], (n_subcarriers + cp_len) / sig.sample_rate_hz, sig.t0)
-    k = signed_subcarriers(n_subcarriers)
+    n = rows.shape[1] - cp_len
+    y = ofdm_demodulate(rows, cp_len)
+    t_mid = symbol_midtimes(len(rows), rows.shape[1] / sample_rate_hz)
+    k = signed_subcarriers(n)
     for j in range(0, len(t_mid), PROPAGATE_CHUNK):
         y[:, j:j + PROPAGATE_CHUNK] *= cfr_matrix(
-            chan, k, sig.sample_rate_hz / n_subcarriers,
-            t_mid[j:j + PROPAGATE_CHUNK])
-    result = ofdm_modulate(y, cp_len, sig.sample_rate_hz, sig.t0)
-    add_awgn(result.samples, snr_db, rng)
-    return result
+            chan, k, sample_rate_hz / n, t_mid[j:j + PROPAGATE_CHUNK])
+    ofdm_modulate(rows, cp_len)
+    samples = rows.reshape(-1)
+    add_awgn(samples, snr_db, rng,
+             signal_power=np.vdot(samples, samples).real / samples.size)
 
 
 def dump_tracks(tracks: list, path) -> None:

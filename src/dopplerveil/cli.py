@@ -201,11 +201,8 @@ def _cmd_sweep(args) -> int:
         # The channel, its CSI-pass CFR grid and the baselines do not depend
         # on the obfuscation: every point shares one read-only copy.
         shared = point_invariant(base_cfg, args.baseline)
-        if args.threads > 1:
-            with ThreadPoolExecutor(max_workers=args.threads) as pool:
-                results = list(pool.map(one, configs.items()))
-        else:
-            results = [one(p) for p in configs.items()]
+        with ThreadPoolExecutor(max_workers=args.threads) as pool:
+            results = list(pool.map(one, configs.items()))
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME

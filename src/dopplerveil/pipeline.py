@@ -204,13 +204,13 @@ def simulate_demod(cfg: ScenarioConfig, derived: DerivedParams,
                    chan: chan_mod.ChannelRealization, rngs):
     """Framed payload pass: per-frame preamble CSI, pilot tracking, BER/EVM.
 
-    The payload is one (subcarrier, symbol) grid of back-to-back frames,
-    modulated once after any spoof; the receiver views it as (subcarrier,
-    frame, symbol).  The grid is stored in sample layout, and every step
-    from mapping to pilot correction works in that one buffer, in place:
-    beside it the pass holds the payload bits, the EVM reference and one
-    bounded chunk, until equalization writes the data symbols out.
-    Returns (ber, evm fraction).
+    The payload is one stream of (symbol, CP + N) sample rows of
+    back-to-back frames, spoofed in its symbol bodies and modulated once;
+    the receiver views the demodulated bodies as (subcarrier, frame,
+    symbol).  Every step from mapping to pilot correction works in those
+    rows, in place: beside them the pass holds the payload bits, the EVM
+    reference and one bounded chunk, until equalization writes the data
+    symbols out.  Returns (ber, evm fraction).
     """
     obf = cfg.obfuscation
     n = cfg.n_subcarriers
@@ -221,6 +221,8 @@ def simulate_demod(cfg: ScenarioConfig, derived: DerivedParams,
     sym_per_frame = wf.PREAMBLE_SYMBOLS + wf.DATA_SYMBOLS_PER_FRAME
     # The data symbols as mapped, before any defense, are the EVM reference.
     grid, ideal = wf.frame_stream(cfg, derived, bits)
+    rows = grid.rows
+    del grid
     if obf.kind == "spoof":
         # Constant over each symbol (its mid-time value), so subcarriers
         # stay orthogonal; the rotation within a symbol is sub-milliradian.
@@ -228,27 +230,26 @@ def simulate_demod(cfg: ScenarioConfig, derived: DerivedParams,
         # differently from (j + 0.5) t_sym over the whole stream.
         t0 = np.arange(n_frames) * sym_per_frame * derived.t_sym_s
         mid = wf.symbol_midtimes(sym_per_frame, derived.t_sym_s, t0[:, None])
-        transmit_multiplier(obf, grid.values, wf.signed_subcarriers(n),
-                            mid.reshape(-1), cfg.subcarrier_spacing_hz,
-                            cfg.carrier_hz)
-    tx_air = wf.ofdm_modulate(grid.values, cfg.cp_len, derived.sample_rate_hz)
-    del grid
+        transmit_multiplier(obf, wf.symbol_bodies(rows, cfg.cp_len),
+                            wf.signed_subcarriers(n), mid.reshape(-1),
+                            cfg.subcarrier_spacing_hz, cfg.carrier_hz)
+    wf.ofdm_modulate(rows, cfg.cp_len)
     if obf.kind == "smear":
         # Per sample over the whole stream, CP and preambles included: the FM
         # phase runs continuously, so no frame-rate lines appear.  The
         # sample times are made SMEAR_CHUNK at a time.
-        for j in range(0, len(tx_air.samples), SMEAR_CHUNK):
-            transmit_multiplier(obf, tx_air.samples[j:j + SMEAR_CHUNK], 0,
-                                tx_air.times(j, j + SMEAR_CHUNK),
+        for j in range(0, rows.size, SMEAR_CHUNK):
+            stop = min(j + SMEAR_CHUNK, rows.size)
+            transmit_multiplier(obf, rows.reshape(-1)[j:stop], 0,
+                                np.arange(j, stop) / derived.sample_rate_hz,
                                 cfg.subcarrier_spacing_hz, cfg.carrier_hz)
 
-    rx = chan_mod.propagate(tx_air, chan, n, cfg.cp_len, snr_db=cfg.snr_db,
-                            rng=rngs.noise)
-    del tx_air
-    # A view of the received samples: it holds them until equalization.
-    y = rx_mod.ofdm_demodulate(rx, n, cfg.cp_len).reshape(
+    chan_mod.propagate(rows, chan, cfg.cp_len, derived.sample_rate_hz,
+                       snr_db=cfg.snr_db, rng=rngs.noise)
+    # A view of the received rows: it holds them until equalization.
+    y = rx_mod.ofdm_demodulate(rows, cfg.cp_len).reshape(
         n, n_frames, sym_per_frame)
-    del rx
+    del rows
 
     table = wf.known_symbol_table(n, derived.used_bins)
     h_ref = np.ones((n, n_frames, 1), dtype=complex)

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from dopplerveil import _textfmt
-from dopplerveil.waveform import BasebandSignal, _axis_levels, qam_energy
+from dopplerveil.waveform import _axis_levels, qam_energy
 
 DEMAP_BLOCK = 1 << 14  # symbols demap slices at once
 
@@ -26,22 +26,14 @@ class CfrSeries:
     csi_rate_hz: float
 
 
-def ofdm_demodulate(sig: BasebandSignal, n_subcarriers: int,
-                    cp_len: int) -> np.ndarray:
-    """Strip the CP per symbol and forward-DFT with 1/sqrt(N) scaling.
+def ofdm_demodulate(rows: np.ndarray, cp_len: int) -> np.ndarray:
+    """Forward-DFT each symbol body of rows with 1/sqrt(N) scaling, in place.
 
-    Works in place: returns the complex values indexed (bin, symbol) as a
-    view of sig's samples, whose symbol bodies the transform overwrites.
-    The view is in the sample layout waveform.ofdm_modulate works on.
+    rows is a complex (symbol, CP + N) sample array.  Returns the values
+    indexed (bin, symbol): the view waveform.symbol_bodies gives of rows.
     """
-    n = n_subcarriers
-    sym_len = n + cp_len
-    if len(sig.samples) % sym_len:
-        raise ValueError("sample count not divisible by the symbol length")
-    if not sig.samples.flags.c_contiguous or sig.samples.dtype != complex:
-        raise ValueError("samples are demodulated in place: they must be a "
-                         "C-contiguous complex array")
-    body = sig.samples.reshape(-1, sym_len)[:, cp_len:]
+    n = rows.shape[1] - cp_len
+    body = rows[:, cp_len:]
     np.fft.fft(body, axis=1, out=body)
     body /= np.sqrt(n)
     return body.T

@@ -29,22 +29,17 @@ DATA_SYMBOLS_PER_FRAME = 50
 
 @dataclass
 class SymbolGrid:
-    """Complex QAM values indexed (subcarrier bin k: 0..N-1, OFDM symbol m)."""
-    values: np.ndarray  # complex, shape (N, M)
+    """An OFDM stream's sample rows and the kind of each (bin, symbol) cell."""
+    rows: np.ndarray  # complex, shape (M, CP + N), see symbol_bodies
     kinds: np.ndarray  # uint8, shape (N, M)
 
 
 @dataclass
 class BasebandSignal:
+    """A complex series sampled uniformly from t0: the method-1 series."""
     samples: np.ndarray  # complex
     sample_rate_hz: float
     t0: float = 0.0
-
-    def times(self, start: int = 0, stop: int | None = None) -> np.ndarray:
-        """Sample times of samples[start:stop]."""
-        stop = len(self.samples) if stop is None else min(stop,
-                                                          len(self.samples))
-        return self.t0 + np.arange(start, stop) / self.sample_rate_hz
 
 
 def _axis_levels(order: int) -> np.ndarray:
@@ -102,55 +97,22 @@ def signed_subcarriers(n: int) -> np.ndarray:
     return (np.arange(n) + n // 2) % n - n // 2
 
 
-def symbol_grid(n_subcarriers: int, n_symbols: int,
-                cp_len: int) -> np.ndarray:
-    """A zeroed complex (bin, symbol) grid stored in sample layout.
+def symbol_bodies(rows: np.ndarray, cp_len: int) -> np.ndarray:
+    """The (bin, symbol) view of the symbol bodies of (symbol, CP + N) rows."""
+    return rows[:, cp_len:].T
 
-    The storage is the (symbol, CP + body) buffer of the modulated signal
-    and the grid is the bodies' view, so ofdm_modulate transforms it in
-    place.
+
+def ofdm_modulate(rows: np.ndarray, cp_len: int) -> None:
+    """IDFT each symbol body with 1/sqrt(N) scaling and write the CP.
+
+    rows is a complex (symbol, CP + N) array whose bodies hold the
+    subcarrier values (see symbol_bodies); it becomes the samples in place.
     """
-    sym = np.zeros((n_symbols, cp_len + n_subcarriers), dtype=complex)
-    return sym[:, cp_len:].T
-
-
-def _sample_rows(values: np.ndarray, cp_len: int) -> np.ndarray:
-    """The (symbol, CP + body) sample buffer whose bodies store values."""
-    n, n_symbols = values.shape
-    base, item = values.base, values.itemsize
-    size = n_symbols * (cp_len + n)
-    if (base is not None and base.flags.c_contiguous
-            and values.dtype == base.dtype == complex
-            and values.strides == (item, (cp_len + n) * item)):
-        # The first symbol's CP starts cp_len values before its body.
-        start, rem = divmod(values.ctypes.data - base.ctypes.data, item)
-        start -= cp_len
-        if not rem and 0 <= start and start + size <= base.size:
-            return base.reshape(-1)[start:start + size].reshape(
-                n_symbols, cp_len + n)
-    raise ValueError(f"grid is not stored as the symbol bodies of a sample "
-                     f"buffer with cp_len {cp_len} (see symbol_grid)")
-
-
-def ofdm_modulate(values: np.ndarray, cp_len: int,
-                  sample_rate_hz: float, t0: float = 0.0) -> BasebandSignal:
-    """IDFT each (bin, symbol) column with 1/sqrt(N) scaling and write the CP.
-
-    Works in place: values must be stored in sample layout, as
-    symbol_grid and receiver.ofdm_demodulate leave a grid, and the
-    returned signal's samples are that storage, so values holds the symbol
-    bodies afterwards.
-    """
-    n, n_symbols = values.shape
-    if n_symbols < 1:
-        raise ValueError("grid needs at least one symbol column")
-    sym = _sample_rows(values, cp_len)
-    body = sym[:, cp_len:]
+    n = rows.shape[1] - cp_len
+    body = rows[:, cp_len:]
     np.fft.ifft(body, axis=1, out=body)
     body *= np.sqrt(n)
-    sym[:, :cp_len] = sym[:, n:]
-    return BasebandSignal(samples=sym.reshape(-1),
-                          sample_rate_hz=sample_rate_hz, t0=t0)
+    rows[:, :cp_len] = rows[:, n:]
 
 
 def frame_stream(cfg, derived, payload_bits):
@@ -158,10 +120,10 @@ def frame_stream(cfg, derived, payload_bits):
 
     A frame is PREAMBLE_SYMBOLS known symbols, then DATA_SYMBOLS_PER_FRAME
     QAM data symbols with pilots; the payload must fill whole frames.
-    Returns (SymbolGrid, data symbols): the grid's values are a symbol_grid
-    with cfg.cp_len, ready for ofdm_modulate to work on in place, and the
-    symbols are the QAM values of the payload in transmit order, (frame,
-    symbol, data bin) flattened.
+    Returns (SymbolGrid, data symbols): the grid's rows hold the stream's
+    subcarrier values in their symbol bodies, ready for ofdm_modulate with
+    cfg.cp_len, and the symbols are the QAM values of the payload in
+    transmit order, (frame, symbol, data bin) flattened.
     """
     n = cfg.n_subcarriers
     table = known_symbol_table(n, derived.used_bins)
@@ -174,9 +136,10 @@ def frame_stream(cfg, derived, payload_bits):
                          f"frames of {bits_per_frame} bits")
     syms = qam_map(bits, cfg.qam_order)
     sym_per_frame = PREAMBLE_SYMBOLS + DATA_SYMBOLS_PER_FRAME
-    grid = symbol_grid(n, n_frames * sym_per_frame, cfg.cp_len)
-    # (bin, frame, symbol within the frame), a view of grid
-    values = grid.reshape(n, n_frames, sym_per_frame)
+    rows = np.zeros((n_frames * sym_per_frame, cfg.cp_len + n), dtype=complex)
+    # (bin, frame, symbol within the frame), a view of rows
+    values = symbol_bodies(rows, cfg.cp_len).reshape(n, n_frames,
+                                                     sym_per_frame)
     kinds = np.zeros(values.shape, dtype=np.uint8)
     values[:, :, :PREAMBLE_SYMBOLS] = table[:, None, None]
     kinds[derived.used_bins, :, :PREAMBLE_SYMBOLS] = KIND_PREAMBLE
@@ -186,7 +149,7 @@ def frame_stream(cfg, derived, payload_bits):
     values[derived.pilot_bins, :, PREAMBLE_SYMBOLS:] = \
         table[derived.pilot_bins][:, None, None]
     kinds[derived.pilot_bins, :, PREAMBLE_SYMBOLS:] = KIND_PILOT
-    return SymbolGrid(values=grid, kinds=kinds.reshape(n, -1)), syms
+    return SymbolGrid(rows=rows, kinds=kinds.reshape(n, -1)), syms
 
 
 def symbol_midtimes(n_symbols: int, t_sym_s: float, t0: float = 0.0) -> np.ndarray:

@@ -159,7 +159,7 @@ def test_walker_gait_phase_comes_from_rng():
 def test_awgn_noiseless_passthrough():
     x = np.ones(16, dtype=complex)
     rng = np.random.default_rng(3)
-    ch.add_awgn(x, np.inf, rng=rng)
+    ch.add_awgn(x, np.inf, rng=rng, signal_power=1.0)
     np.testing.assert_array_equal(x, 1.0)
     # nothing is drawn: the stream continues as a fresh one would
     assert rng.standard_normal() == np.random.default_rng(3).standard_normal()
@@ -190,13 +190,13 @@ def test_awgn_planes_get_the_noise_of_the_grid_they_interleave():
 
 def test_awgn_requires_rng():
     with pytest.raises(ValueError, match="RNG"):
-        ch.add_awgn(np.ones(16, dtype=complex), 10.0)
+        ch.add_awgn(np.ones(16, dtype=complex), 10.0, signal_power=1.0)
 
 
 def test_awgn_variance_calibration():
     n = 1_000_000
     x = np.ones(n, dtype=complex)
-    ch.add_awgn(x, 10.0, rng=np.random.default_rng(8))
+    ch.add_awgn(x, 10.0, rng=np.random.default_rng(8), signal_power=1.0)
     noise = x - 1.0
     assert np.mean(np.abs(noise) ** 2) == pytest.approx(0.1, rel=0.02)
 
@@ -215,8 +215,8 @@ def test_awgn_in_place_any_shape_real_parts_first():
     # part, so a (K, M) grid gets exactly the draws of its flattened samples.
     grid = np.full((7, 30), 2.0 + 1.0j)
     flat = grid.reshape(-1).copy()
-    ch.add_awgn(grid, 20.0, rng=np.random.default_rng(5))
-    ch.add_awgn(flat, 20.0, rng=np.random.default_rng(5))
+    ch.add_awgn(grid, 20.0, rng=np.random.default_rng(5), signal_power=5.0)
+    ch.add_awgn(flat, 20.0, rng=np.random.default_rng(5), signal_power=5.0)
     np.testing.assert_array_equal(grid.reshape(-1), flat)
     draws = np.random.default_rng(5).standard_normal(2 * flat.size)
     scale = np.sqrt(5.0 / 10.0 ** 2.0 / 2.0)  # |2 + 1j|^2 = 5
@@ -236,24 +236,29 @@ def test_awgn_in_place_any_shape_real_parts_first():
 
 
 def _known_signal(cfg, n_symbols):
-    """A stream of n_symbols known symbols, as the CSI pass models it."""
+    """The (symbol, CP + N) rows of n_symbols known symbols, as the CSI pass
+    models them."""
     d = derive_streams(cfg)
     table = wf.known_symbol_table(cfg.n_subcarriers, d.used_bins)
-    grid = wf.symbol_grid(cfg.n_subcarriers, n_symbols, cfg.cp_len)
-    grid[...] = table[:, None]
-    return d, wf.ofdm_modulate(grid, cfg.cp_len, d.sample_rate_hz)
+    rows = np.zeros((n_symbols, cfg.cp_len + cfg.n_subcarriers), dtype=complex)
+    wf.symbol_bodies(rows, cfg.cp_len)[...] = table[:, None]
+    wf.ofdm_modulate(rows, cfg.cp_len)
+    return d, rows
+
+
+def _walking_channel(cfg):
+    return ch.ChannelRealization(
+        [_const_velocity_track(40.0, 0.8, 1.0),
+         ch.static_track(10.0, 0.5, 1.0)], cfg.carrier_hz)
 
 
 def test_propagate_fast_matches_per_symbol_cfr():
     cfg = ScenarioConfig()
-    d, sig = _known_signal(cfg, 8)
-    chan = ch.ChannelRealization(
-        [_const_velocity_track(40.0, 0.8, 1.0),
-         ch.static_track(10.0, 0.5, 1.0)], cfg.carrier_hz)
-    rx = ch.propagate(sig, chan, n_subcarriers=cfg.n_subcarriers,
-                      cp_len=cfg.cp_len)
+    d, rows = _known_signal(cfg, 8)
+    chan = _walking_channel(cfg)
+    ch.propagate(rows, chan, cfg.cp_len, d.sample_rate_hz)
     from dopplerveil.receiver import ofdm_demodulate
-    y = ofdm_demodulate(rx, cfg.n_subcarriers, cfg.cp_len)
+    y = ofdm_demodulate(rows, cfg.cp_len)
     t_mid = wf.symbol_midtimes(8, d.t_sym_s)
     h = _direct_cfr(chan, d.used_k[:, None] * cfg.subcarrier_spacing_hz,
                     t_mid[None, :])
@@ -266,92 +271,96 @@ def test_propagate_works_in_place_chunk_by_chunk(monkeypatch):
     # The received signal is written over the input, and evaluating the
     # channel a few symbols at a time changes no bit.
     cfg = ScenarioConfig()
-    _, sig = _known_signal(cfg, 8)
-    chan = ch.ChannelRealization(
-        [_const_velocity_track(40.0, 0.8, 1.0),
-         ch.static_track(10.0, 0.5, 1.0)], cfg.carrier_hz)
+    d, rows = _known_signal(cfg, 8)
+    chan = _walking_channel(cfg)
 
     def received(chunk):
         monkeypatch.setattr(ch, "PROPAGATE_CHUNK", chunk)
-        x = wf.BasebandSignal(sig.samples.copy(), sig.sample_rate_hz, sig.t0)
-        out = ch.propagate(x, chan, n_subcarriers=cfg.n_subcarriers,
-                           cp_len=cfg.cp_len, snr_db=20.0,
-                           rng=np.random.default_rng(1))
-        assert np.shares_memory(out.samples, x.samples)
-        return out.samples
+        x = rows.copy()
+        ch.propagate(x, chan, cfg.cp_len, d.sample_rate_hz, snr_db=20.0,
+                     rng=np.random.default_rng(1))
+        return x
     np.testing.assert_array_equal(received(3), received(8))
-    # A signal that is a whole-symbol slice of a longer array works in it.
-    longer = np.concatenate([sig.samples, sig.samples])
-    half = wf.BasebandSignal(longer[len(sig.samples):], sig.sample_rate_hz,
-                             sig.t0)
-    out = ch.propagate(half, chan, n_subcarriers=cfg.n_subcarriers,
-                       cp_len=cfg.cp_len, snr_db=20.0,
-                       rng=np.random.default_rng(1))
-    np.testing.assert_array_equal(out.samples, received(8))
-    np.testing.assert_array_equal(longer[:len(sig.samples)], sig.samples)
+    # Rows that are a whole-symbol slice of a longer array work in it.
+    longer = np.concatenate([rows, rows])
+    ch.propagate(longer[len(rows):], chan, cfg.cp_len, d.sample_rate_hz,
+                 snr_db=20.0, rng=np.random.default_rng(1))
+    np.testing.assert_array_equal(longer[len(rows):], received(8))
+    np.testing.assert_array_equal(longer[:len(rows)], rows)
 
 
-def _delayed_sum(sig, chan):
+def test_propagate_sizes_the_noise_to_the_received_power():
+    cfg = ScenarioConfig()
+    d, rows = _known_signal(cfg, 8)
+    chan = _walking_channel(cfg)
+    clean, noisy = rows.copy(), rows.copy()
+    ch.propagate(clean, chan, cfg.cp_len, d.sample_rate_hz)
+    ch.propagate(noisy, chan, cfg.cp_len, d.sample_rate_hz, snr_db=10.0,
+                 rng=np.random.default_rng(4))
+    expected = clean.copy()
+    ch.add_awgn(expected, 10.0, rng=np.random.default_rng(4),
+                signal_power=np.mean(np.abs(clean) ** 2))
+    np.testing.assert_allclose(noisy, expected, rtol=0, atol=1e-12)
+
+
+def test_propagate_rejects_rows_it_cannot_work_in():
+    cfg = ScenarioConfig()
+    d, rows = _known_signal(cfg, 4)
+    chan = ch.ChannelRealization([ch.static_track(10.0, 1.0, 1.0)], 5.8e9)
+    with pytest.raises(ValueError, match="C-contiguous"):
+        ch.propagate(rows[::2], chan, cfg.cp_len, d.sample_rate_hz,
+                     snr_db=20.0, rng=np.random.default_rng(1))
+
+
+def _delayed_sum(samples, fs, chan):
     """Per-sample reference channel: y[n] = sum_l h_l exp(-j2pi f_c tau_l(t_n))
     x(t_n - tau_l(t_n)), with linear interpolation of the input samples."""
-    t = sig.times()
-    fs = sig.sample_rate_hz
-    idx = np.arange(len(sig.samples), dtype=float)
-    out = np.zeros(len(sig.samples), dtype=complex)
+    t = np.arange(len(samples)) / fs
+    idx = np.arange(len(samples), dtype=float)
+    out = np.zeros(len(samples), dtype=complex)
     for track in chan.tracks:
         tau = ch.path_delay(track, t)
         pos = idx - tau * fs
-        delayed = (np.interp(pos, idx, sig.samples.real, left=0.0, right=0.0)
-                   + 1j * np.interp(pos, idx, sig.samples.imag,
+        delayed = (np.interp(pos, idx, samples.real, left=0.0, right=0.0)
+                   + 1j * np.interp(pos, idx, samples.imag,
                                     left=0.0, right=0.0))
         out += track.reflectivity * np.exp(
             -2j * np.pi * chan.carrier_hz * tau) * delayed
-    return wf.BasebandSignal(out, sig.sample_rate_hz, sig.t0)
+    return out
 
 
 def test_propagate_exact_whole_sample_delay():
     # the reference model itself on a whole-sample delay
     cfg = ScenarioConfig(cp_len=16)
-    d, sig = _known_signal(cfg, 6)
+    d, rows = _known_signal(cfg, 6)
+    samples = rows.reshape(-1)
     fs = d.sample_rate_hz
     delay_samples = 5
     r = delay_samples * SPEED_OF_LIGHT / fs
     chan = ch.ChannelRealization([ch.static_track(r, 1.0, 1.0)], cfg.carrier_hz)
-    rx = _delayed_sum(sig, chan)
+    rx = _delayed_sum(samples, fs, chan)
     tau = r / SPEED_OF_LIGHT
-    expected = np.zeros_like(sig.samples)
-    expected[delay_samples:] = sig.samples[:-delay_samples]
+    expected = np.zeros_like(samples)
+    expected[delay_samples:] = samples[:-delay_samples]
     expected *= np.exp(-2j * np.pi * cfg.carrier_hz * tau)
-    np.testing.assert_allclose(rx.samples, expected, atol=1e-9)
+    np.testing.assert_allclose(rx, expected, atol=1e-9)
 
 
 def test_propagate_fast_and_exact_agree_on_integer_delay():
     cfg = ScenarioConfig()
-    d, sig = _known_signal(cfg, 6)
+    d, rows = _known_signal(cfg, 6)
     r = 4 * SPEED_OF_LIGHT / d.sample_rate_hz
     chan = ch.ChannelRealization([ch.static_track(r, 1.0, 1.0)], cfg.carrier_hz)
     # propagate works in place: it gets a copy, the reference the original
-    fast = ch.propagate(
-        wf.BasebandSignal(sig.samples.copy(), sig.sample_rate_hz, sig.t0),
-        chan, n_subcarriers=cfg.n_subcarriers, cp_len=cfg.cp_len)
-    exact = _delayed_sum(sig, chan)
+    fast = rows.copy()
+    ch.propagate(fast, chan, cfg.cp_len, d.sample_rate_hz)
+    exact = _delayed_sum(rows.reshape(-1), d.sample_rate_hz,
+                         chan).reshape(rows.shape)
     # compare CP-stripped symbol bodies, skipping the first symbol: the
     # reference has no input history before t0 and propagate regenerates
     # the CP
-    sym_len = cfg.n_subcarriers + cfg.cp_len
-    fb = fast.samples.reshape(-1, sym_len)[1:, cfg.cp_len:]
-    eb = exact.samples.reshape(-1, sym_len)[1:, cfg.cp_len:]
-    np.testing.assert_allclose(fb, eb, atol=1e-9)
-
-
-def test_propagate_rejects_ragged_length():
-    cfg = ScenarioConfig()
-    _, sig = _known_signal(cfg, 2)
-    chan = ch.ChannelRealization([ch.static_track(10.0, 1.0, 1.0)], 5.8e9)
-    bad = wf.BasebandSignal(sig.samples[:-3], sig.sample_rate_hz)
-    with pytest.raises(ValueError, match="not divisible"):
-        ch.propagate(bad, chan, n_subcarriers=cfg.n_subcarriers,
-                     cp_len=cfg.cp_len)
+    np.testing.assert_allclose(fast[1:, cfg.cp_len:], exact[1:, cfg.cp_len:],
+                               atol=1e-9)
 
 
 def test_dump_tracks_csv(tmp_path):

@@ -72,21 +72,24 @@ def _per_frame_demod(cfg, d, chan, rngs):
         grid, _ = wf.frame_stream(
             cfg, d, bits[f * bits_per_frame:(f + 1) * bits_per_frame])
         if obf.kind == "spoof":
-            mid = wf.symbol_midtimes(grid.values.shape[1], d.t_sym_s, t0)
-            transmit_multiplier(obf, grid.values, k, mid,
+            values = wf.symbol_bodies(grid.rows, cfg.cp_len)
+            mid = wf.symbol_midtimes(values.shape[1], d.t_sym_s, t0)
+            transmit_multiplier(obf, values, k, mid,
                                 cfg.subcarrier_spacing_hz, cfg.carrier_hz)
-        sig = wf.ofdm_modulate(grid.values, cfg.cp_len, d.sample_rate_hz)
-        chunks.append(sig.samples)
-    tx = wf.BasebandSignal(np.concatenate(chunks), d.sample_rate_hz)
+        wf.ofdm_modulate(grid.rows, cfg.cp_len)
+        chunks.append(grid.rows)
+    tx = np.concatenate(chunks)
     if obf.kind == "smear":
-        transmit_multiplier(obf, tx.samples, 0, tx.times(),
+        samples = tx.reshape(-1)
+        transmit_multiplier(obf, samples, 0,
+                            np.arange(len(samples)) / d.sample_rate_hz,
                             cfg.subcarrier_spacing_hz, cfg.carrier_hz)
 
     # propagate and ofdm_demodulate work in place: tx is returned as sent
-    received = wf.BasebandSignal(tx.samples.copy(), tx.sample_rate_hz)
-    y_all = rx.ofdm_demodulate(
-        ch.propagate(received, chan, n, cfg.cp_len, snr_db=cfg.snr_db,
-                     rng=rngs.noise), n, cfg.cp_len)
+    received = tx.copy()
+    ch.propagate(received, chan, cfg.cp_len, d.sample_rate_hz,
+                 snr_db=cfg.snr_db, rng=rngs.noise)
+    y_all = rx.ofdm_demodulate(received, cfg.cp_len)
     table = wf.known_symbol_table(n, d.used_bins)
     x_used, pilots = table[d.used_bins], table[d.pilot_bins]
     rx_bits, eq_syms = [], []
@@ -122,9 +125,9 @@ def test_simulate_demod_matches_per_frame_reference(over, monkeypatch):
     sent = []
     propagate = pl.chan_mod.propagate
 
-    def captured(sig, *args, **kwargs):
-        sent.append(sig.samples.tobytes())
-        return propagate(sig, *args, **kwargs)
+    def captured(rows, *args, **kwargs):
+        sent.append(rows.tobytes())
+        return propagate(rows, *args, **kwargs)
 
     monkeypatch.setattr(pl.chan_mod, "propagate", captured)
     ber, evm = pl.simulate_demod(cfg, d, chan, rng_streams(cfg.seed))
@@ -133,7 +136,7 @@ def test_simulate_demod_matches_per_frame_reference(over, monkeypatch):
                                                 rng_streams(cfg.seed))
     assert ref_ber > 0
     assert ber == ref_ber and evm == ref_evm
-    assert sent == [ref_tx.samples.tobytes()]
+    assert sent == [ref_tx.tobytes()]
 
 
 def test_simulate_demod_rejects_oversized_payload():
@@ -299,19 +302,18 @@ def test_method1_series_is_parseval_form_of_rx_times_conj_tx(obf):
     assert m == 500 and m1.sample_rate_hz == 1 / d.t_sym_s
 
     table = wf.known_symbol_table(n, d.used_bins)
-    clean, air = (wf.symbol_grid(n, m, cfg.cp_len) for _ in range(2))
-    clean[...] = air[...] = table[:, None]
+    tx, rx = (np.zeros((m, cfg.cp_len + n), dtype=complex) for _ in range(2))
+    wf.symbol_bodies(tx, cfg.cp_len)[...] = table[:, None]
+    wf.symbol_bodies(rx, cfg.cp_len)[...] = table[:, None]
     k = wf.signed_subcarriers(n)
     mid = wf.symbol_midtimes(m, d.t_sym_s)
-    transmit_multiplier(obf, air, k, mid, cfg.subcarrier_spacing_hz,
-                        cfg.carrier_hz)
-    tx = wf.ofdm_modulate(clean, cfg.cp_len, d.sample_rate_hz)
-    rx = ch.propagate(wf.ofdm_modulate(air, cfg.cp_len, d.sample_rate_hz),
-                      chan, n_subcarriers=n, cp_len=cfg.cp_len)
+    transmit_multiplier(obf, wf.symbol_bodies(rx, cfg.cp_len), k, mid,
+                        cfg.subcarrier_spacing_hz, cfg.carrier_hz)
+    wf.ofdm_modulate(tx, cfg.cp_len)
+    wf.ofdm_modulate(rx, cfg.cp_len)
+    ch.propagate(rx, chan, cfg.cp_len, d.sample_rate_hz)
 
-    def bodies(sig):
-        return sig.samples.reshape(m, n + cfg.cp_len)[:, cfg.cp_len:]
-    series = (bodies(rx) * np.conj(bodies(tx))).mean(axis=1)
+    series = (rx[:, cfg.cp_len:] * np.conj(tx[:, cfg.cp_len:])).mean(axis=1)
     np.testing.assert_allclose(series, m1.samples, rtol=0, atol=1e-12)
     np.testing.assert_allclose(m1.t0, mid[0], rtol=1e-12)
 

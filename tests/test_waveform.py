@@ -65,47 +65,30 @@ def test_qam_map_rejects_bad_input():
 
 def test_single_tone_idft():
     n = 64
-    values = wf.symbol_grid(n, 1, 0)
-    values[1, 0] = 1.0
-    sig = wf.ofdm_modulate(values, cp_len=0, sample_rate_hz=20e6)
+    rows = np.zeros((1, n), dtype=complex)
+    wf.symbol_bodies(rows, 0)[1, 0] = 1.0
+    wf.ofdm_modulate(rows, cp_len=0)
     expected = np.exp(2j * np.pi * np.arange(n) / n) / np.sqrt(n)
-    np.testing.assert_allclose(sig.samples, expected, atol=1e-12)
+    np.testing.assert_allclose(rows[0], expected, atol=1e-12)
 
 
 def test_all_zero_grid_gives_silence():
-    sig = wf.ofdm_modulate(wf.symbol_grid(16, 3, 4), cp_len=4,
-                           sample_rate_hz=1e6)
-    assert np.all(sig.samples == 0)
-    assert len(sig.samples) == 3 * 20
+    rows = np.zeros((3, 4 + 16), dtype=complex)
+    wf.ofdm_modulate(rows, cp_len=4)
+    assert np.all(rows == 0)
 
 
 def test_modulator_parseval():
     rng = np.random.default_rng(11)
     n, m, cp = 64, 20, 16
     values = rng.standard_normal((n, m)) + 1j * rng.standard_normal((n, m))
-    grid = wf.symbol_grid(n, m, cp)
-    grid[...] = values
-    sig = wf.ofdm_modulate(grid, cp_len=cp, sample_rate_hz=20e6)
-    blocks = sig.samples.reshape(m, n + cp)[:, cp:]
+    rows = np.zeros((m, cp + n), dtype=complex)
+    wf.symbol_bodies(rows, cp)[...] = values
+    wf.ofdm_modulate(rows, cp_len=cp)
+    blocks = rows[:, cp:]
     e_time = np.sum(np.abs(blocks) ** 2, axis=1)
     e_freq = np.sum(np.abs(values) ** 2, axis=0)
     np.testing.assert_allclose(e_time, e_freq, rtol=1e-9)
-
-
-def test_modulate_works_in_place_on_a_symbol_grid_only():
-    grid = wf.symbol_grid(16, 3, 4)
-    grid[2, 1] = 1.0
-    sig = wf.ofdm_modulate(grid, cp_len=4, sample_rate_hz=1e6)
-    assert np.shares_memory(sig.samples, grid)
-    np.testing.assert_array_equal(sig.samples.reshape(3, 20)[:, 4:], grid.T)
-    # Later symbols of a buffer are in sample layout too.
-    tail = wf.ofdm_modulate(grid[:, 1:], cp_len=4, sample_rate_hz=1e6)
-    assert np.shares_memory(tail.samples, sig.samples[20:])
-    for bad, cp in ((np.zeros((16, 3), dtype=complex), 4),
-                    (wf.symbol_grid(16, 3, 4), 2),
-                    (wf.symbol_grid(16, 3, 4)[1:], 4)):
-        with pytest.raises(ValueError, match="sample buffer"):
-            wf.ofdm_modulate(bad, cp_len=cp, sample_rate_hz=1e6)
 
 
 def _frame_bits(cfg, d, n_frames, seed=2):
@@ -115,18 +98,22 @@ def _frame_bits(cfg, d, n_frames, seed=2):
         0, 2, size=n_frames * bits_per_frame)
 
 
+def _bodies(cfg, grid):
+    return wf.symbol_bodies(grid.rows, cfg.cp_len)
+
+
 def test_preamble_grid_is_seven_identical_known_columns():
     cfg = ScenarioConfig()
     d = derive_streams(cfg)
     grid, _ = wf.frame_stream(cfg, d, _frame_bits(cfg, d, 1))
-    pre = grid.values[:, :wf.PREAMBLE_SYMBOLS]
+    pre = _bodies(cfg, grid)[:, :wf.PREAMBLE_SYMBOLS]
     assert wf.PREAMBLE_SYMBOLS == 7
     for m in range(1, 7):
         np.testing.assert_array_equal(pre[:, m], pre[:, 0])
     np.testing.assert_array_equal(
         pre[:, 0], wf.known_symbol_table(cfg.n_subcarriers, d.used_bins))
     null_bins = np.setdiff1d(np.arange(cfg.n_subcarriers), d.used_bins)
-    assert np.all(grid.values[null_bins, :] == 0)
+    assert np.all(_bodies(cfg, grid)[null_bins, :] == 0)
     assert np.all(grid.kinds[null_bins, :] == wf.KIND_NULL)
     assert np.all(grid.kinds[d.used_bins, :wf.PREAMBLE_SYMBOLS]
                   == wf.KIND_PREAMBLE)
@@ -136,13 +123,14 @@ def test_frame_stream_grid_is_modulated_in_place():
     cfg = ScenarioConfig()
     d = derive_streams(cfg)
     grid, _ = wf.frame_stream(cfg, d, _frame_bits(cfg, d, 2).astype(np.uint8))
-    values = grid.values.copy()
-    sig = wf.ofdm_modulate(grid.values, cfg.cp_len, d.sample_rate_hz)
-    assert np.shares_memory(sig.samples, grid.values)
+    values = _bodies(cfg, grid).copy()
+    wf.ofdm_modulate(grid.rows, cfg.cp_len)
     n = cfg.n_subcarriers
-    body = sig.samples.reshape(-1, n + cfg.cp_len)[:, cfg.cp_len:]
+    body = grid.rows[:, cfg.cp_len:]
     np.testing.assert_allclose(np.fft.fft(body, axis=1).T / np.sqrt(n),
                                values, atol=1e-12)
+    # the cyclic prefix is the body's tail
+    np.testing.assert_array_equal(grid.rows[:, :cfg.cp_len], grid.rows[:, n:])
 
 
 def test_known_table_is_deterministic_unit_modulus_qpsk():
@@ -160,17 +148,18 @@ def test_frame_stream_payload_layout():
     n_data_sym = wf.DATA_SYMBOLS_PER_FRAME
     bits = _frame_bits(cfg, d, 1)
     grid, syms = wf.frame_stream(cfg, d, payload_bits=bits)
-    assert grid.values.shape[1] == wf.PREAMBLE_SYMBOLS + n_data_sym
+    values = _bodies(cfg, grid)
+    assert values.shape[1] == wf.PREAMBLE_SYMBOLS + n_data_sym
     table = wf.known_symbol_table(cfg.n_subcarriers, d.used_bins)
     for m in range(wf.PREAMBLE_SYMBOLS):
-        np.testing.assert_array_equal(grid.values[:, m], table)
+        np.testing.assert_array_equal(values[:, m], table)
     np.testing.assert_array_equal(
-        grid.values[d.pilot_bins, wf.PREAMBLE_SYMBOLS:],
+        values[d.pilot_bins, wf.PREAMBLE_SYMBOLS:],
         np.tile(table[d.pilot_bins][:, None], (1, n_data_sym)))
     assert np.all(grid.kinds[d.data_bins, wf.PREAMBLE_SYMBOLS:] == wf.KIND_DATA)
     np.testing.assert_array_equal(syms, wf.qam_map(bits, cfg.qam_order))
     np.testing.assert_array_equal(
-        grid.values[d.data_bins, wf.PREAMBLE_SYMBOLS:],
+        values[d.data_bins, wf.PREAMBLE_SYMBOLS:],
         syms.reshape(n_data_sym, -1).T)
 
 
@@ -179,7 +168,8 @@ def test_frame_stream_puts_preambles_at_frame_starts():
     d = derive_streams(cfg)
     bits = _frame_bits(cfg, d, 3)
     grid, syms = wf.frame_stream(cfg, d, bits)
-    assert grid.values.shape[1] == 3 * 57
+    values = _bodies(cfg, grid)
+    assert values.shape[1] == 3 * 57
     preamble = np.all(grid.kinds[d.used_bins] == wf.KIND_PREAMBLE, axis=0)
     starts = np.flatnonzero(preamble & ~np.r_[False, preamble[:-1]])
     assert starts.tolist() == [0, 57, 114]
@@ -190,7 +180,7 @@ def test_frame_stream_puts_preambles_at_frame_starts():
         one, one_syms = wf.frame_stream(
             cfg, d, bits[f * per_frame:(f + 1) * per_frame])
         np.testing.assert_array_equal(
-            grid.values[:, f * 57:(f + 1) * 57], one.values)
+            values[:, f * 57:(f + 1) * 57], _bodies(cfg, one))
         np.testing.assert_array_equal(
             grid.kinds[:, f * 57:(f + 1) * 57], one.kinds)
         n = len(one_syms)
