@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import argparse
 import itertools
+import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
@@ -133,7 +134,13 @@ def _cmd_compare(args) -> int:
             print(f"error: threshold metric {name} missing from comparison",
                   file=sys.stderr)
             return EXIT_RUNTIME
-        if abs(deltas[name]) > limit:
+        # A delta that is not a number (NaN or inf in a report) cannot be
+        # shown to be within any limit.
+        if not math.isfinite(deltas[name]):
+            print(f"threshold violated: delta {name} = {deltas[name]:.6g} "
+                  "is not finite", file=sys.stderr)
+            violated = True
+        elif abs(deltas[name]) > limit:
             print(f"threshold violated: |delta {name}| = "
                   f"{abs(deltas[name]):.6g} > {limit:.6g}", file=sys.stderr)
             violated = True

@@ -56,31 +56,23 @@ def build_channel(cfg: ScenarioConfig, derived: DerivedParams,
     return chan_mod.ChannelRealization(tracks=tracks, carrier_hz=cfg.carrier_hz)
 
 
-@dataclass(frozen=True)
-class _ProbeGrid:
-    ratio: int  # probe symbols per CSI sample
-    rate_hz: float
-    times_s: np.ndarray  # probe symbol mid-times
+def _probe_plane_times(cfg: ScenarioConfig, derived: DerivedParams) -> list:
+    """The CSI pass's probe mid-times, as its probe-phase planes.
 
-    def plane_times(self) -> list:
-        """Probe times of each plane: plane p holds probes p, p + ratio, ..."""
-        return [self.times_s[p::self.ratio] for p in range(self.ratio)]
-
-
-def _probe_grid(cfg: ScenarioConfig, derived: DerivedParams) -> _ProbeGrid:
-    """The CSI pass's probe times; its subcarriers are derived.used_k."""
+    Plane p of the `ratio` planes (cfg.probe_sampling) holds probes p,
+    p + ratio, ...; the pass's subcarriers are derived.used_k.
+    """
     ratio, rate, n_probes = cfg.probe_sampling()
-    return _ProbeGrid(
-        ratio=ratio, rate_hz=rate,
-        times_s=np.arange(n_probes) / rate + 0.5 * derived.t_sym_s)
+    times = np.arange(n_probes) / rate + 0.5 * derived.t_sym_s
+    return [times[p::ratio] for p in range(ratio)]
 
 
 def _cfr_planes(chan: chan_mod.ChannelRealization, cfg: ScenarioConfig,
-                derived: DerivedParams, grid: _ProbeGrid) -> list:
+                derived: DerivedParams) -> list:
     """chan's CFR on each plane of the probe grid, one array per plane."""
     return [chan_mod.cfr_matrix(chan, derived.used_k,
                                 cfg.subcarrier_spacing_hz, t)
-            for t in grid.plane_times()]
+            for t in _probe_plane_times(cfg, derived)]
 
 
 @dataclass(frozen=True)
@@ -121,7 +113,7 @@ def point_invariant(cfg: ScenarioConfig, baseline_dir=None) -> PointInvariant:
     cfg = replace(cfg, obfuscation=Obfuscation())
     derived = derive_streams(cfg)
     chan = build_channel(cfg, derived, rng_streams(cfg.seed).walker)
-    h = tuple(_cfr_planes(chan, cfg, derived, _probe_grid(cfg, derived)))
+    h = tuple(_cfr_planes(chan, cfg, derived))
     _freeze(*h, *(a for tr in chan.tracks
                   for a in (tr.times_s, tr.path_length_m)))
     baselines = None
@@ -152,14 +144,13 @@ def simulate_csi(cfg: ScenarioConfig, derived: DerivedParams,
     evaluated here and becomes the working grid.  A given `h` is only read:
     the pass works on one copy of it.
     """
-    grid = _probe_grid(cfg, derived)
-    k, ratio, times = derived.used_k, grid.ratio, grid.times_s
-    plane_times = grid.plane_times()
+    k, plane_times = derived.used_k, _probe_plane_times(cfg, derived)
+    ratio, rate, n_probes = cfg.probe_sampling()
     if h is None:
-        y = _cfr_planes(chan, cfg, derived, grid)
+        y = _cfr_planes(chan, cfg, derived)
     elif [p.shape for p in h] != [(len(k), len(t)) for t in plane_times]:
         raise ValueError(f"CFR plane shapes {[p.shape for p in h]} do not "
-                         f"match the probe grid {(len(k), len(times))} in "
+                         f"match the probe grid {(len(k), n_probes)} in "
                          f"{ratio} planes")
     else:
         y = [p.copy() for p in h]
@@ -174,17 +165,17 @@ def simulate_csi(cfg: ScenarioConfig, derived: DerivedParams,
     if math.isfinite(cfg.snr_db):
         # Only the used bins carry power: size the noise to the mean power of
         # the time-domain samples.
-        power = sum(np.vdot(p, p).real for p in y) / (len(k) * len(times))
+        power = sum(np.vdot(p, p).real for p in y) / (len(k) * n_probes)
         chan_mod.add_awgn(y, cfg.snr_db, rng_noise,
                           signal_power=float(power) * len(x_used) / n)
 
     # Reference-conjugated series: (1/N) sum_k Y[k] X*[k]  (Parseval form of the
     # per-symbol time-domain mean of rx * conj(tx)).
-    m1 = np.empty(len(times), dtype=complex)
+    m1 = np.empty(n_probes, dtype=complex)
     for p, plane in enumerate(y):
         m1[p::ratio] = np.conj(x_used) @ plane / n
-    m1_sig = wf.BasebandSignal(samples=m1, sample_rate_hz=grid.rate_hz,
-                               t0=times[0])
+    m1_sig = wf.BasebandSignal(samples=m1, sample_rate_hz=rate,
+                               t0=plane_times[0][0])
 
     series = rx_mod.CfrSeries(
         subcarriers=k,
@@ -226,12 +217,11 @@ def simulate_demod(cfg: ScenarioConfig, derived: DerivedParams,
     if obf.kind == "spoof":
         # Constant over each symbol (its mid-time value), so subcarriers
         # stay orthogonal; the rotation within a symbol is sub-milliradian.
-        # Mid-times are frame start + (m + 0.5) t_sym, which rounds
-        # differently from (j + 0.5) t_sym over the whole stream.
-        t0 = np.arange(n_frames) * sym_per_frame * derived.t_sym_s
-        mid = wf.symbol_midtimes(sym_per_frame, derived.t_sym_s, t0[:, None])
+        # The mid-times are the stream clock channel.propagate freezes the
+        # channel at.
         transmit_multiplier(obf, wf.symbol_bodies(rows, cfg.cp_len),
-                            wf.signed_subcarriers(n), mid.reshape(-1),
+                            wf.signed_subcarriers(n),
+                            wf.symbol_midtimes(len(rows), derived.t_sym_s),
                             cfg.subcarrier_spacing_hz, cfg.carrier_hz)
     wf.ofdm_modulate(rows, cfg.cp_len)
     if obf.kind == "smear":

@@ -172,12 +172,7 @@ def dump_cfr_bin(series: CfrSeries, path) -> None:
               f"rate_hz={series.csi_rate_hz:.9e} t0_s={series.t_s[0]:.9e} "
               f"subcarriers={ks}\n")
     step = max(1, _textfmt.BLOCK_VALUES // (2 * max(1, m)))
-    inter = np.empty((min(step, k), m, 2), dtype="<f4")
     with open(path, "wb") as fh:
         fh.write(header.encode("ascii"))
         for i in range(0, k, step):
-            h = series.h_hat[i:i + step]
-            block = inter[:len(h)]
-            block[:, :, 0] = h.real
-            block[:, :, 1] = h.imag
-            fh.write(block)
+            fh.write(series.h_hat[i:i + step].astype("<c8"))

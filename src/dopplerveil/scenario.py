@@ -14,7 +14,8 @@ from typing import get_type_hints
 import numpy as np
 import yaml
 
-from dopplerveil.waveform import DATA_SYMBOLS_PER_FRAME, PREAMBLE_SYMBOLS
+from dopplerveil.waveform import (DATA_SYMBOLS_PER_FRAME, PREAMBLE_SYMBOLS,
+                                  QAM_ORDERS, frame_bits)
 
 SPEED_OF_LIGHT = 299_792_458.0  # m/s
 
@@ -113,14 +114,9 @@ class DerivedParams:
     sample_rate_hz: float
     t_sym_s: float  # (N + cp) / (N * df)
     used_k: np.ndarray  # signed subcarrier indices (data + pilots)
-    data_k: np.ndarray
-    pilot_k: np.ndarray
     used_bins: np.ndarray  # FFT-bin equivalents (k mod N)
     data_bins: np.ndarray
     pilot_bins: np.ndarray
-
-
-_QAM_ORDERS = (4, 16, 64)
 
 
 def _reject_unknown(mapping: dict, allowed, where: str) -> None:
@@ -253,8 +249,8 @@ def validate(cfg: ScenarioConfig) -> None:
     require(cfg.duration_s > 0, "duration_s must be > 0")
     require(cfg.cp_len >= 0, "cp_len must be >= 0")
     require(cfg.cp_len < cfg.n_subcarriers, "cp_len must be shorter than one symbol")
-    require(cfg.qam_order in _QAM_ORDERS,
-            f"qam_order must be one of {_QAM_ORDERS}")
+    require(cfg.qam_order in QAM_ORDERS,
+            f"qam_order must be one of {QAM_ORDERS}")
     n_used = cfg.n_data_subcarriers + cfg.n_pilot_subcarriers
     require(cfg.n_data_subcarriers > 0, "n_data_subcarriers must be > 0")
     # The receiver tracks each data symbol's common phase on the pilots.
@@ -361,8 +357,7 @@ def payload_frames(cfg: ScenarioConfig) -> tuple:
 
     Raises ScenarioError when the frames do not fit in duration_s.
     """
-    bits_per_frame = (DATA_SYMBOLS_PER_FRAME * cfg.n_data_subcarriers
-                      * int(math.log2(cfg.qam_order)))
+    bits_per_frame = frame_bits(cfg.n_data_subcarriers, cfg.qam_order)
     n_frames = max(1, math.ceil(cfg.payload_bits / bits_per_frame))
     n = cfg.n_subcarriers
     airtime = (n_frames * (PREAMBLE_SYMBOLS + DATA_SYMBOLS_PER_FRAME)
@@ -411,8 +406,6 @@ def derive_streams(cfg: ScenarioConfig) -> DerivedParams:
         sample_rate_hz=sample_rate,
         t_sym_s=t_sym,
         used_k=used_k,
-        data_k=data_k,
-        pilot_k=pilot_k,
         used_bins=used_k % n,
         data_bins=data_k % n,
         pilot_bins=pilot_k % n,

@@ -120,18 +120,16 @@ def stft(series: np.ndarray, rate_hz: float, window_len: int, hop: int,
 
 
 def method2_view(series: CfrSeries, window_len: int, hop: int,
-                 n_fft: int | None = None, window_kind: str = "hann",
-                 component: str = "complex") -> Spectrogram:
+                 n_fft: int | None = None,
+                 window_kind: str = "hann") -> Spectrogram:
     """Average spectrogram of the mean-removed CFR series per subcarrier.
 
-    component selects the attacked statistic.  "complex" (default) analyzes
-    the mean-removed complex CFR: mean removal strips the static paths, each
-    moving path appears at its own signed Doppler, and transmit-side spoofing
-    shifts every line by the spoofed speed.  "power" analyzes the mean-removed
-    CFR power, where motion appears as the beat of moving paths against the
-    static ones; note that |H|^2 is invariant under any unit-modulus
-    per-subcarrier transmit multiplier, so the spoofing defense is invisible
-    in power mode by construction.
+    Mean removal strips the static paths, each moving path appears at its
+    own signed Doppler, and transmit-side spoofing shifts every line by the
+    spoofed speed.  Another attacked statistic is a transform of the series
+    ahead of this view: a series whose h_hat is |H|^2 gives the power view,
+    where motion appears as the beat of moving paths against the static
+    ones and no unit-modulus transmit multiplier shows.
 
     The result is the mean over subcarriers of stft(row - row.mean()) power,
     computed through the frames' autocorrelation: a frame's |DFT|^2 at n_fft
@@ -141,13 +139,7 @@ def method2_view(series: CfrSeries, window_len: int, hop: int,
     subcarriers; so each subcarrier costs one L-point FFT, and the sum one
     inverse and one n_fft-point forward FFT per frame.
     """
-    if component == "complex":
-        data = series.h_hat
-    elif component == "power":
-        data = np.abs(series.h_hat)
-        np.square(data, out=data)
-    else:
-        raise ValueError(f"unknown component {component!r}")
+    data = series.h_hat
     rate = series.csi_rate_hz
     n_fft = _fft_len(window_len, n_fft)
     lag_fft = next_pow2(2 * window_len - 1)
@@ -227,10 +219,10 @@ def peak_doppler_track(s: Spectrogram) -> np.ndarray:
     The bins below and above DC are searched in place and their winners
     compared, so the power matrix is not copied.
     """
+    # n_fft >= window_len >= 2 puts DC at bin n_fft // 2 >= 1, so some bin
+    # lies below it.
     dc = int(np.argmin(np.abs(s.freqs_hz)))
     below, above = s.power[:dc], s.power[dc + 1:]
-    if not len(below):
-        return s.freqs_hz[dc + 1 + np.argmax(above, axis=0)]
     best = np.argmax(below, axis=0)
     if len(above):
         frames = np.arange(s.power.shape[1])

@@ -26,6 +26,9 @@ PREAMBLE_SYMBOLS = 7
 # effectively constant over one frame (~230 us) for per-frame equalization.
 DATA_SYMBOLS_PER_FRAME = 50
 
+# The square QAM orders the payload can be mapped to.
+QAM_ORDERS = (4, 16, 64)
+
 
 @dataclass
 class SymbolGrid:
@@ -64,7 +67,7 @@ def qam_map(bits: np.ndarray, order: int) -> np.ndarray:
     as bytes and each axis index is built in bytes, so mapping a payload
     allocates little beyond its complex symbols.
     """
-    if order not in (4, 16, 64):
+    if order not in QAM_ORDERS:
         raise ValueError(f"unsupported QAM order {order}")
     bits = np.asarray(bits, dtype=np.uint8).ravel()
     b = int(np.log2(order))
@@ -81,6 +84,12 @@ def qam_map(bits: np.ndarray, order: int) -> np.ndarray:
             idx |= words[:, j]
         axis[...] = levels[idx]
     return syms
+
+
+def frame_bits(n_data_subcarriers: int, qam_order: int) -> int:
+    """Payload bits one frame carries: every data cell of its data symbols."""
+    return (DATA_SYMBOLS_PER_FRAME * n_data_subcarriers
+            * int(np.log2(qam_order)))
 
 
 def known_symbol_table(n_subcarriers: int, used_bins: np.ndarray) -> np.ndarray:
@@ -128,8 +137,7 @@ def frame_stream(cfg, derived, payload_bits):
     n = cfg.n_subcarriers
     table = known_symbol_table(n, derived.used_bins)
     bits = np.asarray(payload_bits, dtype=np.uint8).ravel()
-    bits_per_frame = (DATA_SYMBOLS_PER_FRAME * len(derived.data_bins)
-                      * int(np.log2(cfg.qam_order)))
+    bits_per_frame = frame_bits(len(derived.data_bins), cfg.qam_order)
     n_frames = len(bits) // bits_per_frame
     if n_frames == 0 or len(bits) % bits_per_frame:
         raise ValueError(f"payload of {len(bits)} bits does not fill whole "
@@ -152,6 +160,7 @@ def frame_stream(cfg, derived, payload_bits):
     return SymbolGrid(rows=rows, kinds=kinds.reshape(n, -1)), syms
 
 
-def symbol_midtimes(n_symbols: int, t_sym_s: float, t0: float = 0.0) -> np.ndarray:
-    return t0 + (np.arange(n_symbols) + 0.5) * t_sym_s
+def symbol_midtimes(n_symbols: int, t_sym_s: float) -> np.ndarray:
+    """Mid-times of n_symbols back-to-back symbols of a stream from t = 0."""
+    return (np.arange(n_symbols) + 0.5) * t_sym_s
 

@@ -8,6 +8,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from dopplerveil import pipeline as pl
 from dopplerveil import receiver as rx
@@ -95,25 +97,41 @@ def test_criterion_3_smearing_spread():
     _verdict(3, ok, "; ".join(details))
 
 
+def _spoof_track_diff(v_sp, v=0.8):
+    """Per-frame |method-2 peak track difference| between a point walker at
+    v spoofed by v_sp and an unspoofed one at v - v_sp, and the bin width."""
+    spoof = Obfuscation(kind="spoof", v_sp_mps=v_sp)
+    _, spoofed = _csi_views(_point_cfg(v, 180.0, spoof, with_los=False))
+    perceived = v - v_sp
+    _, ref = _csi_views(_point_cfg(abs(perceived),
+                                   180.0 if perceived > 0 else 0.0,
+                                   Obfuscation(kind="none"), with_los=False))
+    diff = np.abs(sp.peak_doppler_track(spoofed) - sp.peak_doppler_track(ref))
+    return diff, spoofed.freqs_hz[1] - spoofed.freqs_hz[0]
+
+
 def test_criterion_4_spoofing_equivalence():
-    v = 0.8
     details = []
     ok = True
     for v_sp in (-2.0, 5.0, 16.0):
-        spoof = Obfuscation(kind="spoof", v_sp_mps=v_sp)
-        _, spoofed = _csi_views(_point_cfg(v, 180.0, spoof, with_los=False))
-        perceived = v - v_sp
-        _, ref = _csi_views(_point_cfg(abs(perceived),
-                                       180.0 if perceived > 0 else 0.0,
-                                       Obfuscation(kind="none"),
-                                       with_los=False))
-        bin_width = spoofed.freqs_hz[1] - spoofed.freqs_hz[0]
-        diff = np.abs(sp.peak_doppler_track(spoofed)
-                      - sp.peak_doppler_track(ref))
+        diff, bin_width = _spoof_track_diff(v_sp)
         ok &= bool(np.all(diff <= bin_width))
         details.append(f"v_sp={v_sp:g}: max per-frame track diff "
                        f"{float(np.max(diff)):.3f} Hz (bin {bin_width:.3f})")
     _verdict(4, ok, "; ".join(details))
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(st.floats(-15.0, 15.0).filter(lambda v_sp: abs(0.8 - v_sp) >= 0.1))
+@example(-15.0)
+@example(0.7)
+@example(0.9)
+@example(15.0)
+def test_criterion_4_spoof_shift_holds_across_speeds(v_sp):
+    # The perceived line sits >= 4 bins from DC, and the reference walker,
+    # at most 15.8 m/s for 2 s, stays short of the receiver 40 m away.
+    diff, bin_width = _spoof_track_diff(v_sp)
+    assert np.all(diff <= bin_width), (v_sp, float(np.max(diff)), bin_width)
 
 
 def test_criterion_5_demodulation_unharmed():

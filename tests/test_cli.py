@@ -97,6 +97,25 @@ def test_compare_bad_threshold_and_missing_metric(scenario_file, tmp_path):
         == EXIT_RUNTIME
 
 
+@pytest.mark.parametrize("ber_a, ber_b", [
+    ("0.000000000e+00", "nan"), ("inf", "inf")], ids=["nan-in-b", "inf-in-both"])
+def test_compare_non_finite_delta_violates_threshold(tmp_path, capsys,
+                                                     ber_a, ber_b):
+    # A NaN delta compares false against any limit: it is a violation, not
+    # a pass.
+    reports = []
+    for name, ber in (("a", ber_a), ("b", ber_b)):
+        path = tmp_path / f"{name}.txt"
+        path.write_text(f"metric.ber = {ber}\nmetric.evm_pct = 1.0\n")
+        reports.append(str(path))
+    assert main(["compare", *reports, "--threshold", "evm_pct=0.1"]) \
+        == EXIT_OK
+    assert main(["compare", *reports, "--threshold", "ber=0.001"]) \
+        == EXIT_THRESHOLD
+    err = capsys.readouterr().err
+    assert "metric.ber" in err and "not finite" in err
+
+
 def test_compare_mismatched_scenarios_warns(scenario_file, tmp_path, capsys):
     report_a = _run_once(scenario_file, tmp_path / "a")
     other = tmp_path / "other.yaml"

@@ -66,16 +66,17 @@ def _per_frame_demod(cfg, d, chan, rngs):
     bits = rngs.bits.integers(0, 2, size=n_frames * bits_per_frame)
     sym_per_frame = wf.PREAMBLE_SYMBOLS + wf.DATA_SYMBOLS_PER_FRAME
     k = wf.signed_subcarriers(n)
+    # The spoof reads the stream clock, the instants the channel is frozen at.
+    mids = wf.symbol_midtimes(n_frames * sym_per_frame, d.t_sym_s).reshape(
+        n_frames, sym_per_frame)
     chunks = []
     for f in range(n_frames):
-        t0 = f * sym_per_frame * d.t_sym_s
         grid, _ = wf.frame_stream(
             cfg, d, bits[f * bits_per_frame:(f + 1) * bits_per_frame])
         if obf.kind == "spoof":
-            values = wf.symbol_bodies(grid.rows, cfg.cp_len)
-            mid = wf.symbol_midtimes(values.shape[1], d.t_sym_s, t0)
-            transmit_multiplier(obf, values, k, mid,
-                                cfg.subcarrier_spacing_hz, cfg.carrier_hz)
+            transmit_multiplier(obf, wf.symbol_bodies(grid.rows, cfg.cp_len),
+                                k, mids[f], cfg.subcarrier_spacing_hz,
+                                cfg.carrier_hz)
         wf.ofdm_modulate(grid.rows, cfg.cp_len)
         chunks.append(grid.rows)
     tx = np.concatenate(chunks)
@@ -137,6 +138,32 @@ def test_simulate_demod_matches_per_frame_reference(over, monkeypatch):
     assert ref_ber > 0
     assert ber == ref_ber and evm == ref_evm
     assert sent == [ref_tx.tobytes()]
+
+
+def test_spoof_and_channel_read_one_clock(monkeypatch):
+    # The spoof rotates each payload symbol at the instant the channel is
+    # frozen at: the multiplier's times are those propagate evaluates the
+    # CFR at, bit for bit.
+    cfg = _cfg(payload_bits=40000,
+               obfuscation=Obfuscation(kind="spoof", v_sp_mps=-7.0))
+    d = derive_streams(cfg)
+    chan = pl.build_channel(cfg, d, rng_streams(cfg.seed).walker)
+    spoof_t, channel_t = [], []
+    multiplier, cfr_matrix = pl.transmit_multiplier, pl.chan_mod.cfr_matrix
+
+    def traced_multiplier(obf, values, k, t, *args):
+        spoof_t.append(np.array(t))
+        return multiplier(obf, values, k, t, *args)
+
+    def traced_cfr(chan, k, spacing, t):
+        channel_t.append(np.array(t))
+        return cfr_matrix(chan, k, spacing, t)
+
+    monkeypatch.setattr(pl, "transmit_multiplier", traced_multiplier)
+    monkeypatch.setattr(pl.chan_mod, "cfr_matrix", traced_cfr)
+    pl.simulate_demod(cfg, d, chan, rng_streams(cfg.seed))
+    assert len(spoof_t) == 1 and len(spoof_t[0]) == 4 * 57
+    np.testing.assert_array_equal(spoof_t[0], np.concatenate(channel_t))
 
 
 def test_simulate_demod_rejects_oversized_payload():
@@ -201,16 +228,19 @@ def test_walker_point_csi_doppler_line():
 
 
 def _method2_views(obf):
-    """The complex and power method-2 views of a 2 s, 25 dB, seed-1 CSI pass."""
+    """The complex and power method-2 views of a 2 s, 25 dB, seed-1 CSI pass.
+
+    The power view is the method-2 view of the series' |H|^2."""
     from dopplerveil import spectral as sp
     cfg = ScenarioConfig(duration_s=2.0, snr_db=25.0, seed=1, obfuscation=obf)
     d = derive_streams(cfg)
     rngs = rng_streams(cfg.seed)
     chan = pl.build_channel(cfg, d, rngs.walker)
     _, series = pl.simulate_csi(cfg, d, chan, rngs.noise)
+    power = replace(series, h_hat=np.abs(series.h_hat) ** 2)
     sizes = cfg.stft.samples(series.csi_rate_hz)
-    return {c: sp.method2_view(series, *sizes, cfg.stft.window_kind,
-                               component=c) for c in ("complex", "power")}
+    return {name: sp.method2_view(view, *sizes, cfg.stft.window_kind)
+            for name, view in (("complex", series), ("power", power))}
 
 
 @pytest.mark.parametrize("obf", [
@@ -366,11 +396,12 @@ def test_simulate_csi_planes_hold_the_whole_grid():
     cfg = _cfg(duration_s=0.6, csi_rate_hz=500.0, snr_db=20.0)
     d = derive_streams(cfg)
     chan = pl.build_channel(cfg, d, rng_streams(cfg.seed).walker)
-    grid = pl._probe_grid(cfg, d)
+    ratio, rate, n_probes = cfg.probe_sampling()
+    times = np.arange(n_probes) / rate + 0.5 * d.t_sym_s
     x_used = pl.wf.known_symbol_table(
         cfg.n_subcarriers, d.used_bins)[d.used_bins]
     y = x_used[:, None] * pl.chan_mod.cfr_matrix(
-        chan, d.used_k, cfg.subcarrier_spacing_hz, grid.times_s)
+        chan, d.used_k, cfg.subcarrier_spacing_hz, times)
     clean_m1, clean = pl.simulate_csi(replace(cfg, snr_db=math.inf), d,
                                       chan, None)
     np.testing.assert_allclose(clean_m1.samples,
@@ -378,7 +409,7 @@ def test_simulate_csi_planes_hold_the_whole_grid():
                                rtol=0, atol=1e-15)
     np.testing.assert_array_equal(
         clean.h_hat,
-        np.conj(x_used)[:, None] * y[:, ::grid.ratio]
+        np.conj(x_used)[:, None] * y[:, ::ratio]
         / np.abs(x_used)[:, None] ** 2)
     m1, series = pl.simulate_csi(cfg, d, chan, rng_streams(cfg.seed).noise)
     scale = np.sqrt(np.mean(np.abs(y) ** 2) * len(x_used)
@@ -390,7 +421,7 @@ def test_simulate_csi_planes_hold_the_whole_grid():
                                np.conj(x_used) @ expected / cfg.n_subcarriers,
                                rtol=0, atol=1e-12)
     np.testing.assert_allclose(series.h_hat,
-                               expected[:, ::grid.ratio] / x_used[:, None],
+                               expected[:, ::ratio] / x_used[:, None],
                                rtol=0, atol=1e-12)
 
 
@@ -464,8 +495,7 @@ def test_demod_pass_starts_after_the_attacker_half_is_released(tmp_path,
     cfg = _cfg(duration_s=2.0, csi_rate_hz=1000.0, snr_db=20.0,
                obfuscation=Obfuscation(kind="spoof", v_sp_mps=5.0))
     d = derive_streams(cfg)
-    grid = pl._probe_grid(cfg, d)
-    h_hat_nbytes = len(d.used_k) * len(grid.times_s[::grid.ratio]) * 16
+    h_hat_nbytes = len(d.used_k) * len(pl._probe_plane_times(cfg, d)[0]) * 16
     held = []
     demod = pl.simulate_demod
 

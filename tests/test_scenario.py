@@ -156,7 +156,10 @@ def test_default_layout_matches_wifi():
 def test_bin_mapping_wraps_negative_indices():
     d = derive_streams(ScenarioConfig())
     assert np.array_equal(d.used_bins, d.used_k % 64)
-    assert d.pilot_bins[d.pilot_k == -7][0] == 57
+    data_k, pilot_k = subcarrier_layout(64, 52, 4)
+    assert np.array_equal(d.data_bins, data_k % 64)
+    assert np.array_equal(d.pilot_bins, pilot_k % 64)
+    assert d.pilot_bins[pilot_k == -7][0] == 57
 
 
 def test_rng_streams_are_deterministic_and_distinct():

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -14,6 +16,11 @@ def _series(h_hat, rate=1000.0):
     k = np.arange(h_hat.shape[0]) + 1
     t = np.arange(h_hat.shape[1]) / rate
     return CfrSeries(subcarriers=k, h_hat=h_hat, t_s=t, csi_rate_hz=rate)
+
+
+def _power(series):
+    """The series' |H|^2: its method-2 view is the power view."""
+    return replace(series, h_hat=np.abs(series.h_hat) ** 2)
 
 
 # The default STFT's window and hop at a 1 kHz CSI rate, in samples.
@@ -105,8 +112,8 @@ def _mover_series(f_d, duration=2.0, rate=1000.0, gain=0.3, n_k=4,
 
 def test_method2_static_channel_is_empty_after_mean_removal():
     series = _series(np.full((4, 2000), 0.7 + 0.2j))
-    for component in ("complex", "power"):
-        s = sp.method2_view(series, W, HOP, component=component)
+    for view in (series, _power(series)):
+        s = sp.method2_view(view, W, HOP)
         assert np.max(s.power) < 1e-18
         assert np.min(s.power) >= 0.0
 
@@ -115,11 +122,11 @@ def test_method2_single_mover_ridge_at_doppler():
     f_d = 5.8e9 * 0.8 / 299_792_458.0  # 15.48 Hz
     series = _mover_series(f_d)
     bin_width = None
-    for component in ("complex", "power"):
-        s = sp.method2_view(series, W, HOP, component=component)
+    for view in (series, _power(series)):
+        s = sp.method2_view(view, W, HOP)
         bin_width = s.freqs_hz[1] - s.freqs_hz[0]
         track = sp.peak_doppler_track(s)
-        # power mode sees the beat against the LoS at +-f_d
+        # the power view sees the beat against the LoS at +-f_d
         assert np.all(np.abs(np.abs(track) - f_d) <= bin_width)
 
 
@@ -129,8 +136,8 @@ def test_method2_power_view_blind_to_unit_modulus_spoofing():
     series = _mover_series(15.5)
     ramp = np.exp(2j * np.pi * 300.0 * series.t_s)
     spoofed = _series(series.h_hat * ramp[None, :])
-    a = sp.method2_view(series, W, HOP, component="power")
-    b = sp.method2_view(spoofed, W, HOP, component="power")
+    a = sp.method2_view(_power(series), W, HOP)
+    b = sp.method2_view(_power(spoofed), W, HOP)
     np.testing.assert_allclose(a.power, b.power, atol=1e-12)
 
 
@@ -144,10 +151,10 @@ def test_method2_complex_view_shifts_under_spoofing():
     assert np.all(np.abs(track - (15.5 - 300.0)) <= bin_width)
 
 
-def _method2_direct(series, window_len, hop, n_fft, window_kind, component):
+def _method2_direct(series, window_len, hop, n_fft, window_kind):
     """Reference method-2 power: the mean over subcarriers of each
     mean-removed row's zero-padded |DFT|^2 / n_fft, frame by frame."""
-    data = series.h_hat if component == "complex" else np.abs(series.h_hat) ** 2
+    data = series.h_hat
     n = np.arange(window_len)
     win = (0.5 - 0.5 * np.cos(2 * np.pi * n / window_len)
            if window_kind == "hann" else np.ones(window_len))
@@ -183,24 +190,26 @@ def _busy_series(n_k=8, duration=2.0, rate=1000.0):
     {"window_len": 256, "hop": 64, "n_fft": 700},
     {"window_kind": "rect"},
     {"window_kind": "rect", "n_fft": 640},
-    {"component": "power"},
-    {"component": "power", "n_fft": 999},
+    {"power": True},
+    {"power": True, "n_fft": 999},
 ], ids=["default", "n_fft-1500", "lag-wrap-600", "lag-wrap-500",
         "w256-n_fft-700", "rect", "rect-lag-wrap", "power",
         "power-n_fft-999"])
 def test_method2_matches_direct_stft_mean(kwargs):
     # The lag-domain average equals the per-subcarrier mean of |STFT|^2,
-    # including a non-power-of-two n_fft and n_fft < 2W-1 (lags wrap).
-    series = _busy_series()
+    # including a non-power-of-two n_fft and n_fft < 2W-1 (lags wrap), of a
+    # complex series and of its |H|^2.
     args = {"window_len": W, "hop": HOP, "n_fft": 2048,
-            "window_kind": "hann", "component": "complex", **kwargs}
+            "window_kind": "hann", **kwargs}
+    power = args.pop("power", False)
+    series = _power(_busy_series()) if power else _busy_series()
     s = sp.method2_view(series, **args)
     ref = _method2_direct(series, **args)
     assert s.power.shape == ref.shape
     np.testing.assert_allclose(s.power, ref, rtol=1e-12,
                                atol=1e-12 * ref.max())
     assert s.power.min() >= 0.0
-    if args["component"] == "complex":
+    if not power:
         # A real series' spectrum is even, so its peaks tie at +-f.
         np.testing.assert_array_equal(np.argmax(s.power, axis=0),
                                       np.argmax(ref, axis=0))
@@ -209,12 +218,6 @@ def test_method2_matches_direct_stft_mean(kwargs):
     np.testing.assert_allclose(
         s.times_s, (np.arange(ref.shape[1]) * args["hop"]
                     + args["window_len"] / 2) / 1000.0, rtol=0, atol=1e-15)
-
-
-def test_method2_rejects_unknown_component():
-    series = _mover_series(15.5)
-    with pytest.raises(ValueError, match="component"):
-        sp.method2_view(series, W, HOP, component="magnitude")
 
 
 def test_correlation_properties():

@@ -92,8 +92,7 @@ def test_modulator_parseval():
 
 
 def _frame_bits(cfg, d, n_frames, seed=2):
-    bits_per_frame = (wf.DATA_SYMBOLS_PER_FRAME * len(d.data_bins)
-                      * int(np.log2(cfg.qam_order)))
+    bits_per_frame = wf.frame_bits(len(d.data_bins), cfg.qam_order)
     return np.random.default_rng(seed).integers(
         0, 2, size=n_frames * bits_per_frame)
 
