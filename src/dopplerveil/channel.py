@@ -142,11 +142,17 @@ def cfr_matrix(chan: ChannelRealization, k, spacing_hz: float,
     rows = [[] for _ in range(int(k.max()) - k_min + 1)]
     for row, kk in enumerate(k):
         rows[int(kk) - k_min].append(row)
+    # One term and one step buffer serve every path; the step buffer holds
+    # the path's -j 2 pi tau until the term is made from it.
+    term = np.empty(len(times), dtype=complex)
+    step = np.empty(len(times), dtype=complex)
     for track in chan.tracks:
-        arg = -2j * np.pi * path_delay(track, times)
-        term = track.reflectivity * np.exp(
-            (chan.carrier_hz + k_min * spacing_hz) * arg)
-        step = np.exp(spacing_hz * arg)
+        np.multiply(-2j * np.pi, path_delay(track, times), out=step)
+        np.multiply(chan.carrier_hz + k_min * spacing_hz, step, out=term)
+        np.exp(term, out=term)
+        np.multiply(track.reflectivity, term, out=term)
+        np.multiply(spacing_hz, step, out=step)
+        np.exp(step, out=step)
         for i, wanted in enumerate(rows):
             if i:
                 term *= step

@@ -18,8 +18,9 @@ from dopplerveil.scenario import SPEED_OF_LIGHT, Obfuscation
 
 # Subcarriers per block of the spoofing multiplier's split k = q B + r.
 SPOOF_BLOCK = 8
-# Time columns whose multiplier factors are evaluated at once.
-TIME_CHUNK = 4096
+# Time columns whose multiplier factors are evaluated at once; the CSI pass
+# may run one multiplier per CPU, so each keeps its factors small.
+TIME_CHUNK = 2048
 
 
 def smear_phasor(t, delta_f_hz: float, f_m_hz: float):

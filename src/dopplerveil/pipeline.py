@@ -19,6 +19,7 @@ from dopplerveil import channel as chan_mod
 from dopplerveil import receiver as rx_mod
 from dopplerveil import spectral as spec_mod
 from dopplerveil import waveform as wf
+from dopplerveil._shares import _in_shares
 from dopplerveil.obfuscator import transmit_multiplier
 from dopplerveil.scenario import (Obfuscation, ScenarioConfig, DerivedParams,
                                   derive_streams, payload_frames, rng_streams)
@@ -68,11 +69,25 @@ def _probe_plane_times(cfg: ScenarioConfig, derived: DerivedParams) -> list:
 
 
 def _cfr_planes(chan: chan_mod.ChannelRealization, cfg: ScenarioConfig,
-                derived: DerivedParams) -> list:
-    """chan's CFR on each plane of the probe grid, one array per plane."""
-    return [chan_mod.cfr_matrix(chan, derived.used_k,
-                                cfg.subcarrier_spacing_hz, t)
-            for t in _probe_plane_times(cfg, derived)]
+                derived: DerivedParams, then=None) -> list:
+    """chan's CFR on each plane of the probe grid, one array per plane.
+
+    The planes are evaluated in shares over the CPUs; then(plane, times),
+    when given, works on each plane in place in the share that made it.
+    """
+    plane_times = _probe_plane_times(cfg, derived)
+    planes = [None] * len(plane_times)
+
+    def share(ps):
+        for p in ps:
+            planes[p] = chan_mod.cfr_matrix(chan, derived.used_k,
+                                            cfg.subcarrier_spacing_hz,
+                                            plane_times[p])
+            if then is not None:
+                then(planes[p], plane_times[p])
+
+    _in_shares(share, range(len(plane_times)))
+    return planes
 
 
 @dataclass(frozen=True)
@@ -141,26 +156,30 @@ def simulate_csi(cfg: ScenarioConfig, derived: DerivedParams,
     and the CSI series, every ratio-th probe, is estimated in place in plane
     0, so the pass holds one grid and returns a part of it.  `h` is chan's
     CFR as those planes (PointInvariant.cfr); when it is not given it is
-    evaluated here and becomes the working grid.  A given `h` is only read:
-    the pass works on one copy of it.
+    evaluated here and becomes the working grid, each plane taking its
+    known symbols and defense in the share of the CPUs that evaluated it.
+    A given `h` is only read: the pass works on one copy of it.
     """
     k, plane_times = derived.used_k, _probe_plane_times(cfg, derived)
     ratio, rate, n_probes = cfg.probe_sampling()
+    n = cfg.n_subcarriers
+    x_used = wf.known_symbol_table(n, derived.used_bins)[derived.used_bins]
+
+    def transmit(plane, t):  # the known symbols, then the defense
+        np.multiply(x_used[:, None], plane, out=plane)
+        transmit_multiplier(cfg.obfuscation, plane, k, t,
+                            cfg.subcarrier_spacing_hz, cfg.carrier_hz)
+
     if h is None:
-        y = _cfr_planes(chan, cfg, derived)
+        y = _cfr_planes(chan, cfg, derived, then=transmit)
     elif [p.shape for p in h] != [(len(k), len(t)) for t in plane_times]:
         raise ValueError(f"CFR plane shapes {[p.shape for p in h]} do not "
                          f"match the probe grid {(len(k), n_probes)} in "
                          f"{ratio} planes")
     else:
         y = [p.copy() for p in h]
-
-    n = cfg.n_subcarriers
-    x_used = wf.known_symbol_table(n, derived.used_bins)[derived.used_bins]
-    for plane, t in zip(y, plane_times):
-        np.multiply(x_used[:, None], plane, out=plane)
-        transmit_multiplier(cfg.obfuscation, plane, k, t,
-                            cfg.subcarrier_spacing_hz, cfg.carrier_hz)
+        for plane, t in zip(y, plane_times):
+            transmit(plane, t)
 
     if math.isfinite(cfg.snr_db):
         # Only the used bins carry power: size the noise to the mean power of

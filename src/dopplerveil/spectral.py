@@ -12,6 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from dopplerveil import _textfmt
+from dopplerveil._shares import _in_shares
 from dopplerveil.receiver import CfrSeries
 
 FRAME_BLOCK = 32  # frames whose spectra a spectrogram builds at once
@@ -81,15 +82,21 @@ def _windowed_fft(buf: np.ndarray, frames: np.ndarray, window: np.ndarray,
     return np.fft.fft(spec, axis=1, out=spec)
 
 
+def _dc_centered(src: np.ndarray, dest: np.ndarray) -> tuple:
+    """The (src columns, dest columns) pairs of an fftshift along rows.
+
+    Writing each src part into its dest part puts src's FFT-order rows
+    DC-centered into dest, as np.fft.fftshift would, without a copy.
+    """
+    n = src.shape[1]
+    half = n // 2
+    return ((src[:, :n - half], dest[:, half:]),
+            (src[:, n - half:], dest[:, :half]))
+
+
 def _spectrogram(power: np.ndarray, rate_hz: float,
                  times: np.ndarray) -> Spectrogram:
-    """Spectrogram of (frame, FFT-order bin) power, shifted to DC-centered.
-
-    The shift moves power's rows in place, FRAME_BLOCK at a time.
-    """
-    for i in range(0, len(power), FRAME_BLOCK):
-        power[i:i + FRAME_BLOCK] = np.fft.fftshift(power[i:i + FRAME_BLOCK],
-                                                   axes=1)
+    """Spectrogram of (frame, DC-centered bin) power."""
     return Spectrogram(power=power.T,
                        freqs_hz=np.fft.fftshift(
                            np.fft.fftfreq(power.shape[1], d=1.0 / rate_hz)),
@@ -109,13 +116,20 @@ def stft(series: np.ndarray, rate_hz: float, window_len: int, hop: int,
     times = _frame_times(len(series), rate_hz, window_len, hop, t0)
     frames = _frame_view(series, window_len, hop)
     window = _window(window_kind, window_len)
-    buf = np.empty((min(FRAME_BLOCK, len(times)), n_fft), dtype=complex)
     power = np.empty((len(times), n_fft))
-    for i in range(0, len(times), FRAME_BLOCK):
-        spec = _windowed_fft(buf, frames[i:i + FRAME_BLOCK], window)
-        np.abs(spec, out=power[i:i + len(spec)])
-    np.square(power, out=power)
-    power /= n_fft
+
+    # The FRAME_BLOCK-frame blocks starting at `starts`, through one buffer.
+    def share(starts):
+        buf = np.empty((min(FRAME_BLOCK, len(times)), n_fft), dtype=complex)
+        for i in starts:
+            spec = _windowed_fft(buf, frames[i:i + FRAME_BLOCK], window)
+            dest = power[i:i + len(spec)]
+            for part, into in _dc_centered(spec, dest):
+                np.abs(part, out=into)
+            np.square(dest, out=dest)
+            dest /= n_fft
+
+    _in_shares(share, range(0, len(times), FRAME_BLOCK))
     return _spectrogram(power, rate_hz, times)
 
 
@@ -148,36 +162,44 @@ def method2_view(series: CfrSeries, window_len: int, hop: int,
     rows = [(_frame_view(row, window_len, hop), row.mean()) for row in data]
     lag = np.arange(1 - window_len, window_len)
     scale = n_fft * len(data)
+    power = np.empty((len(times), n_fft))
+
     # FRAME_BLOCK frames at a time: their |DFT|^2 summed subcarrier by
     # subcarrier through one spectrum and one square buffer, then their
     # autocorrelation lags -(W-1)..W-1 placed modulo n_fft (lags n_fft apart
     # share a bin, so each block of n_fft lags is added) and transformed.
-    power = np.empty((len(times), n_fft))
-    buf = np.empty((min(FRAME_BLOCK, len(times)), lag_fft), dtype=complex)
-    sq = np.empty(buf.shape)
-    total = np.empty(buf.shape)
-    placed = np.empty((len(buf), n_fft), dtype=complex)
-    for i in range(0, len(times), FRAME_BLOCK):
-        m = min(FRAME_BLOCK, len(times) - i)
-        for j, (frames, mean) in enumerate(rows):
-            spec = _windowed_fft(buf, frames[i:i + m], window, mean)
-            if j == 0:
-                np.square(spec.real, out=total[:m])
-            else:
-                np.square(spec.real, out=sq[:m])
+    # A share takes the blocks starting at `starts`, through its own buffers.
+    def share(starts):
+        buf = np.empty((min(FRAME_BLOCK, len(times)), lag_fft), dtype=complex)
+        sq = np.empty(buf.shape)
+        total = np.empty(buf.shape)
+        placed = np.empty((len(buf), n_fft), dtype=complex)
+        for i in starts:
+            m = min(FRAME_BLOCK, len(times) - i)
+            for j, (frames, mean) in enumerate(rows):
+                spec = _windowed_fft(buf, frames[i:i + m], window, mean)
+                if j == 0:
+                    np.square(spec.real, out=total[:m])
+                else:
+                    np.square(spec.real, out=sq[:m])
+                    total[:m] += sq[:m]
+                np.square(spec.imag, out=sq[:m])
                 total[:m] += sq[:m]
-            np.square(spec.imag, out=sq[:m])
-            total[:m] += sq[:m]
-        lags = np.fft.ifft(total[:m], axis=1)
-        out = placed[:m]
-        out[:] = 0.0
-        for first in range(0, len(lag), n_fft):
-            block = lag[first:first + n_fft]
-            out[:, block % n_fft] += lags[:, block % lag_fft]
-        np.fft.fft(out, axis=1, out=out)
-        np.divide(out.real, scale, out=power[i:i + m])
-    # Rounding can leave a residue just below zero where the power is nil.
-    np.maximum(power, 0.0, out=power)
+            lags = np.fft.ifft(total[:m], axis=1, out=buf[:m])
+            out = placed[:m]
+            out[:] = 0.0
+            for first in range(0, len(lag), n_fft):
+                block = lag[first:first + n_fft]
+                out[:, block % n_fft] += lags[:, block % lag_fft]
+            np.fft.fft(out, axis=1, out=out)
+            dest = power[i:i + m]
+            for part, into in _dc_centered(out.real, dest):
+                np.divide(part, scale, out=into)
+            # Rounding can leave a residue just below zero where the power
+            # is nil.
+            np.maximum(dest, 0.0, out=dest)
+
+    _in_shares(share, range(0, len(times), FRAME_BLOCK))
     return _spectrogram(power, rate, times)
 
 

@@ -1,8 +1,12 @@
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from dopplerveil import _shares
 from dopplerveil import spectral as sp
 from dopplerveil.receiver import CfrSeries
 
@@ -218,6 +222,62 @@ def test_method2_matches_direct_stft_mean(kwargs):
     np.testing.assert_allclose(
         s.times_s, (np.arange(ref.shape[1]) * args["hop"]
                     + args["window_len"] / 2) / 1000.0, rtol=0, atol=1e-15)
+
+
+def _views(series):
+    """The method-2 view of series and the STFT of its first subcarrier."""
+    return (sp.method2_view(series, W, HOP),
+            sp.stft(series.h_hat[0], series.csi_rate_hz, W, HOP))
+
+
+def test_frame_blocks_in_shares_match_one_thread(monkeypatch):
+    # 151 frames: four full FRAME_BLOCK blocks and a short fifth.  Spread
+    # over three shares (two on the pool) the blocks give the arrays they
+    # give inline on one CPU, and method 2 still matches the direct mean.
+    series = _busy_series(duration=8.0)
+    n_frames = 1 + (series.h_hat.shape[1] - W) // HOP
+    assert n_frames // sp.FRAME_BLOCK >= 3 and n_frames % sp.FRAME_BLOCK
+    views = {}
+    for cpus in (1, 3):
+        monkeypatch.setattr(_shares, "_cpus", lambda n=cpus: n)
+        views[cpus] = _views(series)
+    ref = _method2_direct(series, W, HOP, 2048, "hann")
+    np.testing.assert_allclose(views[3][0].power, ref, rtol=1e-12,
+                               atol=1e-12 * ref.max())
+    for inline, pooled in zip(views[1], views[3]):
+        np.testing.assert_array_equal(inline.power, pooled.power)
+        np.testing.assert_array_equal(inline.freqs_hz, pooled.freqs_hz)
+        np.testing.assert_array_equal(inline.times_s, pooled.times_s)
+
+
+def test_concurrent_views_of_a_frozen_series_match_a_lone_call(monkeypatch):
+    # Sweep threads may build their views of one read-only series at once:
+    # four callers, each splitting its blocks over three shares, on a
+    # shortened thread switch interval, each get exactly a lone call's
+    # arrays.
+    monkeypatch.setattr(_shares, "_cpus", lambda: 3)
+    series = _busy_series(duration=8.0)
+    for a in (series.h_hat, series.t_s):
+        a.flags.writeable = False
+    lone = _views(series)
+    callers = 4
+    start = threading.Barrier(callers, timeout=60)
+
+    def at_once(_):
+        start.wait()
+        return _views(series)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=callers) as pool:
+            results = list(pool.map(at_once, range(callers), timeout=120))
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(results) == callers
+    for got in results:
+        for a, b in zip(lone, got):
+            np.testing.assert_array_equal(a.power, b.power)
 
 
 def test_correlation_properties():
