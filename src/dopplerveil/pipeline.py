@@ -29,9 +29,6 @@ from dopplerveil.scenario import (Obfuscation, ScenarioConfig, DerivedParams,
 # this relative tolerance when the two runs share an analysis grid.
 BASELINE_AXIS_RTOL = 1e-9
 
-# Baseline spectrograms a run correlates against, by attacker view.
-BASELINE_VIEWS = ("method1", "method2")
-
 # Artifact formats a run writes unless told otherwise.
 DEFAULT_FORMATS = ("csv", "pgm")
 
@@ -69,20 +66,27 @@ def _probe_plane_times(cfg: ScenarioConfig, derived: DerivedParams) -> list:
 
 
 def _cfr_planes(chan: chan_mod.ChannelRealization, cfg: ScenarioConfig,
-                derived: DerivedParams, then=None) -> list:
+                derived: DerivedParams, then=None, h=None) -> list:
     """chan's CFR on each plane of the probe grid, one array per plane.
 
-    The planes are evaluated in shares over the CPUs; then(plane, times),
-    when given, works on each plane in place in the share that made it.
+    Each plane is evaluated, or copied from `h` when it is given (chan's
+    CFR as those planes, PointInvariant.cfr), in shares over the CPUs;
+    then(plane, times), when given, works on each plane in place in the
+    share that made it.
     """
     plane_times = _probe_plane_times(cfg, derived)
+    shapes = [(len(derived.used_k), len(t)) for t in plane_times]
+    if h is not None and [p.shape for p in h] != shapes:
+        raise ValueError(f"CFR plane shapes {[p.shape for p in h]} do not "
+                         f"match the probe grid's planes {shapes}")
     planes = [None] * len(plane_times)
 
     def share(ps):
         for p in ps:
-            planes[p] = chan_mod.cfr_matrix(chan, derived.used_k,
-                                            cfg.subcarrier_spacing_hz,
-                                            plane_times[p])
+            planes[p] = (chan_mod.cfr_matrix(chan, derived.used_k,
+                                             cfg.subcarrier_spacing_hz,
+                                             plane_times[p])
+                         if h is None else h[p].copy())
             if then is not None:
                 then(planes[p], plane_times[p])
 
@@ -96,7 +100,7 @@ class PointInvariant:
 
     `cfg` is the scenario with obfuscation none; `cfr` is H on the CSI pass's
     probe grid, as its tuple of probe-phase planes (see simulate_csi);
-    `baselines` maps each view in BASELINE_VIEWS to its loaded
+    `baselines` maps each view in VIEWS to its loaded
     baseline spectrogram, or None when the CSV is missing, and is None when
     no baseline directory was given.  Every array is read-only, so a sweep
     thread that writes to one raises instead of corrupting another point.
@@ -117,9 +121,14 @@ def _freeze(*arrays) -> None:
         a.flags.writeable = False
 
 
+def _spectrogram_path(directory, view: str, fmt: str) -> Path:
+    """Where a run in directory writes the view's spectrogram as fmt."""
+    return Path(directory) / f"{view}_spectrogram.{fmt}"
+
+
 def _load_baseline(baseline_dir, view: str):
     """The view's baseline Spectrogram, or None when its CSV is missing."""
-    path = Path(baseline_dir) / f"{view}_spectrogram.csv"
+    path = _spectrogram_path(baseline_dir, view, "csv")
     return spec_mod.load_spectrogram_csv(path) if path.exists() else None
 
 
@@ -134,7 +143,7 @@ def point_invariant(cfg: ScenarioConfig, baseline_dir=None) -> PointInvariant:
     baselines = None
     if baseline_dir is not None:
         baselines = {view: _load_baseline(baseline_dir, view)
-                     for view in BASELINE_VIEWS}
+                     for view in VIEWS}
         _freeze(*(a for s in baselines.values() if s is not None
                   for a in (s.power, s.freqs_hz, s.times_s)))
     return PointInvariant(cfg=cfg, baseline_dir=_dir_or_none(baseline_dir),
@@ -145,8 +154,8 @@ def simulate_csi(cfg: ScenarioConfig, derived: DerivedParams,
                  chan: chan_mod.ChannelRealization, rng_noise, h=None):
     """Probe-mode CSI pass.
 
-    Returns (method1 complex series as a BasebandSignal at the probe rate,
-    CfrSeries at the configured CSI rate).  The method1 series is the
+    Returns (method-1 complex series as a BasebandSignal at the probe rate,
+    CfrSeries at the configured CSI rate).  The method-1 series is the
     per-symbol mean of rx * conj(clean tx), i.e. the reference-conjugated
     received signal already decimated to one sample per probe symbol.
 
@@ -155,10 +164,10 @@ def simulate_csi(cfg: ScenarioConfig, derived: DerivedParams,
     plane by plane and in place; the noise follows the whole grid's C order,
     and the CSI series, every ratio-th probe, is estimated in place in plane
     0, so the pass holds one grid and returns a part of it.  `h` is chan's
-    CFR as those planes (PointInvariant.cfr); when it is not given it is
-    evaluated here and becomes the working grid, each plane taking its
-    known symbols and defense in the share of the CPUs that evaluated it.
-    A given `h` is only read: the pass works on one copy of it.
+    CFR as those planes (PointInvariant.cfr) and is only read: each plane
+    is copied, or evaluated when `h` is not given, into the working grid,
+    and takes its known symbols and defense in the share of the CPUs that
+    made it.
     """
     k, plane_times = derived.used_k, _probe_plane_times(cfg, derived)
     ratio, rate, n_probes = cfg.probe_sampling()
@@ -170,16 +179,7 @@ def simulate_csi(cfg: ScenarioConfig, derived: DerivedParams,
         transmit_multiplier(cfg.obfuscation, plane, k, t,
                             cfg.subcarrier_spacing_hz, cfg.carrier_hz)
 
-    if h is None:
-        y = _cfr_planes(chan, cfg, derived, then=transmit)
-    elif [p.shape for p in h] != [(len(k), len(t)) for t in plane_times]:
-        raise ValueError(f"CFR plane shapes {[p.shape for p in h]} do not "
-                         f"match the probe grid {(len(k), n_probes)} in "
-                         f"{ratio} planes")
-    else:
-        y = [p.copy() for p in h]
-        for plane, t in zip(y, plane_times):
-            transmit(plane, t)
+    y = _cfr_planes(chan, cfg, derived, then=transmit, h=h)
 
     if math.isfinite(cfg.snr_db):
         # Only the used bins carry power: size the noise to the mean power of
@@ -228,7 +228,6 @@ def simulate_demod(cfg: ScenarioConfig, derived: DerivedParams,
     bits = rngs.bits.integers(0, 2, size=n_frames * bits_per_frame).astype(
         np.uint8)
 
-    sym_per_frame = wf.PREAMBLE_SYMBOLS + wf.DATA_SYMBOLS_PER_FRAME
     # The data symbols as mapped, before any defense, are the EVM reference.
     grid, ideal = wf.frame_stream(cfg, derived, bits)
     rows = grid.rows
@@ -257,7 +256,7 @@ def simulate_demod(cfg: ScenarioConfig, derived: DerivedParams,
                        snr_db=cfg.snr_db, rng=rngs.noise)
     # A view of the received rows: it holds them until equalization.
     y = rx_mod.ofdm_demodulate(rows, cfg.cp_len).reshape(
-        n, n_frames, sym_per_frame)
+        n, n_frames, wf.SYMBOLS_PER_FRAME)
     del rows
 
     table = wf.known_symbol_table(n, derived.used_bins)
@@ -279,6 +278,34 @@ def simulate_demod(cfg: ScenarioConfig, derived: DerivedParams,
     return measured_ber, evm
 
 
+def _method1_view(csi, cfg: ScenarioConfig):
+    """The STFT of the reference-conjugated series, and its bandwidth."""
+    m1_sig, _ = csi
+    w, hop, n_fft = cfg.stft.samples(m1_sig.sample_rate_hz)
+    spec = spec_mod.stft(m1_sig.samples, m1_sig.sample_rate_hz, w, hop,
+                         n_fft, cfg.stft.window_kind, t0=m1_sig.t0)
+    return spec, {"occupied_bandwidth_hz": spec_mod.occupied_bandwidth(spec)}
+
+
+def _method2_view(csi, cfg: ScenarioConfig):
+    """The per-subcarrier CSI series' Doppler view, and its peak track."""
+    _, series = csi
+    w, hop, n_fft = cfg.stft.samples(series.csi_rate_hz)
+    spec = spec_mod.method2_view(series, window_len=w, hop=hop, n_fft=n_fft,
+                                 window_kind=cfg.stft.window_kind)
+    track = spec_mod.peak_doppler_track(spec)
+    return spec, {
+        "peak_doppler_mean_abs_hz": float(np.mean(np.abs(track))),
+        "peak_doppler_max_abs_hz": float(np.max(np.abs(track))),
+    }
+
+
+# The passive attacker's views, in report order.  Each takes the CSI pass's
+# (method-1 series, CfrSeries) and cfg, and returns its spectrogram and
+# {metric: value}; a view's baseline and artifacts are named after it.
+VIEWS = {"method1": _method1_view, "method2": _method2_view}
+
+
 def _attacker_half(cfg: ScenarioConfig, derived: DerivedParams,
                    chan: chan_mod.ChannelRealization, rng_noise, h,
                    baseline_dir, baselines, out: Path, formats):
@@ -289,43 +316,25 @@ def _attacker_half(cfg: ScenarioConfig, derived: DerivedParams,
     arrays are released when it returns, so the demodulation pass that
     follows starts with them gone.
     """
-    m1_sig, cfr_series = simulate_csi(cfg, derived, chan, rng_noise, h=h)
-
-    def method1():
-        w, hop, n_fft = cfg.stft.samples(m1_sig.sample_rate_hz)
-        spec = spec_mod.stft(m1_sig.samples, m1_sig.sample_rate_hz, w, hop,
-                             n_fft, cfg.stft.window_kind, t0=m1_sig.t0)
-        return spec, {"occupied_bandwidth_hz":
-                      spec_mod.occupied_bandwidth(spec)}
-
-    def method2():
-        w, hop, n_fft = cfg.stft.samples(cfr_series.csi_rate_hz)
-        spec = spec_mod.method2_view(cfr_series, window_len=w, hop=hop,
-                                     n_fft=n_fft,
-                                     window_kind=cfg.stft.window_kind)
-        track = spec_mod.peak_doppler_track(spec)
-        return spec, {
-            "peak_doppler_mean_abs_hz": float(np.mean(np.abs(track))),
-            "peak_doppler_max_abs_hz": float(np.max(np.abs(track))),
-        }
-
-    measured, correlations, spec_csv, spec_pgm = {}, {}, {}, {}
-    for name, view in zip(BASELINE_VIEWS, (method1, method2)):
-        spec, view_metrics = view()
+    csi = simulate_csi(cfg, derived, chan, rng_noise, h=h)
+    measured, correlations = {}, {}
+    # The artifacts list each format's spectrograms together, csv's first.
+    spectrograms = {"csv": {}, "pgm": {}}
+    for view, build in VIEWS.items():
+        spec, view_metrics = build(csi, cfg)
         measured.update(view_metrics)
-        correlations[f"correlation_{name}_vs_baseline"] = _correlation(
-            spec, name, baseline_dir, baselines)
-        if "csv" in formats:
-            p = out / f"{name}_spectrogram.csv"
-            spec_mod.save_spectrogram_csv(spec, p)
-            spec_csv[f"{name}_spectrogram_csv"] = str(p)
-        if "pgm" in formats:
-            p = out / f"{name}_spectrogram.pgm"
-            spec_mod.save_spectrogram_pgm(spec, p)
-            spec_pgm[f"{name}_spectrogram_pgm"] = str(p)
+        correlations[f"correlation_{view}_vs_baseline"] = _correlation(
+            spec, view, baseline_dir, baselines)
+        for fmt, written in spectrograms.items():
+            if fmt in formats:
+                p = _spectrogram_path(out, view, fmt)
+                # Looked up at call time: a wrapped writer is the one called.
+                getattr(spec_mod, f"save_spectrogram_{fmt}")(spec, p)
+                written[f"{view}_spectrogram_{fmt}"] = str(p)
         del spec  # before the next view's is built
 
-    artifacts = dict(spec_csv)
+    _, cfr_series = csi
+    artifacts = dict(spectrograms["csv"])
     if "csv" in formats:
         p = out / "cfr.csv"
         rx_mod.dump_cfr_csv(cfr_series, p)
@@ -333,7 +342,7 @@ def _attacker_half(cfg: ScenarioConfig, derived: DerivedParams,
         p = out / "tracks.csv"
         chan_mod.dump_tracks(chan.tracks, p)
         artifacts["tracks_csv"] = str(p)
-    artifacts.update(spec_pgm)
+    artifacts.update(spectrograms["pgm"])
     if "bin" in formats:
         p = out / "cfr.bin"
         rx_mod.dump_cfr_bin(cfr_series, p)

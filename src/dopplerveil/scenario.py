@@ -14,8 +14,7 @@ from typing import get_type_hints
 import numpy as np
 import yaml
 
-from dopplerveil.waveform import (DATA_SYMBOLS_PER_FRAME, PREAMBLE_SYMBOLS,
-                                  QAM_ORDERS, frame_bits)
+from dopplerveil.waveform import QAM_ORDERS, SYMBOLS_PER_FRAME, frame_bits
 
 SPEED_OF_LIGHT = 299_792_458.0  # m/s
 
@@ -262,10 +261,14 @@ def validate(cfg: ScenarioConfig) -> None:
     require(n_used % 2 == 0, "used subcarrier count must be even (symmetric around DC)")
     require(cfg.n_pilot_subcarriers % 2 == 0, "n_pilot_subcarriers must be even")
     require(cfg.csi_rate_hz > 0, "csi_rate_hz must be > 0")
+    # The CSI pass probes one symbol at a time: its probe rate, csi_rate_hz
+    # raised to reach METHOD1_MIN_RATE_HZ, cannot outrun the symbols.
     symbol_rate = (cfg.n_subcarriers * cfg.subcarrier_spacing_hz
                    / (cfg.n_subcarriers + cfg.cp_len))
-    require(cfg.csi_rate_hz <= symbol_rate,
-            f"csi_rate_hz must be <= symbol rate ({symbol_rate:.1f} Hz)")
+    _, probe_rate, _ = cfg.probe_sampling()
+    require(probe_rate <= symbol_rate,
+            f"csi_rate_hz: the CSI probe rate ({probe_rate:g} Hz) must be "
+            f"<= the symbol rate ({symbol_rate:.1f} Hz)")
     require(cfg.payload_bits > 0, "payload_bits must be > 0")
     payload_frames(cfg)
     require(cfg.snr_db == math.inf or math.isfinite(cfg.snr_db),
@@ -360,8 +363,8 @@ def payload_frames(cfg: ScenarioConfig) -> tuple:
     bits_per_frame = frame_bits(cfg.n_data_subcarriers, cfg.qam_order)
     n_frames = max(1, math.ceil(cfg.payload_bits / bits_per_frame))
     n = cfg.n_subcarriers
-    airtime = (n_frames * (PREAMBLE_SYMBOLS + DATA_SYMBOLS_PER_FRAME)
-               * (n + cfg.cp_len) / (n * cfg.subcarrier_spacing_hz))
+    airtime = (n_frames * SYMBOLS_PER_FRAME * (n + cfg.cp_len)
+               / (n * cfg.subcarrier_spacing_hz))
     if airtime > cfg.duration_s:
         raise ScenarioError(
             f"payload_bits too large for duration_s: {n_frames} frames "
@@ -378,16 +381,13 @@ def subcarrier_layout(n_subcarriers: int, n_data: int, n_pilot: int):
     half = (n_data + n_pilot) // 2
     used = np.concatenate([np.arange(-half, 0), np.arange(1, half + 1)])
     per_side = n_pilot // 2
-    if per_side:
-        offsets = np.array(
-            [int(round((2 * j + 1) * half / (2 * per_side))) for j in range(per_side)]
-        )
-        offsets = np.clip(offsets, 1, half)
-        if len(set(offsets.tolist())) != per_side:
-            raise ScenarioError("pilot layout collision; reduce n_pilot_subcarriers")
-        pilots = np.concatenate([-offsets[::-1], offsets])
-    else:
-        pilots = np.array([], dtype=int)
+    offsets = np.array(
+        [int(round((2 * j + 1) * half / (2 * per_side))) for j in range(per_side)]
+    )
+    offsets = np.clip(offsets, 1, half)
+    if len(set(offsets.tolist())) != per_side:
+        raise ScenarioError("pilot layout collision; reduce n_pilot_subcarriers")
+    pilots = np.concatenate([-offsets[::-1], offsets])
     data = np.array([k for k in used if k not in set(pilots.tolist())], dtype=int)
     if len(data) != n_data:
         raise ScenarioError("subcarrier layout does not fit the requested data count")

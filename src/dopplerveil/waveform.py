@@ -26,6 +26,8 @@ PREAMBLE_SYMBOLS = 7
 # effectively constant over one frame (~230 us) for per-frame equalization.
 DATA_SYMBOLS_PER_FRAME = 50
 
+SYMBOLS_PER_FRAME = PREAMBLE_SYMBOLS + DATA_SYMBOLS_PER_FRAME
+
 # The square QAM orders the payload can be mapped to.
 QAM_ORDERS = (4, 16, 64)
 
@@ -143,11 +145,11 @@ def frame_stream(cfg, derived, payload_bits):
         raise ValueError(f"payload of {len(bits)} bits does not fill whole "
                          f"frames of {bits_per_frame} bits")
     syms = qam_map(bits, cfg.qam_order)
-    sym_per_frame = PREAMBLE_SYMBOLS + DATA_SYMBOLS_PER_FRAME
-    rows = np.zeros((n_frames * sym_per_frame, cfg.cp_len + n), dtype=complex)
+    rows = np.zeros((n_frames * SYMBOLS_PER_FRAME, cfg.cp_len + n),
+                    dtype=complex)
     # (bin, frame, symbol within the frame), a view of rows
     values = symbol_bodies(rows, cfg.cp_len).reshape(n, n_frames,
-                                                     sym_per_frame)
+                                                     SYMBOLS_PER_FRAME)
     kinds = np.zeros(values.shape, dtype=np.uint8)
     values[:, :, :PREAMBLE_SYMBOLS] = table[:, None, None]
     kinds[derived.used_bins, :, :PREAMBLE_SYMBOLS] = KIND_PREAMBLE

@@ -40,14 +40,9 @@ def _csi_views(cfg):
     d = derive_streams(cfg)
     rngs = rng_streams(cfg.seed)
     chan = pl.build_channel(cfg, d, rngs.walker)
-    m1, series = pl.simulate_csi(cfg, d, chan, rngs.noise)
-    w1, h1, f1 = cfg.stft.samples(m1.sample_rate_hz)
-    s1 = sp.stft(m1.samples, m1.sample_rate_hz, w1, h1, f1,
-                 cfg.stft.window_kind, t0=m1.t0)
-    w2, h2, f2 = cfg.stft.samples(series.csi_rate_hz)
-    s2 = sp.method2_view(series, window_len=w2, hop=h2, n_fft=f2,
-                         window_kind=cfg.stft.window_kind)
-    return s1, s2
+    csi = pl.simulate_csi(cfg, d, chan, rngs.noise)
+    return tuple(pl.VIEWS[view](csi, cfg)[0]
+                 for view in ("method1", "method2"))
 
 
 def test_criterion_1_cfr_estimator_exactness():

@@ -305,6 +305,19 @@ def test_oversized_payload_exits_2_before_any_output(tmp_path, capsys,
     assert not out.exists()
 
 
+def test_probe_rate_above_symbol_rate_exits_2(tmp_path, capsys):
+    # 1600 symbols/s cannot carry the CSI pass's 2000 probes/s.
+    bad = tmp_path / "slow.yaml"
+    bad.write_text("subcarrier_spacing_hz: 2000\ncsi_rate_hz: 1000\n"
+                   "payload_bits: 100\n")
+    out = tmp_path / "o"
+    assert main(["run", "--scenario", str(bad), "--out", str(out)]) \
+        == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "csi_rate_hz" in err and "2000 Hz" in err and "1600.0 Hz" in err
+    assert not out.exists()
+
+
 def test_sweep_smear_without_headroom_exits_2(scenario_file, tmp_path, capsys):
     # 10 * (delta_f + f_m) above the 20 MHz sample rate
     out = tmp_path / "sweep"

@@ -89,12 +89,15 @@ def test_transmit_multiplier_smear_needs_headroom():
                          obfuscation=replace(SMEAR, delta_f_hz=2e6 - 10.0)))
     with pytest.raises(ScenarioError, match="sample rate"):
         validate(replace(cfg, obfuscation=replace(SMEAR, delta_f_hz=2e6)))
-    # 64 subcarriers 32 Hz apart sample at 2048 Hz, short of 10 * 210 Hz.
-    slow = replace(cfg, subcarrier_spacing_hz=32.0, csi_rate_hz=20.0,
-                   duration_s=3.0, payload_bits=1000)
+    # 64 subcarriers 2.5 kHz apart sample at 160 kHz, short of
+    # 10 * 16.01 kHz; with the default CP they send 2000 symbols/s, just as
+    # fast as the CSI pass probes.
+    slow = replace(cfg, subcarrier_spacing_hz=2500.0, duration_s=3.0,
+                   payload_bits=1000)
     validate(slow)
     with pytest.raises(ScenarioError, match="sample rate"):
-        validate(replace(slow, obfuscation=SMEAR))
+        validate(replace(slow,
+                         obfuscation=replace(SMEAR, delta_f_hz=16e3)))
 
 
 def test_smearing_phase_continuous_across_t0():

@@ -64,7 +64,7 @@ def _per_frame_demod(cfg, d, chan, rngs):
     obf, n = cfg.obfuscation, cfg.n_subcarriers
     n_frames, bits_per_frame = payload_frames(cfg)
     bits = rngs.bits.integers(0, 2, size=n_frames * bits_per_frame)
-    sym_per_frame = wf.PREAMBLE_SYMBOLS + wf.DATA_SYMBOLS_PER_FRAME
+    sym_per_frame = wf.SYMBOLS_PER_FRAME
     k = wf.signed_subcarriers(n)
     # The spoof reads the stream clock, the instants the channel is frozen at.
     mids = wf.symbol_midtimes(n_frames * sym_per_frame, d.t_sym_s).reshape(
@@ -227,20 +227,41 @@ def test_walker_point_csi_doppler_line():
     assert np.median(track) == pytest.approx(15.48, abs=0.5)
 
 
-def _method2_views(obf):
-    """The complex and power method-2 views of a 2 s, 25 dB, seed-1 CSI pass.
+def _linear(series):
+    """series with its phase's closed-form linear fit across k removed."""
+    phase = np.unwrap(np.angle(series.h_hat), axis=0)
+    k = series.subcarriers - series.subcarriers.mean()
+    slope = k @ phase / (k @ k)
+    fit = np.outer(k, slope) + phase.mean(axis=0)
+    return replace(series, h_hat=series.h_hat * np.exp(-1j * fit))
 
-    The power view is the method-2 view of the series' |H|^2."""
-    from dopplerveil import spectral as sp
+
+def _adjconj(series):
+    """H[k+1] conj(H[k]): the conjugate product of adjacent subcarriers."""
+    h = series.h_hat
+    return replace(series, subcarriers=series.subcarriers[1:],
+                   h_hat=h[1:] * np.conj(h[:-1]))
+
+
+# Statistics of the CSI series that sensing pipelines attack, each a
+# transform ahead of the method-2 view.
+_TRANSFORMS = {
+    "complex": lambda series: series,
+    "power": lambda series: replace(series, h_hat=np.abs(series.h_hat) ** 2),
+    "linear": _linear,
+    "adjconj": _adjconj,
+}
+
+
+def _method2_views(obf):
+    """The method-2 view of each transform of a 2 s, 25 dB, seed-1 CSI pass."""
     cfg = ScenarioConfig(duration_s=2.0, snr_db=25.0, seed=1, obfuscation=obf)
     d = derive_streams(cfg)
     rngs = rng_streams(cfg.seed)
     chan = pl.build_channel(cfg, d, rngs.walker)
-    _, series = pl.simulate_csi(cfg, d, chan, rngs.noise)
-    power = replace(series, h_hat=np.abs(series.h_hat) ** 2)
-    sizes = cfg.stft.samples(series.csi_rate_hz)
-    return {name: sp.method2_view(view, *sizes, cfg.stft.window_kind)
-            for name, view in (("complex", series), ("power", power))}
+    m1, series = pl.simulate_csi(cfg, d, chan, rngs.noise)
+    return {name: pl.VIEWS["method2"]((m1, transform(series)), cfg)[0]
+            for name, transform in _TRANSFORMS.items()}
 
 
 @pytest.mark.parametrize("obf", [
@@ -249,19 +270,25 @@ def _method2_views(obf):
     Obfuscation(kind="spoof", v_sp_mps=16.0)],
     ids=["smear", "spoof5", "spoof16"])
 def test_power_view_sees_through_both_defenses(obf):
-    # Both defenses multiply the transmit signal by a unit-modulus factor,
-    # which |H|^2 cancels: they hide the walker from the complex-CSI
-    # attacker only, and a power-CSI attacker sees the clean spectrogram.
+    # Both defenses multiply the transmit signal by a unit-modulus factor
+    # whose phase is linear in k: |H|^2 cancels it, and so do removing the
+    # phase's linear fit across k and the adjacent-subcarrier conjugate
+    # product (up to a shift of spacing * v_sp / c, 0.02 Hz at 16 m/s).
+    # They hide the walker from the complex-CSI attacker only; each other
+    # attacker sees its clean spectrogram.
     from dopplerveil import spectral as sp
     clean, defended = _method2_views(Obfuscation()), _method2_views(obf)
     assert sp.spectrogram_correlation(defended["complex"],
                                       clean["complex"]) < 0.1
-    power, base = defended["power"], clean["power"]
-    assert sp.spectrogram_correlation(power, base) > 0.99
-    bin_width = base.freqs_hz[1] - base.freqs_hz[0]
-    mean_abs = [float(np.mean(np.abs(sp.peak_doppler_track(s))))
-                for s in (power, base)]
-    assert abs(mean_abs[0] - mean_abs[1]) <= bin_width
+    for name in ("power", "linear", "adjconj"):
+        view, base = defended[name], clean[name]
+        corr = sp.spectrogram_correlation(view, base)
+        assert corr > 0.999, (name, corr)
+        bin_width = base.freqs_hz[1] - base.freqs_hz[0]
+        mean_abs = [float(np.mean(np.abs(sp.peak_doppler_track(s))))
+                    for s in (view, base)]
+        assert abs(mean_abs[0] - mean_abs[1]) <= 0.1 * bin_width, \
+            (name, mean_abs)
 
 
 def test_run_scenario_baseline_axis_mismatch(tmp_path):
@@ -444,8 +471,7 @@ def test_demod_pass_works_in_one_sample_buffer(obf):
     chan = pl.build_channel(cfg, d, rng_streams(cfg.seed).walker)
     n_frames, bits_per_frame = payload_frames(cfg)
     n = cfg.n_subcarriers
-    n_symbols = n_frames * (pl.wf.PREAMBLE_SYMBOLS
-                            + pl.wf.DATA_SYMBOLS_PER_FRAME)
+    n_symbols = n_frames * pl.wf.SYMBOLS_PER_FRAME
     assert n_symbols > pl.chan_mod.PROPAGATE_CHUNK
     buffer = n_symbols * (n + cfg.cp_len) * 16
     reference = (n_frames * pl.wf.DATA_SYMBOLS_PER_FRAME * len(d.data_bins)

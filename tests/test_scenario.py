@@ -88,6 +88,17 @@ def test_csi_rate_above_symbol_rate_rejected():
         load_scenario("csi_rate_hz: 300000")
 
 
+def test_probe_rate_above_symbol_rate_rejected():
+    # 2 kHz spacing sends 1600 symbols/s, but 1 kHz CSI is probed at twice
+    # its rate, 2000 Hz, to reach METHOD1_MIN_RATE_HZ.
+    with pytest.raises(ScenarioError,
+                       match=r"csi_rate_hz: .*\(2000 Hz\).*\(1600\.0 Hz\)"):
+        load_scenario("subcarrier_spacing_hz: 2000\ncsi_rate_hz: 1000")
+    # At a symbol rate of 2000 Hz the probes just keep up.
+    validate(ScenarioConfig(subcarrier_spacing_hz=2500.0, csi_rate_hz=1000.0,
+                            payload_bits=100))
+
+
 def test_odd_used_count_rejected():
     with pytest.raises(ScenarioError, match="even"):
         load_scenario("n_data_subcarriers: 51\nn_pilot_subcarriers: 4")

@@ -97,10 +97,9 @@ def test_method1_view_static_is_dc_only():
     cfg = ScenarioConfig(walker=WalkerParams(model="none"), duration_s=1.0)
     d = derive_streams(cfg)
     rngs = rng_streams(cfg.seed)
-    m1, _ = pl.simulate_csi(cfg, d, pl.build_channel(cfg, d, rngs.walker),
-                            rngs.noise)
-    w, h, n_fft = cfg.stft.samples(m1.sample_rate_hz)
-    s = sp.stft(m1.samples, m1.sample_rate_hz, w, h, n_fft)
+    csi = pl.simulate_csi(cfg, d, pl.build_channel(cfg, d, rngs.walker),
+                          rngs.noise)
+    s, _ = pl.VIEWS["method1"](csi, cfg)
     near_dc = np.abs(s.freqs_hz) <= 5.0  # window mainlobe around DC
     assert np.sum(s.power[near_dc]) / np.sum(s.power) > 0.999
     assert np.all(s.freqs_hz[np.argmax(s.power, axis=0)] == 0.0)
