@@ -161,22 +161,21 @@ def cfr_matrix(chan: ChannelRealization, k, spacing_hz: float,
     return total
 
 
-def add_awgn(x, snr_db: float, rng: np.random.Generator | None = None, *,
-             signal_power: float) -> None:
+def add_awgn(x, snr_db: float, rng: np.random.Generator, *,
+             occupancy: float = 1.0) -> None:
     """Add complex AWGN to x in place so 10 log10(P_sig / P_noise) = snr_db.
 
     x is a C-contiguous complex array of any shape, or a list of the planes
     of one: plane p of r holds the columns (last axis) p, p + r, ... of the
-    logical array.  P_sig is signal_power.  The noise takes every real
-    part, then every imaginary part, from rng in the logical array's C
-    order.  It is drawn at most NOISE_CHUNK values at a time, which gives
-    the same values as one draw.  An infinite snr_db leaves x and rng
-    untouched.
+    logical array.  P_sig is occupancy times the mean power of x's cells,
+    summed in NumPy's own loops (not BLAS), so it does not depend on the
+    BLAS thread count.  The noise takes every real part, then every
+    imaginary part, from rng in the logical array's C order.  It is drawn
+    at most NOISE_CHUNK values at a time, which gives the same values as
+    one draw.  An infinite snr_db leaves x and rng untouched.
     """
     if math.isinf(snr_db):
         return
-    if rng is None:
-        raise ValueError("finite-SNR noise needs an RNG")
     planes = list(x) if isinstance(x, (list, tuple)) else [x]
     if not all(p.flags.c_contiguous for p in planes):
         raise ValueError("noise is added in place to C-contiguous arrays")
@@ -187,7 +186,12 @@ def add_awgn(x, snr_db: float, rng: np.random.Generator | None = None, *,
                 for i in range(ratio)]):
         raise ValueError("planes do not interleave into one array")
     rows = [p.reshape(-1, p.shape[-1]) for p in planes]
-    scale = math.sqrt(signal_power / (10.0 ** (snr_db / 10.0)) / 2.0)
+    energy = 0.0
+    for p in planes:  # einsum on the float64 view allocates nothing
+        f = p.reshape(-1).view(np.float64)
+        energy += float(np.einsum("i,i->", f, f))
+    power = energy / sum(p.size for p in planes) * occupancy
+    scale = math.sqrt(power / (10.0 ** (snr_db / 10.0)) / 2.0)
     step = max(1, NOISE_CHUNK // ratio) * ratio
     draw = np.empty(min(step, width))
     for imag in (False, True):
@@ -204,17 +208,17 @@ def add_awgn(x, snr_db: float, rng: np.random.Generator | None = None, *,
 
 
 def propagate(rows: np.ndarray, chan: ChannelRealization, cp_len: int,
-              sample_rate_hz: float, snr_db: float = math.inf,
-              rng: np.random.Generator | None = None) -> None:
-    """Push (symbol, CP + N) sample rows through the channel plus AWGN.
+              sample_rate_hz: float) -> None:
+    """Push (symbol, CP + N) sample rows through the channel.
 
     The channel is frozen per OFDM symbol (midpoint delay) and applied in the
     frequency domain, which realizes the fractional path delay as an exact
-    band-limited shift; the input must carry true cyclic prefixes.  Valid
-    because channel coherence time (milliseconds and up) vastly exceeds the
-    4 us symbol.  Works in place in rows, which must be C-contiguous, and
-    the channel is evaluated PROPAGATE_CHUNK symbols at a time.  The noise
-    is sized to the mean power of the received samples.
+    band-limited shift; the input must carry true cyclic prefixes, and each
+    received prefix is rewritten from its symbol's body.  Valid because
+    channel coherence time (milliseconds and up) vastly exceeds the 4 us
+    symbol.  Works in place in rows, which must be C-contiguous, and the
+    channel is evaluated PROPAGATE_CHUNK symbols at a time.  Receiver noise
+    is the caller's: add_awgn.
     """
     if not rows.flags.c_contiguous:
         raise ValueError("rows are propagated in place: they must be "
@@ -233,9 +237,6 @@ def propagate(rows: np.ndarray, chan: ChannelRealization, cp_len: int,
         y[:, j:j + PROPAGATE_CHUNK] *= cfr_matrix(
             chan, k, sample_rate_hz / n, t_mid[j:j + PROPAGATE_CHUNK])
     ofdm_modulate(rows, cp_len)
-    samples = rows.reshape(-1)
-    add_awgn(samples, snr_db, rng,
-             signal_power=np.vdot(samples, samples).real / samples.size)
 
 
 def dump_tracks(tracks: list, path) -> None:

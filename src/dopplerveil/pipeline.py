@@ -8,7 +8,6 @@ payload data through the same channel to measure BER and EVM.
 """
 from __future__ import annotations
 
-import math
 import time
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -180,13 +179,9 @@ def simulate_csi(cfg: ScenarioConfig, derived: DerivedParams,
                             cfg.subcarrier_spacing_hz, cfg.carrier_hz)
 
     y = _cfr_planes(chan, cfg, derived, then=transmit, h=h)
-
-    if math.isfinite(cfg.snr_db):
-        # Only the used bins carry power: size the noise to the mean power of
-        # the time-domain samples.
-        power = sum(np.vdot(p, p).real for p in y) / (len(k) * n_probes)
-        chan_mod.add_awgn(y, cfg.snr_db, rng_noise,
-                          signal_power=float(power) * len(x_used) / n)
+    # Only the used bins carry power, so the time-domain samples' mean
+    # power is that share of the grid's.
+    chan_mod.add_awgn(y, cfg.snr_db, rng_noise, occupancy=len(k) / n)
 
     # Reference-conjugated series: (1/N) sum_k Y[k] X*[k]  (Parseval form of the
     # per-symbol time-domain mean of rx * conj(tx)).
@@ -252,8 +247,9 @@ def simulate_demod(cfg: ScenarioConfig, derived: DerivedParams,
                                 np.arange(j, stop) / derived.sample_rate_hz,
                                 cfg.subcarrier_spacing_hz, cfg.carrier_hz)
 
-    chan_mod.propagate(rows, chan, cfg.cp_len, derived.sample_rate_hz,
-                       snr_db=cfg.snr_db, rng=rngs.noise)
+    chan_mod.propagate(rows, chan, cfg.cp_len, derived.sample_rate_hz)
+    # Flat, so the noise is drawn in a few long runs, not two per symbol.
+    chan_mod.add_awgn(rows.reshape(-1), cfg.snr_db, rngs.noise)
     # A view of the received rows: it holds them until equalization.
     y = rx_mod.ofdm_demodulate(rows, cfg.cp_len).reshape(
         n, n_frames, wf.SYMBOLS_PER_FRAME)

@@ -107,11 +107,16 @@ class ScenarioConfig:
         rate = self.csi_rate_hz * ratio
         return ratio, rate, int(math.floor(self.duration_s * rate))
 
+    def symbol_period_s(self) -> float:
+        """One symbol's airtime, cyclic prefix included: (N + cp) / (N df)."""
+        n = self.n_subcarriers
+        return (n + self.cp_len) / (n * self.subcarrier_spacing_hz)
+
 
 @dataclass(frozen=True)
 class DerivedParams:
     sample_rate_hz: float
-    t_sym_s: float  # (N + cp) / (N * df)
+    t_sym_s: float  # ScenarioConfig.symbol_period_s()
     used_k: np.ndarray  # signed subcarrier indices (data + pilots)
     used_bins: np.ndarray  # FFT-bin equivalents (k mod N)
     data_bins: np.ndarray
@@ -263,8 +268,7 @@ def validate(cfg: ScenarioConfig) -> None:
     require(cfg.csi_rate_hz > 0, "csi_rate_hz must be > 0")
     # The CSI pass probes one symbol at a time: its probe rate, csi_rate_hz
     # raised to reach METHOD1_MIN_RATE_HZ, cannot outrun the symbols.
-    symbol_rate = (cfg.n_subcarriers * cfg.subcarrier_spacing_hz
-                   / (cfg.n_subcarriers + cfg.cp_len))
+    symbol_rate = 1.0 / cfg.symbol_period_s()
     _, probe_rate, _ = cfg.probe_sampling()
     require(probe_rate <= symbol_rate,
             f"csi_rate_hz: the CSI probe rate ({probe_rate:g} Hz) must be "
@@ -362,9 +366,7 @@ def payload_frames(cfg: ScenarioConfig) -> tuple:
     """
     bits_per_frame = frame_bits(cfg.n_data_subcarriers, cfg.qam_order)
     n_frames = max(1, math.ceil(cfg.payload_bits / bits_per_frame))
-    n = cfg.n_subcarriers
-    airtime = (n_frames * SYMBOLS_PER_FRAME * (n + cfg.cp_len)
-               / (n * cfg.subcarrier_spacing_hz))
+    airtime = n_frames * SYMBOLS_PER_FRAME * cfg.symbol_period_s()
     if airtime > cfg.duration_s:
         raise ScenarioError(
             f"payload_bits too large for duration_s: {n_frames} frames "
@@ -397,14 +399,12 @@ def subcarrier_layout(n_subcarriers: int, n_data: int, n_pilot: int):
 def derive_streams(cfg: ScenarioConfig) -> DerivedParams:
     """Timing and subcarrier maps implied by a validated config."""
     n = cfg.n_subcarriers
-    sample_rate = n * cfg.subcarrier_spacing_hz
-    t_sym = (n + cfg.cp_len) / sample_rate
     data_k, pilot_k = subcarrier_layout(
         n, cfg.n_data_subcarriers, cfg.n_pilot_subcarriers)
     used_k = np.sort(np.concatenate([data_k, pilot_k]))
     return DerivedParams(
-        sample_rate_hz=sample_rate,
-        t_sym_s=t_sym,
+        sample_rate_hz=n * cfg.subcarrier_spacing_hz,
+        t_sym_s=cfg.symbol_period_s(),
         used_k=used_k,
         used_bins=used_k % n,
         data_bins=data_k % n,

@@ -7,6 +7,7 @@ the Hz-scale Doppler structure survives decimation to the analysis rate.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -209,11 +210,15 @@ def spectrogram_correlation(a: Spectrogram, b: Spectrogram) -> float:
         raise ValueError("spectrogram dimensions differ")
     am = a.power - a.power.mean()
     bm = b.power - b.power.mean()
-    na = np.linalg.norm(am)
-    nb = np.linalg.norm(bm)
-    if na == 0 or nb == 0:
+    # All three sums are the same pairwise np.sum, not BLAS: the result does
+    # not depend on the BLAS thread count, and identical spectrograms give
+    # exactly 1.
+    ab = np.sum(am * bm)
+    aa = np.sum(am * am)
+    bb = np.sum(bm * bm)
+    if aa == 0 or bb == 0:
         raise ValueError("zero-energy spectrogram")
-    return float(np.clip(np.sum(am * bm) / (na * nb), 0.0, 1.0))
+    return float(np.clip(ab / math.sqrt(aa * bb), 0.0, 1.0))
 
 
 def occupied_bandwidth(s: Spectrogram) -> float:

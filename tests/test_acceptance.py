@@ -176,7 +176,7 @@ def test_criterion_6_awgn_calibration():
     bits = rng.integers(0, 2, size=n_bits)
     syms = wf.qam_map(bits, 4)
     es_n0 = 2.0 * 10.0 ** 0.6  # Eb/N0 = 6 dB for 2 bits/symbol
-    add_awgn(syms, 10.0 * math.log10(es_n0), rng=rng, signal_power=1.0)
+    add_awgn(syms, 10.0 * math.log10(es_n0), rng)  # unit power
     measured = rx.ber(rx.demap(syms, 4), bits)
     theory = 0.5 * math.erfc(math.sqrt(2.0 * 10.0 ** 0.6) / math.sqrt(2.0))
     ok = abs(measured - theory) / theory < 0.3

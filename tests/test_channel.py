@@ -159,7 +159,7 @@ def test_walker_gait_phase_comes_from_rng():
 def test_awgn_noiseless_passthrough():
     x = np.ones(16, dtype=complex)
     rng = np.random.default_rng(3)
-    ch.add_awgn(x, np.inf, rng=rng, signal_power=1.0)
+    ch.add_awgn(x, np.inf, rng)
     np.testing.assert_array_equal(x, 1.0)
     # nothing is drawn: the stream continues as a fresh one would
     assert rng.standard_normal() == np.random.default_rng(3).standard_normal()
@@ -172,42 +172,38 @@ def test_awgn_planes_get_the_noise_of_the_grid_they_interleave():
     for shape, ratio in (((7, 31), 3), ((2, ch.NOISE_CHUNK + 5), 2)):
         grid = np.full(shape, 2.0 + 1.0j)
         planes = [grid[:, p::ratio].copy() for p in range(ratio)]
-        ch.add_awgn(grid, 20.0, rng=np.random.default_rng(5),
-                    signal_power=5.0)
-        ch.add_awgn(planes, 20.0, rng=np.random.default_rng(5),
-                    signal_power=5.0)
+        ch.add_awgn(grid, 20.0, np.random.default_rng(5))
+        ch.add_awgn(planes, 20.0, np.random.default_rng(5))
         for p in range(ratio):
             np.testing.assert_array_equal(planes[p], grid[:, p::ratio])
     with pytest.raises(ValueError, match="interleave"):
         ch.add_awgn([np.zeros((2, 2), dtype=complex),
                      np.zeros((2, 3), dtype=complex)], 20.0,
-                    rng=np.random.default_rng(5), signal_power=1.0)
+                    np.random.default_rng(5))
     with pytest.raises(ValueError, match="interleave"):
         ch.add_awgn([np.zeros((2, 3), dtype=complex),
                      np.zeros((3, 3), dtype=complex)], 20.0,
-                    rng=np.random.default_rng(5), signal_power=1.0)
-
-
-def test_awgn_requires_rng():
-    with pytest.raises(ValueError, match="RNG"):
-        ch.add_awgn(np.ones(16, dtype=complex), 10.0, signal_power=1.0)
+                    np.random.default_rng(5))
 
 
 def test_awgn_variance_calibration():
+    # The noise is sized to the occupancy times the mean power of x: a
+    # quarter of power 4 is power 1, as is all of power 1.
     n = 1_000_000
-    x = np.ones(n, dtype=complex)
-    ch.add_awgn(x, 10.0, rng=np.random.default_rng(8), signal_power=1.0)
-    noise = x - 1.0
-    assert np.mean(np.abs(noise) ** 2) == pytest.approx(0.1, rel=0.02)
+    for level, occupancy in ((1.0, 1.0), (2.0, 0.25)):
+        x = np.full(n, level, dtype=complex)
+        ch.add_awgn(x, 10.0, np.random.default_rng(8), occupancy=occupancy)
+        noise = x - level
+        assert np.mean(np.abs(noise) ** 2) == pytest.approx(0.1, rel=0.02)
 
 
 def test_awgn_determinism():
-    a = np.zeros(256, dtype=complex)
-    b = np.zeros(256, dtype=complex)
-    ch.add_awgn(a, 0.0, rng=np.random.default_rng(3), signal_power=1.0)
-    ch.add_awgn(b, 0.0, rng=np.random.default_rng(3), signal_power=1.0)
+    a = np.ones(256, dtype=complex)
+    b = np.ones(256, dtype=complex)
+    ch.add_awgn(a, 0.0, np.random.default_rng(3))
+    ch.add_awgn(b, 0.0, np.random.default_rng(3))
     np.testing.assert_array_equal(a, b)
-    assert np.mean(np.abs(a) ** 2) == pytest.approx(1.0, rel=0.2)
+    assert np.mean(np.abs(a - 1.0) ** 2) == pytest.approx(1.0, rel=0.2)
 
 
 def test_awgn_in_place_any_shape_real_parts_first():
@@ -215,8 +211,8 @@ def test_awgn_in_place_any_shape_real_parts_first():
     # part, so a (K, M) grid gets exactly the draws of its flattened samples.
     grid = np.full((7, 30), 2.0 + 1.0j)
     flat = grid.reshape(-1).copy()
-    ch.add_awgn(grid, 20.0, rng=np.random.default_rng(5), signal_power=5.0)
-    ch.add_awgn(flat, 20.0, rng=np.random.default_rng(5), signal_power=5.0)
+    ch.add_awgn(grid, 20.0, np.random.default_rng(5))
+    ch.add_awgn(flat, 20.0, np.random.default_rng(5))
     np.testing.assert_array_equal(grid.reshape(-1), flat)
     draws = np.random.default_rng(5).standard_normal(2 * flat.size)
     scale = np.sqrt(5.0 / 10.0 ** 2.0 / 2.0)  # |2 + 1j|^2 = 5
@@ -225,14 +221,14 @@ def test_awgn_in_place_any_shape_real_parts_first():
     np.testing.assert_allclose(flat.imag, 1.0 + scale * draws[flat.size:],
                                rtol=1e-15, atol=0)
     # A grid larger than one draw chunk, whose size is not a multiple of it,
-    # gets exactly one draw's values: 0 dB at signal power 2 scales the
-    # noise by exactly 1.
-    big = np.zeros((3, ch.NOISE_CHUNK // 2 + 1), dtype=complex)
+    # gets exactly one draw's values: 0 dB at a quarter of power 8 scales
+    # the noise by exactly 1.
+    big = np.full((3, ch.NOISE_CHUNK // 2 + 1), 2.0 + 2.0j)
     assert big.size > ch.NOISE_CHUNK and big.size % ch.NOISE_CHUNK
-    ch.add_awgn(big, 0.0, rng=np.random.default_rng(6), signal_power=2.0)
+    ch.add_awgn(big, 0.0, np.random.default_rng(6), occupancy=0.25)
     draws = np.random.default_rng(6).standard_normal(2 * big.size)
-    np.testing.assert_array_equal(big.real.reshape(-1), draws[:big.size])
-    np.testing.assert_array_equal(big.imag.reshape(-1), draws[big.size:])
+    np.testing.assert_array_equal(big.real.reshape(-1), 2.0 + draws[:big.size])
+    np.testing.assert_array_equal(big.imag.reshape(-1), 2.0 + draws[big.size:])
 
 
 def _known_signal(cfg, n_symbols):
@@ -277,30 +273,29 @@ def test_propagate_works_in_place_chunk_by_chunk(monkeypatch):
     def received(chunk):
         monkeypatch.setattr(ch, "PROPAGATE_CHUNK", chunk)
         x = rows.copy()
-        ch.propagate(x, chan, cfg.cp_len, d.sample_rate_hz, snr_db=20.0,
-                     rng=np.random.default_rng(1))
+        ch.propagate(x, chan, cfg.cp_len, d.sample_rate_hz)
         return x
     np.testing.assert_array_equal(received(3), received(8))
     # Rows that are a whole-symbol slice of a longer array work in it.
     longer = np.concatenate([rows, rows])
-    ch.propagate(longer[len(rows):], chan, cfg.cp_len, d.sample_rate_hz,
-                 snr_db=20.0, rng=np.random.default_rng(1))
+    ch.propagate(longer[len(rows):], chan, cfg.cp_len, d.sample_rate_hz)
     np.testing.assert_array_equal(longer[len(rows):], received(8))
     np.testing.assert_array_equal(longer[:len(rows)], rows)
 
 
 def test_propagate_sizes_the_noise_to_the_received_power():
+    # propagate is the channel alone; the receiver noise added after it, as
+    # the demodulation pass does, is sized to the received samples' power.
     cfg = ScenarioConfig()
     d, rows = _known_signal(cfg, 8)
     chan = _walking_channel(cfg)
-    clean, noisy = rows.copy(), rows.copy()
-    ch.propagate(clean, chan, cfg.cp_len, d.sample_rate_hz)
-    ch.propagate(noisy, chan, cfg.cp_len, d.sample_rate_hz, snr_db=10.0,
-                 rng=np.random.default_rng(4))
-    expected = clean.copy()
-    ch.add_awgn(expected, 10.0, rng=np.random.default_rng(4),
-                signal_power=np.mean(np.abs(clean) ** 2))
-    np.testing.assert_allclose(noisy, expected, rtol=0, atol=1e-12)
+    ch.propagate(rows, chan, cfg.cp_len, d.sample_rate_hz)
+    clean = rows.reshape(-1).copy()
+    ch.add_awgn(rows.reshape(-1), 10.0, np.random.default_rng(4))
+    draws = np.random.default_rng(4).standard_normal(2 * clean.size)
+    scale = np.sqrt(np.mean(np.abs(clean) ** 2) / 10.0 / 2.0)
+    expected = clean + scale * (draws[:clean.size] + 1j * draws[clean.size:])
+    np.testing.assert_allclose(rows.reshape(-1), expected, rtol=0, atol=1e-12)
 
 
 def test_propagate_rejects_rows_it_cannot_work_in():
@@ -308,8 +303,7 @@ def test_propagate_rejects_rows_it_cannot_work_in():
     d, rows = _known_signal(cfg, 4)
     chan = ch.ChannelRealization([ch.static_track(10.0, 1.0, 1.0)], 5.8e9)
     with pytest.raises(ValueError, match="C-contiguous"):
-        ch.propagate(rows[::2], chan, cfg.cp_len, d.sample_rate_hz,
-                     snr_db=20.0, rng=np.random.default_rng(1))
+        ch.propagate(rows[::2], chan, cfg.cp_len, d.sample_rate_hz)
 
 
 def _delayed_sum(samples, fs, chan):

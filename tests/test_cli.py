@@ -477,25 +477,71 @@ def test_compare_non_utf8_report_exits_3(scenario_file, tmp_path, capsys):
     assert err.startswith("error: ") and "bad_report.txt" in err
 
 
+def _cli_process(scenario_file, *argv, **env):
+    """`python -m dopplerveil.cli run` on scenario_file in a subprocess
+    whose environment also holds env."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, **env, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    return subprocess.run(
+        [sys.executable, "-m", "dopplerveil.cli", "run", "--scenario",
+         str(scenario_file), *argv], env=env, capture_output=True,
+        text=True, timeout=300)
+
+
 def test_console_entry_point(scenario_file, tmp_path):
     # `python -m dopplerveil.cli` runs cli.entry, the installed script's
     # target: it must exit with main's code.
-    src = str(Path(cli.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
-
-    def cli_run(*argv):
-        return subprocess.run(
-            [sys.executable, "-m", "dopplerveil.cli", "run", "--scenario",
-             str(scenario_file), *argv], env=env, capture_output=True,
-            text=True, timeout=300)
-
     out = tmp_path / "out"
-    done = cli_run("--out", str(out))
+    done = _cli_process(scenario_file, "--out", str(out))
     assert done.returncode == EXIT_OK, done.stderr
     assert (out / "report.txt").exists()
     # The transmit I/Q dump is gone from the CLI.
-    gone = cli_run("--out", str(tmp_path / "iq"), "--dump-iq")
+    gone = _cli_process(scenario_file, "--out", str(tmp_path / "iq"),
+                        "--dump-iq")
     assert gone.returncode == EXIT_CONFIG
     assert "--dump-iq" in gone.stderr
     assert not (tmp_path / "iq").exists()
+
+
+def _run_outputs(root: Path) -> dict:
+    """Every file under root by relative path, report.txt without the lines
+    that name paths or time the run."""
+    outputs = {}
+    for path in sorted(p for p in root.rglob("*") if p.is_file()):
+        data = path.read_bytes()
+        if path.name == "report.txt":
+            data = b"".join(
+                line for line in data.splitlines(keepends=True)
+                if not line.startswith((b"scenario.path", b"artifact.",
+                                        b"wall_time_s")))
+        outputs[str(path.relative_to(root))] = data
+    return outputs
+
+
+def test_outputs_do_not_depend_on_the_blas_thread_count(tmp_path):
+    # The noise power and the baseline correlations are summed in NumPy's
+    # own loops: OpenBLAS's dot products move their last digits with its
+    # thread count, and the noise scale then moves every noisy value.
+    base, smear = tmp_path / "none.yaml", tmp_path / "smear.yaml"
+    base.write_text("snr_db: 20\nseed: 3\n")
+    smear.write_text("snr_db: 20\nseed: 3\nobfuscation: {kind: smear}\n")
+    formats = ("--format", "csv", "--format", "pgm", "--format", "bin")
+    runs = []
+    for threads in ("1", "2"):
+        root = tmp_path / f"blas-{threads}"
+        stdout = []
+        for scenario, argv in ((base, ()),
+                               (smear, ("--baseline", str(root / "none")))):
+            done = _cli_process(scenario, "--out",
+                                str(root / scenario.stem), *formats, *argv,
+                                OPENBLAS_NUM_THREADS=threads)
+            assert done.returncode == EXIT_OK, done.stderr
+            stdout += [line for line in done.stdout.splitlines()
+                       if not line.startswith("report = ")]
+        runs.append((stdout, _run_outputs(root)))
+    (stdout_1, files_1), (stdout_2, files_2) = runs
+    assert "correlation_method2_vs_baseline = 0." in "\n".join(stdout_1)
+    assert stdout_1 == stdout_2
+    assert files_1.keys() == files_2.keys()
+    assert [name for name in files_1 if files_1[name] != files_2[name]] == []

@@ -88,8 +88,8 @@ def _per_frame_demod(cfg, d, chan, rngs):
 
     # propagate and ofdm_demodulate work in place: tx is returned as sent
     received = tx.copy()
-    ch.propagate(received, chan, cfg.cp_len, d.sample_rate_hz,
-                 snr_db=cfg.snr_db, rng=rngs.noise)
+    ch.propagate(received, chan, cfg.cp_len, d.sample_rate_hz)
+    ch.add_awgn(received.reshape(-1), cfg.snr_db, rngs.noise)
     y_all = rx.ofdm_demodulate(received, cfg.cp_len)
     table = wf.known_symbol_table(n, d.used_bins)
     x_used, pilots = table[d.used_bins], table[d.pilot_bins]

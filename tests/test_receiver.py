@@ -227,7 +227,7 @@ def test_qpsk_awgn_ber_matches_q_function():
     bits = rng.integers(0, 2, size=n_bits)
     syms = wf.qam_map(bits, 4)
     es_n0 = 2.0 * 10.0 ** 0.6
-    add_awgn(syms, 10.0 * np.log10(es_n0), rng=rng, signal_power=1.0)
+    add_awgn(syms, 10.0 * np.log10(es_n0), rng)  # unit power
     measured = rx.ber(rx.demap(syms, 4), bits)
     from math import erfc, sqrt
     theory = 0.5 * erfc(sqrt(2.0 * 10.0 ** 0.6) / sqrt(2.0))  # Q(sqrt(2 Eb/N0))
