@@ -31,8 +31,12 @@ BASELINE_AXIS_RTOL = 1e-9
 # Artifact formats a run writes unless told otherwise.
 DEFAULT_FORMATS = ("csv", "pgm")
 
-# Transmit samples the demodulation pass smears at once.
-SMEAR_CHUNK = 1 << 16
+# Transmit samples the demodulation pass smears, and payload bits it draws,
+# at once.
+STREAM_CHUNK = 1 << 16
+
+# Frames the demodulation pass equalizes, demaps and scores at once.
+DEMOD_FRAMES = 16
 
 
 @dataclass
@@ -212,16 +216,21 @@ def simulate_demod(cfg: ScenarioConfig, derived: DerivedParams,
     The payload is one stream of (symbol, CP + N) sample rows of
     back-to-back frames, spoofed in its symbol bodies and modulated once;
     the receiver views the demodulated bodies as (subcarrier, frame,
-    symbol).  Every step from mapping to pilot correction works in those
-    rows, in place: beside them the pass holds the payload bits, the EVM
-    reference and one bounded chunk, until equalization writes the data
-    symbols out.  Returns (ber, evm fraction).
+    symbol).  Every step from mapping to the channel estimate works in
+    those rows, in place: beside them the pass holds the payload bits, the
+    EVM reference and one bounded chunk.  Then DEMOD_FRAMES frames at a
+    time are pilot-corrected, equalized, demapped and scored, so the
+    score's squared symbol errors are the one more payload-sized array.
+    Returns (ber, evm fraction).
     """
     obf = cfg.obfuscation
     n = cfg.n_subcarriers
     n_frames, bits_per_frame = payload_frames(cfg)
-    bits = rngs.bits.integers(0, 2, size=n_frames * bits_per_frame).astype(
-        np.uint8)
+    # Drawn as int64 a chunk at a time: the same bits as one draw.
+    bits = np.empty(n_frames * bits_per_frame, dtype=np.uint8)
+    for j in range(0, bits.size, STREAM_CHUNK):
+        chunk = bits[j:j + STREAM_CHUNK]
+        chunk[...] = rngs.bits.integers(0, 2, size=chunk.size)
 
     # The data symbols as mapped, before any defense, are the EVM reference.
     grid, ideal = wf.frame_stream(cfg, derived, bits)
@@ -240,9 +249,9 @@ def simulate_demod(cfg: ScenarioConfig, derived: DerivedParams,
     if obf.kind == "smear":
         # Per sample over the whole stream, CP and preambles included: the FM
         # phase runs continuously, so no frame-rate lines appear.  The
-        # sample times are made SMEAR_CHUNK at a time.
-        for j in range(0, rows.size, SMEAR_CHUNK):
-            stop = min(j + SMEAR_CHUNK, rows.size)
+        # sample times are made STREAM_CHUNK at a time.
+        for j in range(0, rows.size, STREAM_CHUNK):
+            stop = min(j + STREAM_CHUNK, rows.size)
             transmit_multiplier(obf, rows.reshape(-1)[j:stop], 0,
                                 np.arange(j, stop) / derived.sample_rate_hz,
                                 cfg.subcarrier_spacing_hz, cfg.carrier_hz)
@@ -250,7 +259,7 @@ def simulate_demod(cfg: ScenarioConfig, derived: DerivedParams,
     chan_mod.propagate(rows, chan, cfg.cp_len, derived.sample_rate_hz)
     # Flat, so the noise is drawn in a few long runs, not two per symbol.
     chan_mod.add_awgn(rows.reshape(-1), cfg.snr_db, rngs.noise)
-    # A view of the received rows: it holds them until equalization.
+    # A view of the received rows: it holds them until the last block.
     y = rx_mod.ofdm_demodulate(rows, cfg.cp_len).reshape(
         n, n_frames, wf.SYMBOLS_PER_FRAME)
     del rows
@@ -260,18 +269,17 @@ def simulate_demod(cfg: ScenarioConfig, derived: DerivedParams,
     h_ref[derived.used_bins] = rx_mod.estimate_cfr(
         y[derived.used_bins, :, :wf.PREAMBLE_SYMBOLS],
         table[derived.used_bins]).mean(axis=2, keepdims=True)
-    corrected, _ = rx_mod.pilot_phase_correct(
-        y[:, :, wf.PREAMBLE_SYMBOLS:], derived.pilot_bins,
-        table[derived.pilot_bins], h_ref=h_ref)
-    del y
-    rx_bits, eq_syms = rx_mod.equalize_demap(corrected, h_ref,
-                                             derived.data_bins, cfg.qam_order)
-    del corrected  # the received samples
-    measured_ber = rx_mod.ber(rx_bits, bits)
     # EVM against the pre-spoof ideal constellation: any spoof rotation is
     # absorbed into the per-frame channel estimate the receiver uses.
-    evm = rx_mod.evm_rms(eq_syms, ideal)
-    return measured_ber, evm
+    score = rx_mod.PayloadScore(bits, ideal)
+    for f in range(0, n_frames, DEMOD_FRAMES):
+        frames = slice(f, f + DEMOD_FRAMES)
+        corrected, _ = rx_mod.pilot_phase_correct(
+            y[:, frames, wf.PREAMBLE_SYMBOLS:], derived.pilot_bins,
+            table[derived.pilot_bins], h_ref=h_ref[:, frames])
+        score.add(*rx_mod.equalize_demap(corrected, h_ref[:, frames],
+                                         derived.data_bins, cfg.qam_order))
+    return score.ber(), score.evm()
 
 
 def _method1_view(csi, cfg: ScenarioConfig):

@@ -95,48 +95,103 @@ def equalize_demap(y_values: np.ndarray, h_ref: np.ndarray,
 def demap(symbols: np.ndarray, order: int) -> np.ndarray:
     """Minimum-distance Gray demapping (per-axis slicing), bits as uint8.
 
-    DEMAP_BLOCK symbols are sliced at once, so the work memory stays
-    bounded whatever the number of symbols.
+    Each axis is sliced to its nearest level, and the (I level, Q level)
+    pair indexes one table of the symbol's bits.  DEMAP_BLOCK symbols are
+    sliced at once, so the work memory stays bounded whatever the number
+    of symbols.
     """
     side = int(round(np.sqrt(order)))
     half = int(np.log2(side))
     scale = np.sqrt(qam_energy(order))
-    levels = _axis_levels(order)
-    # gray words sorted by ascending level
-    order_by_level = np.argsort(levels).astype(np.uint8)
-    shifts = np.arange(half - 1, -1, -1, dtype=np.uint8)
+    # gray words sorted by ascending level, then their bits, MSB first
+    order_by_level = np.argsort(_axis_levels(order))
+    level_bits = ((order_by_level[:, None] >> np.arange(half - 1, -1, -1))
+                  & 1).astype(np.uint8)
+    # row i * side + q: the I bits of level i, then the Q bits of level q
+    table = np.concatenate([np.repeat(level_bits, side, axis=0),
+                            np.tile(level_bits, (side, 1))], axis=1)
 
-    def axis_bits(vals):
+    def axis_level(vals):
         lev = vals * scale
         lev += side - 1
         lev /= 2.0
         np.round(lev, out=lev)
         np.clip(lev, 0, side - 1, out=lev)
-        words = order_by_level[lev.astype(np.intp)]
-        return (words[:, None] >> shifts) & 1
+        return lev
 
     bits = np.empty((len(symbols), 2 * half), dtype=np.uint8)
     for i in range(0, len(symbols), DEMAP_BLOCK):
         block = symbols[i:i + DEMAP_BLOCK]
-        bits[i:i + DEMAP_BLOCK, :half] = axis_bits(block.real)
-        bits[i:i + DEMAP_BLOCK, half:] = axis_bits(block.imag)
+        cell = axis_level(block.real)
+        cell *= side
+        cell += axis_level(block.imag)
+        np.take(table, cell.astype(np.intp), axis=0,
+                out=bits[i:i + DEMAP_BLOCK])
     return bits.reshape(-1)
+
+
+class PayloadScore:
+    """BER and EVM of a payload received a block at a time.
+
+    add() takes the received bits and equalized symbols in transmit order,
+    in blocks of any size: it counts each block's bit errors and writes its
+    squared symbol errors into one float64 array, one value per symbol.  So
+    ber() and evm() read the same whether the payload came in one block or
+    many, and no payload-sized temporary is made.
+    """
+
+    def __init__(self, ref_bits=(), tx_symbols=()):
+        self.ref_bits = np.ravel(ref_bits)
+        self.tx_symbols = np.ravel(tx_symbols)
+        self.bit_errors = 0
+        self.bits_added = self.symbols_added = 0
+        # The ideal power is averaged in the array the errors then fill.
+        self.sq_errors = np.abs(self.tx_symbols)
+        np.square(self.sq_errors, out=self.sq_errors)
+        self.tx_power = np.mean(self.sq_errors) if self.sq_errors.size else 0.0
+
+    def add(self, bits=(), eq_symbols=()) -> None:
+        bits, eq_symbols = np.ravel(bits), np.ravel(eq_symbols)
+        i, j = self.bits_added, self.symbols_added
+        ref = self.ref_bits[i:i + len(bits)]
+        tx = self.tx_symbols[j:j + len(eq_symbols)]
+        if len(ref) != len(bits):
+            raise ValueError("bit sequences must have equal length")
+        if len(tx) != len(eq_symbols):
+            raise ValueError("symbol sequences must have equal length")
+        self.bit_errors += int(np.count_nonzero(bits != ref))
+        err = self.sq_errors[j:j + len(tx)]
+        np.abs(eq_symbols - tx, out=err)
+        np.square(err, out=err)
+        self.bits_added += len(bits)
+        self.symbols_added += len(tx)
+
+    def ber(self) -> float:
+        """Hamming distance / length."""
+        if self.bits_added != len(self.ref_bits):
+            raise ValueError("bit sequences must have equal length")
+        return self.bit_errors / len(self.ref_bits)
+
+    def evm(self) -> float:
+        """RMS error vector magnitude relative to RMS ideal power, as a
+        fraction."""
+        if self.symbols_added != len(self.tx_symbols):
+            raise ValueError("symbol sequences must have equal length")
+        return float(np.sqrt(np.mean(self.sq_errors) / self.tx_power))
 
 
 def ber(bits: np.ndarray, ref_bits: np.ndarray) -> float:
     """Hamming distance / length."""
-    bits = np.asarray(bits).ravel()
-    ref_bits = np.asarray(ref_bits).ravel()
-    if len(bits) != len(ref_bits):
-        raise ValueError("bit sequences must have equal length")
-    return float(np.mean(bits != ref_bits))
+    score = PayloadScore(ref_bits=ref_bits)
+    score.add(bits=bits)
+    return score.ber()
 
 
 def evm_rms(eq_symbols: np.ndarray, tx_symbols: np.ndarray) -> float:
     """RMS error vector magnitude relative to RMS ideal power, as a fraction."""
-    err = np.mean(np.abs(eq_symbols - tx_symbols) ** 2)
-    ref = np.mean(np.abs(tx_symbols) ** 2)
-    return float(np.sqrt(err / ref))
+    score = PayloadScore(tx_symbols=tx_symbols)
+    score.add(eq_symbols=eq_symbols)
+    return score.evm()
 
 
 def dump_cfr_csv(series: CfrSeries, path) -> None:

@@ -460,10 +460,12 @@ def test_demod_pass_works_in_one_sample_buffer(obf):
     # The pass maps the payload into one (symbol, CP + body) sample buffer
     # and modulates, propagates, demodulates and pilot-corrects in it, in
     # place.  Beside it the pass holds the payload bits and the EVM
-    # reference, then equalization writes the data symbols (the size of the
-    # reference) and their bits out.  The channel chunks, noise draws and
-    # demapping blocks are bounded work buffers, which 1 MB holds: a second
-    # grid-sized array, as a CFR grid over the whole stream, breaks it.
+    # reference, and either propagate's chunk of PROPAGATE_CHUNK symbols'
+    # CFR or, once it scores, one squared error per data symbol.  The
+    # noise draws, frame blocks and demapping blocks are bounded work
+    # buffers, which 1 MB holds: a second grid-sized array, as a CFR grid
+    # over the whole stream or the equalized symbols of every frame,
+    # breaks it.
     from dopplerveil.scenario import payload_frames
     cfg = _cfg(duration_s=2.0, payload_bits=1_000_000, snr_db=20.0,
                obfuscation=obf)
@@ -473,13 +475,39 @@ def test_demod_pass_works_in_one_sample_buffer(obf):
     n = cfg.n_subcarriers
     n_symbols = n_frames * pl.wf.SYMBOLS_PER_FRAME
     assert n_symbols > pl.chan_mod.PROPAGATE_CHUNK
+    assert n_frames > pl.DEMOD_FRAMES
     buffer = n_symbols * (n + cfg.cp_len) * 16
-    reference = (n_frames * pl.wf.DATA_SYMBOLS_PER_FRAME * len(d.data_bins)
-                 * 16)
+    data_symbols = n_frames * pl.wf.DATA_SYMBOLS_PER_FRAME * len(d.data_bins)
+    reference = data_symbols * 16
     bits = n_frames * bits_per_frame
+    cfr_chunk = pl.chan_mod.PROPAGATE_CHUNK * n * 16
+    squared_errors = data_symbols * 8
     _, peak = _traced_peak(pl.simulate_demod, cfg, d, chan,
                            rng_streams(cfg.seed))
-    assert peak <= buffer + 2 * (reference + bits) + 1e6, peak / buffer
+    assert peak <= (buffer + reference + bits
+                    + max(cfr_chunk, squared_errors) + 1e6), peak / buffer
+
+
+@pytest.mark.parametrize("obf", [
+    Obfuscation(),
+    Obfuscation(kind="smear", delta_f_hz=200.0, f_m_hz=10.0),
+    Obfuscation(kind="spoof", v_sp_mps=5.0)], ids=["none", "smear", "spoof"])
+def test_demod_score_does_not_depend_on_the_frame_block(obf, monkeypatch):
+    from dopplerveil.scenario import payload_frames
+    cfg = _cfg(payload_bits=70000, snr_db=8.0, obfuscation=obf)
+    d = derive_streams(cfg)
+    chan = pl.build_channel(cfg, d, rng_streams(cfg.seed).walker)
+    n_frames, _ = payload_frames(cfg)
+    assert n_frames % 3
+
+    def score(frames):
+        monkeypatch.setattr(pl, "DEMOD_FRAMES", frames)
+        return pl.simulate_demod(cfg, d, chan, rng_streams(cfg.seed))
+
+    whole = score(n_frames + 5)
+    assert whole[0] > 0
+    assert score(1) == whole
+    assert score(3) == whole
 
 
 def test_attacker_half_holds_one_spectrogram_at_a_time(tmp_path,

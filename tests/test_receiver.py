@@ -195,6 +195,78 @@ def test_equalize_demap_roundtrip():
     assert rx.evm_rms(eq, wf.qam_map(bits, cfg.qam_order)) < 1e-12
 
 
+def _sliced_bits(symbols, order):
+    """The per-axis slicing rule: each axis rounded to its nearest level
+    index, then that level's Gray word shifted and masked, MSB first."""
+    side = int(round(np.sqrt(order)))
+    half = int(np.log2(side))
+    scale = np.sqrt(wf.qam_energy(order))
+    by_level = np.argsort(wf._axis_levels(order))
+
+    def axis(vals):
+        lev = np.clip(np.round((vals * scale + (side - 1)) / 2.0), 0, side - 1)
+        return (by_level[lev.astype(int)][:, None]
+                >> np.arange(half - 1, -1, -1)) & 1
+
+    return np.concatenate([axis(symbols.real), axis(symbols.imag)],
+                          axis=1).reshape(-1)
+
+
+@pytest.mark.parametrize("order", [4, 16, 64])
+def test_demap_matches_the_per_axis_slicing_rule_bit_for_bit(order):
+    # The table demapper gives the bits of per-axis shifting and masking:
+    # on noisy symbols, on symbols exactly on a decision boundary (where
+    # np.round rounds half to even) and on symbols far outside.
+    rng = np.random.default_rng(order)
+    side = int(round(np.sqrt(order)))
+    scale = np.sqrt(wf.qam_energy(order))
+    bits = rng.integers(0, 2, size=int(np.log2(order)) * 3000)
+    noisy = wf.qam_map(bits, order) + 0.3 / scale * (
+        rng.standard_normal(3000) + 1j * rng.standard_normal(3000))
+    # Boundaries sit at even offsets of the scaled axis; each one and its
+    # float neighbours, so some land on it exactly.
+    edges = np.arange(-(side - 2), side - 1, 2) / scale
+    edges = np.concatenate([edges, np.nextafter(edges, np.inf),
+                            np.nextafter(edges, -np.inf)])
+    lev = (edges * scale + (side - 1)) / 2.0
+    assert np.any(lev % 1 == 0.5)
+    on_edge = (edges[:, None] + 1j * edges[None, :]).reshape(-1)
+    far = np.array([1e6, -1e6, 40.0, -40.0])
+    far = (far[:, None] + 1j * np.concatenate([far, [0.0]])[None, :]
+           ).reshape(-1)
+    symbols = np.concatenate([noisy, on_edge, far])
+    out = rx.demap(symbols, order)
+    assert out.dtype == np.uint8
+    np.testing.assert_array_equal(out, _sliced_bits(symbols, order))
+
+
+def test_payload_score_is_the_same_in_blocks_of_any_size():
+    rng = np.random.default_rng(5)
+    ref_bits = rng.integers(0, 2, size=4 * 1001).astype(np.uint8)
+    tx = wf.qam_map(ref_bits, 16)
+    eq = tx + 0.2 * (rng.standard_normal(1001) + 1j * rng.standard_normal(1001))
+    bits = rx.demap(eq, 16)
+    # The whole-array formulas, bit for bit.
+    whole = (float(np.mean(bits != ref_bits)),
+             float(np.sqrt(np.mean(np.abs(eq - tx) ** 2)
+                           / np.mean(np.abs(tx) ** 2))))
+    assert whole[0] > 0
+    assert (rx.ber(bits, ref_bits), rx.evm_rms(eq, tx)) == whole
+    for step in (1, 7, 1000):
+        score = rx.PayloadScore(ref_bits, tx)
+        for i in range(0, len(tx), step):
+            score.add(bits[4 * i:4 * (i + step)], eq[i:i + step])
+        assert (score.ber(), score.evm()) == whole
+    short = rx.PayloadScore(ref_bits, tx)
+    short.add(bits[:-4], eq[:-1])
+    with pytest.raises(ValueError, match="bit sequences"):
+        short.ber()
+    with pytest.raises(ValueError, match="symbol sequences"):
+        short.evm()
+    with pytest.raises(ValueError, match="symbol sequences"):
+        short.add(bits[-4:], eq[-2:])
+
+
 def test_equalize_demap_rejects_zero_estimate():
     cfg, d, _ = _cfr_setup()
     h = np.ones(cfg.n_subcarriers, dtype=complex)
