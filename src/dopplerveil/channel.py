@@ -60,8 +60,7 @@ def static_track(range_m: float, gain: complex, duration_s: float,
 
 
 def walker_tracks(walker: WalkerParams, duration_s: float,
-                  rx_pos=(0.0, 0.0),
-                  rng: np.random.Generator | None = None) -> list:
+                  rx_pos=(0.0, 0.0), *, rng: np.random.Generator) -> list:
     """Simplified Boulic-style body-part tracks for a straight-line walker.
 
     The torso advances at constant speed along the heading; limbs add
@@ -69,7 +68,8 @@ def walker_tracks(walker: WalkerParams, duration_s: float,
     frequency sqrt(v)/stride_coeff (legs in antiphase, arms opposing their
     same-side leg, torso/head bobbing at twice the gait rate).  Displacement
     amplitudes are set so each limb's peak extra speed is ratio * v, keeping
-    |d(path_length)/dt| <= (1 + leg_ratio) * v.
+    |d(path_length)/dt| <= (1 + leg_ratio) * v.  rng draws the gait's start
+    phase.
     """
     if duration_s <= 0:
         raise ValueError("duration_s must be > 0")
@@ -86,7 +86,7 @@ def walker_tracks(walker: WalkerParams, duration_s: float,
     torso = start[None, :] + v * times[:, None] * u[None, :]
 
     gait_hz = math.sqrt(v) / walker.gait_stride_coeff if v > 0 else 0.0
-    phase0 = float(rng.uniform(0.0, 2.0 * math.pi)) if rng is not None else 0.0
+    phase0 = float(rng.uniform(0.0, 2.0 * math.pi))
     refl = walker.reflectivity
 
     if walker.model == "point":

@@ -14,8 +14,6 @@ import numpy as np
 from dopplerveil import _textfmt
 from dopplerveil.waveform import _axis_levels, qam_energy
 
-DEMAP_BLOCK = 1 << 14  # symbols demap slices at once
-
 
 @dataclass
 class CfrSeries:
@@ -96,9 +94,8 @@ def demap(symbols: np.ndarray, order: int) -> np.ndarray:
     """Minimum-distance Gray demapping (per-axis slicing), bits as uint8.
 
     Each axis is sliced to its nearest level, and the (I level, Q level)
-    pair indexes one table of the symbol's bits.  DEMAP_BLOCK symbols are
-    sliced at once, so the work memory stays bounded whatever the number
-    of symbols.
+    pair indexes one table of the symbol's bits.  All symbols are sliced at
+    once: simulate_demod hands it one frame block per call.
     """
     side = int(round(np.sqrt(order)))
     half = int(np.log2(side))
@@ -119,15 +116,10 @@ def demap(symbols: np.ndarray, order: int) -> np.ndarray:
         np.clip(lev, 0, side - 1, out=lev)
         return lev
 
-    bits = np.empty((len(symbols), 2 * half), dtype=np.uint8)
-    for i in range(0, len(symbols), DEMAP_BLOCK):
-        block = symbols[i:i + DEMAP_BLOCK]
-        cell = axis_level(block.real)
-        cell *= side
-        cell += axis_level(block.imag)
-        np.take(table, cell.astype(np.intp), axis=0,
-                out=bits[i:i + DEMAP_BLOCK])
-    return bits.reshape(-1)
+    cell = axis_level(symbols.real)
+    cell *= side
+    cell += axis_level(symbols.imag)
+    return np.take(table, cell.astype(np.intp), axis=0).reshape(-1)
 
 
 class PayloadScore:
@@ -140,7 +132,7 @@ class PayloadScore:
     many, and no payload-sized temporary is made.
     """
 
-    def __init__(self, ref_bits=(), tx_symbols=()):
+    def __init__(self, ref_bits, tx_symbols):
         self.ref_bits = np.ravel(ref_bits)
         self.tx_symbols = np.ravel(tx_symbols)
         self.bit_errors = 0
@@ -148,9 +140,9 @@ class PayloadScore:
         # The ideal power is averaged in the array the errors then fill.
         self.sq_errors = np.abs(self.tx_symbols)
         np.square(self.sq_errors, out=self.sq_errors)
-        self.tx_power = np.mean(self.sq_errors) if self.sq_errors.size else 0.0
+        self.tx_power = np.mean(self.sq_errors)
 
-    def add(self, bits=(), eq_symbols=()) -> None:
+    def add(self, bits, eq_symbols) -> None:
         bits, eq_symbols = np.ravel(bits), np.ravel(eq_symbols)
         i, j = self.bits_added, self.symbols_added
         ref = self.ref_bits[i:i + len(bits)]
@@ -178,20 +170,6 @@ class PayloadScore:
         if self.symbols_added != len(self.tx_symbols):
             raise ValueError("symbol sequences must have equal length")
         return float(np.sqrt(np.mean(self.sq_errors) / self.tx_power))
-
-
-def ber(bits: np.ndarray, ref_bits: np.ndarray) -> float:
-    """Hamming distance / length."""
-    score = PayloadScore(ref_bits=ref_bits)
-    score.add(bits=bits)
-    return score.ber()
-
-
-def evm_rms(eq_symbols: np.ndarray, tx_symbols: np.ndarray) -> float:
-    """RMS error vector magnitude relative to RMS ideal power, as a fraction."""
-    score = PayloadScore(tx_symbols=tx_symbols)
-    score.add(eq_symbols=eq_symbols)
-    return score.evm()
 
 
 def dump_cfr_csv(series: CfrSeries, path) -> None:

@@ -119,11 +119,13 @@ def test_cfr_matrix_rows_follow_k():
 
 
 def test_walker_none_has_no_tracks():
-    assert ch.walker_tracks(WalkerParams(model="none"), 1.0) == []
+    assert ch.walker_tracks(WalkerParams(model="none"), 1.0,
+                            rng=np.random.default_rng(0)) == []
 
 
 def test_walker_zero_speed_is_static():
-    tracks = ch.walker_tracks(WalkerParams(speed_mps=0.0), 1.0)
+    tracks = ch.walker_tracks(WalkerParams(speed_mps=0.0), 1.0,
+                              rng=np.random.default_rng(0))
     for tr in tracks:
         np.testing.assert_allclose(tr.path_length_m, tr.path_length_m[0],
                                    atol=1e-12)
@@ -131,7 +133,7 @@ def test_walker_zero_speed_is_static():
 
 def test_walker_torso_mean_radial_speed():
     w = WalkerParams(speed_mps=0.8, heading_deg=180.0, start_range_m=6.0)
-    tracks = ch.walker_tracks(w, 2.0)
+    tracks = ch.walker_tracks(w, 2.0, rng=np.random.default_rng(0))
     torso = next(tr for tr in tracks if tr.label == "torso")
     rate = np.gradient(torso.path_length_m, torso.times_s)
     assert np.mean(rate) == pytest.approx(-0.8, rel=0.05)
@@ -139,7 +141,7 @@ def test_walker_torso_mean_radial_speed():
 
 def test_walker_leg_peaks_exceed_torso():
     w = WalkerParams(speed_mps=0.8, heading_deg=180.0, start_range_m=6.0)
-    tracks = ch.walker_tracks(w, 2.0)
+    tracks = ch.walker_tracks(w, 2.0, rng=np.random.default_rng(0))
     def peak(label):
         tr = next(t for t in tracks if t.label == label)
         return np.max(np.abs(np.gradient(tr.path_length_m, tr.times_s)))

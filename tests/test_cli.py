@@ -1,9 +1,13 @@
+import math
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from dopplerveil import channel, cli, pipeline, spectral
 from dopplerveil.cli import (EXIT_CONFIG, EXIT_OK, EXIT_RUNTIME,
@@ -124,6 +128,42 @@ def test_compare_mismatched_scenarios_warns(scenario_file, tmp_path, capsys):
     report_b = _run_once(other, tmp_path / "b")
     assert main(["compare", str(report_a), str(report_b)]) == EXIT_OK
     assert "partial" in capsys.readouterr().err
+
+
+_METRIC_VALUES = st.one_of(
+    st.floats(),  # finite across magnitudes, +-0, subnormals, +-inf, nan
+    st.integers(),
+    st.text("abcdefghijklmnopqrstuvwxyz-", min_size=1).map(
+        lambda reason: f"skipped:{reason}"))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.dictionaries(st.from_regex(r"[a-z][a-z0-9_.]{0,30}", fullmatch=True),
+                       _METRIC_VALUES, max_size=8))
+@example({"zero": 0.0, "neg_zero": -0.0, "subnormal": 5e-324,
+          "huge": -1.7976931348623157e308, "inf": math.inf,
+          "neg_inf": -math.inf, "nan": math.nan, "count": 12,
+          "correlation": "skipped:no-baseline"})
+def test_report_metrics_survive_a_write_parse_round_trip(metrics):
+    # A float is written to 10 significant digits and every other value as
+    # its str; compare reads each back and finds the report equal to itself.
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "report.txt"
+        pipeline.write_report(pipeline.RunReport(metrics=metrics), path)
+        entries = parse_report(path)
+        assert main(["compare", str(path), str(path)]) == EXIT_OK
+    for key, value in metrics.items():
+        text = entries[f"metric.{key}"]
+        if not isinstance(value, float):
+            assert text == str(value)
+            continue
+        assert text == f"{value:.9e}"
+        back, written = float(text), float(f"{value:.9e}")
+        if math.isnan(value):
+            assert math.isnan(back)
+        else:
+            assert back == written
+            assert math.copysign(1.0, back) == math.copysign(1.0, value)
 
 
 def test_sweep(scenario_file, tmp_path):

@@ -1,9 +1,12 @@
+import functools
 import math
 import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dopplerveil import pipeline as pl
 from dopplerveil.scenario import (Obfuscation, ScenarioConfig, StftParams,
@@ -108,8 +111,11 @@ def _per_frame_demod(cfg, d, chan, rngs):
         syms = (data[d.data_bins, :] / h_ref[d.data_bins][:, None]).T.reshape(-1)
         rx_bits.append(rx.demap(syms, cfg.qam_order))
         eq_syms.append(syms)
-    ber = rx.ber(np.concatenate(rx_bits), bits)
-    evm = rx.evm_rms(np.concatenate(eq_syms), wf.qam_map(bits, cfg.qam_order))
+    # The whole-array formulas, not the scorer under test.
+    eq, ideal = np.concatenate(eq_syms), wf.qam_map(bits, cfg.qam_order)
+    ber = float(np.mean(np.concatenate(rx_bits) != bits))
+    evm = float(np.sqrt(np.mean(np.abs(eq - ideal) ** 2)
+                        / np.mean(np.abs(ideal) ** 2)))
     return ber, evm, tx
 
 
@@ -289,6 +295,40 @@ def test_power_view_sees_through_both_defenses(obf):
                     for s in (view, base)]
         assert abs(mean_abs[0] - mean_abs[1]) <= 0.1 * bin_width, \
             (name, mean_abs)
+
+
+@functools.lru_cache(maxsize=1)
+def _fast_csi():
+    """The CSI pass of a 0.6 s, 25 dB run, and its cfg."""
+    cfg = _cfg(snr_db=25.0)
+    d = derive_streams(cfg)
+    rngs = rng_streams(cfg.seed)
+    chan = pl.build_channel(cfg, d, rngs.walker)
+    return cfg, pl.simulate_csi(cfg, d, chan, rngs.noise)
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(st.integers(0, 2 ** 32 - 1))
+def test_power_view_is_invariant_to_any_unit_modulus_multiplier(seed):
+    # |s H|^2 = |H|^2 for every |s| = 1, not only for the two defenses'
+    # multipliers: a random phase per subcarrier and instant leaves the
+    # power attacker's view as it was, while it hides the walker from the
+    # complex-CSI attacker.
+    from dopplerveil import spectral as sp
+    cfg, (m1, series) = _fast_csi()
+    phase = np.random.default_rng(seed).uniform(0.0, 2.0 * np.pi,
+                                                series.h_hat.shape)
+    masked = replace(series, h_hat=series.h_hat * np.exp(1j * phase))
+    power, masked_power = (_TRANSFORMS["power"](s) for s in (series, masked))
+    np.testing.assert_allclose(masked_power.h_hat, power.h_hat,
+                               rtol=1e-12, atol=0)
+
+    def view(s):
+        return pl.VIEWS["method2"]((m1, s), cfg)[0]
+
+    base, seen = view(power).power, view(masked_power).power
+    assert np.max(np.abs(seen - base)) <= 1e-12 * np.max(base)
+    assert sp.spectrogram_correlation(view(masked), view(series)) < 0.5
 
 
 def test_run_scenario_baseline_axis_mismatch(tmp_path):
