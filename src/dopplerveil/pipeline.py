@@ -160,17 +160,18 @@ def simulate_csi(cfg: ScenarioConfig, derived: DerivedParams,
     Returns (method-1 complex series as a BasebandSignal at the probe rate,
     CfrSeries at the configured CSI rate).  The method-1 series is the
     per-symbol mean of rx * conj(clean tx), i.e. the reference-conjugated
-    received signal already decimated to one sample per probe symbol.
+    received signal already decimated to one sample per probe symbol: each
+    probe's CSI estimate summed over the used subcarriers, over N.
 
     The (subcarrier, probe) grid is held as `ratio` probe-phase planes, one
     array each: plane p holds probes p, p + ratio, ...  Every step works
     plane by plane and in place; the noise follows the whole grid's C order,
-    and the CSI series, every ratio-th probe, is estimated in place in plane
-    0, so the pass holds one grid and returns a part of it.  `h` is chan's
-    CFR as those planes (PointInvariant.cfr) and is only read: each plane
-    is copied, or evaluated when `h` is not given, into the working grid,
-    and takes its known symbols and defense in the share of the CPUs that
-    made it.
+    then every probe's CSI is estimated in place.  The CSI series, every
+    ratio-th probe, is plane 0, so the pass holds one grid and returns a
+    part of it.  `h` is chan's CFR as those planes (PointInvariant.cfr) and
+    is only read: each plane is copied, or evaluated when `h` is not given,
+    into the working grid, and takes its known symbols and defense in the
+    share of the CPUs that made it.
     """
     k, plane_times = derived.used_k, _probe_plane_times(cfg, derived)
     ratio, rate, n_probes = cfg.probe_sampling()
@@ -187,20 +188,19 @@ def simulate_csi(cfg: ScenarioConfig, derived: DerivedParams,
     # power is that share of the grid's.
     chan_mod.add_awgn(y, cfg.snr_db, rng_noise, occupancy=len(k) / n)
 
-    # Reference-conjugated series: (1/N) sum_k Y[k] X*[k]  (Parseval form of the
-    # per-symbol time-domain mean of rx * conj(tx)).
+    # Reference-conjugated series (1/N) sum_k H_hat[k]: as |X| = 1, the
+    # Parseval form (1/N) sum_k Y[k] X*[k] of the mean of rx * conj(tx).
     m1 = np.empty(n_probes, dtype=complex)
-    for p, plane in enumerate(y):
-        m1[p::ratio] = np.conj(x_used) @ plane / n
+
+    def estimate(ps):
+        for p in ps:
+            m1[p::ratio] = rx_mod.estimate_cfr(y[p], x_used).sum(axis=0) / n
+
+    _in_shares(estimate, range(ratio))
     m1_sig = wf.BasebandSignal(samples=m1, sample_rate_hz=rate,
                                t0=plane_times[0][0])
-
-    series = rx_mod.CfrSeries(
-        subcarriers=k,
-        h_hat=rx_mod.estimate_cfr(y[0], x_used),
-        t_s=plane_times[0],
-        csi_rate_hz=cfg.csi_rate_hz,
-    )
+    series = rx_mod.CfrSeries(subcarriers=k, h_hat=y[0], t_s=plane_times[0],
+                              csi_rate_hz=cfg.csi_rate_hz)
     return m1_sig, series
 
 

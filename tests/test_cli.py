@@ -227,20 +227,6 @@ def test_sweep_rejects_colliding_point_names(scenario_file, tmp_path, capsys,
     assert not out.exists()
 
 
-def _outputs(run_dir: Path) -> dict:
-    """Every file's bytes; report lines naming paths or wall time dropped."""
-    files = {}
-    for path in sorted(run_dir.iterdir()):
-        data = path.read_bytes()
-        if path.name == "report.txt":
-            data = b"".join(
-                line for line in data.splitlines(keepends=True)
-                if not line.startswith((b"artifact.", b"wall_time_s",
-                                        b"scenario.path")))
-        files[path.name] = data
-    return files
-
-
 @pytest.mark.parametrize("threads", ["1", "2"])
 def test_sweep_points_match_standalone_runs(scenario_file, tmp_path, threads):
     base = tmp_path / "base"
@@ -262,8 +248,8 @@ def test_sweep_points_match_standalone_runs(scenario_file, tmp_path, threads):
         alone = tmp_path / "alone" / name
         assert main(["run", "--scenario", str(scenario), "--out", str(alone),
                      "--baseline", str(base)]) == EXIT_OK
-        swept = _outputs(out / name)
-        assert swept == _outputs(alone), name
+        swept = _run_outputs(out / name)
+        assert swept == _run_outputs(alone), name
         assert b"correlation_method2_vs_baseline = skipped" \
             not in swept["report.txt"]
 
@@ -437,8 +423,8 @@ def test_integer_yaml_point_matches_its_sweep_point(scenario_file, tmp_path):
     out = tmp_path / "sweep"
     assert main(["sweep", "--scenario", str(scenario_file), "--out", str(out),
                  "--delta-f", "100", "--f-m", "10"]) == EXIT_OK
-    swept = _outputs(out / "smear_df100_fm10")
-    assert swept == _outputs(alone)
+    swept = _run_outputs(out / "smear_df100_fm10")
+    assert swept == _run_outputs(alone)
     assert b"scenario.obfuscation_delta_f_hz = 100.0\n" in swept["report.txt"]
 
 
@@ -517,16 +503,21 @@ def test_compare_non_utf8_report_exits_3(scenario_file, tmp_path, capsys):
     assert err.startswith("error: ") and "bad_report.txt" in err
 
 
-def _cli_process(scenario_file, *argv, **env):
-    """`python -m dopplerveil.cli run` on scenario_file in a subprocess
-    whose environment also holds env."""
+def _python_process(*argv, **env):
+    """`python *argv` in a subprocess whose environment also holds env, and
+    imports dopplerveil from this source tree."""
     src = str(Path(cli.__file__).resolve().parents[1])
     env = {**os.environ, **env, "PYTHONPATH": os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p)}
-    return subprocess.run(
-        [sys.executable, "-m", "dopplerveil.cli", "run", "--scenario",
-         str(scenario_file), *argv], env=env, capture_output=True,
-        text=True, timeout=300)
+    return subprocess.run([sys.executable, *argv], env=env,
+                          capture_output=True, text=True, timeout=300)
+
+
+def _cli_process(scenario_file, *argv, **env):
+    """`python -m dopplerveil.cli run` on scenario_file in a subprocess
+    whose environment also holds env."""
+    return _python_process("-m", "dopplerveil.cli", "run", "--scenario",
+                           str(scenario_file), *argv, **env)
 
 
 def test_console_entry_point(scenario_file, tmp_path):
@@ -559,20 +550,60 @@ def _run_outputs(root: Path) -> dict:
     return outputs
 
 
+# The CSI pass of a 2.0005 s, 20 dB run: its probe planes are 2001 and 2000
+# probes wide.  Writes the method-1 samples' and the CSI series' bytes to
+# the files named by the two arguments.
+_CSI_PASS = """
+import sys
+from pathlib import Path
+from dopplerveil import pipeline as pl
+from dopplerveil.scenario import derive_streams, load_scenario, rng_streams
+cfg = load_scenario("duration_s: 2.0005\\nsnr_db: 20\\n")
+d, rngs = derive_streams(cfg), rng_streams(cfg.seed)
+m1, series = pl.simulate_csi(cfg, d, pl.build_channel(cfg, d, rngs.walker),
+                             rngs.noise)
+Path(sys.argv[1]).write_bytes(m1.samples.tobytes())
+Path(sys.argv[2]).write_bytes(series.h_hat.tobytes())
+"""
+
+
+def test_csi_pass_does_not_depend_on_the_blas_thread_count(tmp_path):
+    # Over a plane of odd width, OpenBLAS's split of a matrix-vector
+    # product over its threads moves the last bits of its sums; the pass
+    # sums the method-1 series in NumPy's own loops.
+    runs = []
+    for threads in ("1", "2"):
+        paths = [tmp_path / f"{name}-{threads}" for name in ("m1", "csi")]
+        done = _python_process("-c", _CSI_PASS, *map(str, paths),
+                               OPENBLAS_NUM_THREADS=threads)
+        assert done.returncode == 0, done.stderr
+        runs.append([path.read_bytes() for path in paths])
+    (m1_1, csi_1), (m1_2, csi_2) = runs
+    assert len(m1_1) == 16 * 4001 and len(csi_1) == 16 * 56 * 2001
+    assert m1_1 == m1_2
+    assert csi_1 == csi_2
+
+
 def test_outputs_do_not_depend_on_the_blas_thread_count(tmp_path):
-    # The noise power and the baseline correlations are summed in NumPy's
-    # own loops: OpenBLAS's dot products move their last digits with its
-    # thread count, and the noise scale then moves every noisy value.
-    base, smear = tmp_path / "none.yaml", tmp_path / "smear.yaml"
+    # The noise power, the method-1 series and the baseline correlations
+    # are summed in NumPy's own loops: OpenBLAS's dot products move their
+    # last digits with its thread count, and the noise scale then moves
+    # every noisy value.  The odd run's probe planes are 2001 and 2000
+    # probes wide.
+    base, smear, odd = (tmp_path / f"{name}.yaml"
+                        for name in ("none", "smear", "odd"))
     base.write_text("snr_db: 20\nseed: 3\n")
     smear.write_text("snr_db: 20\nseed: 3\nobfuscation: {kind: smear}\n")
+    odd.write_text("duration_s: 2.0005\nsnr_db: 25\nseed: 3\n"
+                   "obfuscation: {kind: smear}\n")
     formats = ("--format", "csv", "--format", "pgm", "--format", "bin")
     runs = []
     for threads in ("1", "2"):
         root = tmp_path / f"blas-{threads}"
         stdout = []
         for scenario, argv in ((base, ()),
-                               (smear, ("--baseline", str(root / "none")))):
+                               (smear, ("--baseline", str(root / "none"))),
+                               (odd, ())):
             done = _cli_process(scenario, "--out",
                                 str(root / scenario.stem), *formats, *argv,
                                 OPENBLAS_NUM_THREADS=threads)

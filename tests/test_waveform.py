@@ -141,6 +141,16 @@ def test_known_table_is_deterministic_unit_modulus_qpsk():
     np.testing.assert_allclose(np.abs(a[d.used_bins]), 1.0, atol=1e-12)
 
 
+def test_known_table_has_exactly_unit_power_on_the_default_layout():
+    # The CSI pass's method-1 series sums the estimates X* Y / |X|^2 over the
+    # used subcarriers; each term is X* Y, the Parseval form's, to the bit
+    # only while |X|^2 is exactly 1.0 on every used bin.
+    cfg = ScenarioConfig()
+    d = derive_streams(cfg)
+    table = wf.known_symbol_table(cfg.n_subcarriers, d.used_bins)
+    assert np.all(np.abs(table[d.used_bins]) ** 2 == 1.0)
+
+
 def test_frame_stream_payload_layout():
     cfg = ScenarioConfig()
     d = derive_streams(cfg)
