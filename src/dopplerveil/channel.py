@@ -161,50 +161,63 @@ def cfr_matrix(chan: ChannelRealization, k, spacing_hz: float,
     return total
 
 
-def add_awgn(x, snr_db: float, rng: np.random.Generator, *,
-             occupancy: float = 1.0) -> None:
-    """Add complex AWGN to x in place so 10 log10(P_sig / P_noise) = snr_db.
+def _energy(x: np.ndarray) -> float:
+    """The sum of |x|^2 over a C-contiguous complex array.
 
-    x is a C-contiguous complex array of any shape, or a list of the planes
-    of one: plane p of r holds the columns (last axis) p, p + r, ... of the
-    logical array.  P_sig is occupancy times the mean power of x's cells,
-    summed in NumPy's own loops (not BLAS), so it does not depend on the
-    BLAS thread count.  The noise takes every real part, then every
-    imaginary part, from rng in the logical array's C order.  It is drawn
-    at most NOISE_CHUNK values at a time, which gives the same values as
-    one draw.  An infinite snr_db leaves x and rng untouched.
+    Summed in NumPy's own loop (einsum on x's float64 view, which allocates
+    nothing), not BLAS, so it does not depend on the BLAS thread count.
     """
-    if math.isinf(snr_db):
-        return
-    planes = list(x) if isinstance(x, (list, tuple)) else [x]
-    if not all(p.flags.c_contiguous for p in planes):
-        raise ValueError("noise is added in place to C-contiguous arrays")
-    ratio = len(planes)
-    width = sum(p.shape[-1] for p in planes)
-    if ([p.shape for p in planes]
-            != [planes[0].shape[:-1] + (len(range(i, width, ratio)),)
-                for i in range(ratio)]):
-        raise ValueError("planes do not interleave into one array")
-    rows = [p.reshape(-1, p.shape[-1]) for p in planes]
-    energy = 0.0
-    for p in planes:  # einsum on the float64 view allocates nothing
-        f = p.reshape(-1).view(np.float64)
-        energy += float(np.einsum("i,i->", f, f))
-    power = energy / sum(p.size for p in planes) * occupancy
+    f = x.reshape(-1).view(np.float64)
+    return float(np.einsum("i,i->", f, f))
+
+
+def _awgn_runs(shape: tuple, energy: float, snr_db: float,
+               rng: np.random.Generator, *, occupancy: float = 1.0,
+               step: int = NOISE_CHUNK):
+    """The complex AWGN of a (rows, width) array, as runs along its rows.
+
+    The array's cells hold `energy` in all; its signal power is occupancy
+    times their mean power, and the noise puts it at snr_db.  Yields
+    (imag, row, start, values): values are the noise's real (imag False) or
+    imaginary parts of row `row` from column `start` on, at most `step` of
+    them, in one reused buffer that the caller adds before the next run.
+    Every real part comes first, then every imaginary part, each in the
+    array's C order: the order rng draws them in, which gives the same
+    values as one draw of 2 x size normals.
+    """
+    rows, width = shape
+    power = energy / (rows * width) * occupancy
     scale = math.sqrt(power / (10.0 ** (snr_db / 10.0)) / 2.0)
-    step = max(1, NOISE_CHUNK // ratio) * ratio
     draw = np.empty(min(step, width))
     for imag in (False, True):
-        for row in range(len(rows[0])):
+        for row in range(rows):
             for j in range(0, width, step):
                 d = draw[:min(step, width - j)]
                 rng.standard_normal(out=d)
                 d *= scale
-                for i, plane in enumerate(rows):
-                    seg = d[i::ratio]
-                    cells = plane[row, j // ratio:j // ratio + len(seg)]
-                    part = cells.imag if imag else cells.real
-                    part += seg
+                yield imag, row, j, d
+
+
+def add_awgn(x: np.ndarray, snr_db: float, rng: np.random.Generator, *,
+             occupancy: float = 1.0) -> None:
+    """Add complex AWGN to x in place so 10 log10(P_sig / P_noise) = snr_db.
+
+    x is a C-contiguous complex array of any shape.  P_sig is occupancy
+    times the mean power of x's cells (_energy).  The noise takes every
+    real part, then every imaginary part, from rng in x's C order
+    (_awgn_runs), at most NOISE_CHUNK values at a time.  An infinite
+    snr_db leaves x and rng untouched.
+    """
+    if math.isinf(snr_db):
+        return
+    if not x.flags.c_contiguous:
+        raise ValueError("noise is added in place to a C-contiguous array")
+    rows = x.reshape(-1, x.shape[-1])
+    for imag, row, j, d in _awgn_runs(rows.shape, _energy(x), snr_db, rng,
+                                      occupancy=occupancy):
+        cells = rows[row, j:j + len(d)]
+        part = cells.imag if imag else cells.real
+        part += d
 
 
 def propagate(rows: np.ndarray, chan: ChannelRealization, cp_len: int,

@@ -8,6 +8,7 @@ payload data through the same channel to measure BER and EVM.
 """
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -15,6 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from dopplerveil import channel as chan_mod
+from dopplerveil import obfuscator
 from dopplerveil import receiver as rx_mod
 from dopplerveil import spectral as spec_mod
 from dopplerveil import waveform as wf
@@ -69,29 +71,19 @@ def _probe_plane_times(cfg: ScenarioConfig, derived: DerivedParams) -> list:
 
 
 def _cfr_planes(chan: chan_mod.ChannelRealization, cfg: ScenarioConfig,
-                derived: DerivedParams, then=None, h=None) -> list:
+                derived: DerivedParams) -> list:
     """chan's CFR on each plane of the probe grid, one array per plane.
 
-    Each plane is evaluated, or copied from `h` when it is given (chan's
-    CFR as those planes, PointInvariant.cfr), in shares over the CPUs;
-    then(plane, times), when given, works on each plane in place in the
-    share that made it.
+    The planes are evaluated in shares over the CPUs.
     """
     plane_times = _probe_plane_times(cfg, derived)
-    shapes = [(len(derived.used_k), len(t)) for t in plane_times]
-    if h is not None and [p.shape for p in h] != shapes:
-        raise ValueError(f"CFR plane shapes {[p.shape for p in h]} do not "
-                         f"match the probe grid's planes {shapes}")
     planes = [None] * len(plane_times)
 
     def share(ps):
         for p in ps:
-            planes[p] = (chan_mod.cfr_matrix(chan, derived.used_k,
-                                             cfg.subcarrier_spacing_hz,
-                                             plane_times[p])
-                         if h is None else h[p].copy())
-            if then is not None:
-                then(planes[p], plane_times[p])
+            planes[p] = chan_mod.cfr_matrix(chan, derived.used_k,
+                                            cfg.subcarrier_spacing_hz,
+                                            plane_times[p])
 
     _in_shares(share, range(len(plane_times)))
     return planes
@@ -163,43 +155,92 @@ def simulate_csi(cfg: ScenarioConfig, derived: DerivedParams,
     received signal already decimated to one sample per probe symbol: each
     probe's CSI estimate summed over the used subcarriers, over N.
 
-    The (subcarrier, probe) grid is held as `ratio` probe-phase planes, one
-    array each: plane p holds probes p, p + ratio, ...  Every step works
-    plane by plane and in place; the noise follows the whole grid's C order,
-    then every probe's CSI is estimated in place.  The CSI series, every
-    ratio-th probe, is plane 0, so the pass holds one grid and returns a
-    part of it.  `h` is chan's CFR as those planes (PointInvariant.cfr) and
-    is only read: each plane is copied, or evaluated when `h` is not given,
-    into the working grid, and takes its known symbols and defense in the
-    share of the CPUs that made it.
+    The (subcarrier, probe) grid is split into `ratio` probe-phase planes:
+    plane p holds probes p, p + ratio, ...  Plane 0, every ratio-th probe,
+    is the CSI series: it is built whole, and the pass returns it.  Planes
+    1.. are built obfuscator.TIME_CHUNK probes at a time and each chunk is
+    at once reduced to the signal part of its method-1 samples, so no such
+    plane exists whole.  Each plane, or chunk, is chan's CFR, evaluated or
+    copied from `h` (chan's CFR as those planes, PointInvariant.cfr, only
+    read), times the known symbols and the defense, in the share of the
+    CPUs that owns the plane.  The noise is the whole grid's, drawn as
+    channel.add_awgn draws it (channel._awgn_runs): plane 0's columns take
+    theirs in place, and every other probe's is folded into its method-1
+    sample through the estimate's X*/|X|^2.
     """
     k, plane_times = derived.used_k, _probe_plane_times(cfg, derived)
     ratio, rate, n_probes = cfg.probe_sampling()
     n = cfg.n_subcarriers
+    shapes = [(len(k), len(t)) for t in plane_times]
+    if h is not None and [p.shape for p in h] != shapes:
+        raise ValueError(f"CFR plane shapes {[p.shape for p in h]} do not "
+                         f"match the probe grid's planes {shapes}")
     x_used = wf.known_symbol_table(n, derived.used_bins)[derived.used_bins]
 
-    def transmit(plane, t):  # the known symbols, then the defense
-        np.multiply(x_used[:, None], plane, out=plane)
-        transmit_multiplier(cfg.obfuscation, plane, k, t,
+    def signal(p, cols):  # chan's CFR, the known symbols, then the defense
+        t = plane_times[p][cols]
+        y = (chan_mod.cfr_matrix(chan, k, cfg.subcarrier_spacing_hz, t)
+             if h is None else h[p][:, cols].copy())
+        np.multiply(x_used[:, None], y, out=y)
+        transmit_multiplier(cfg.obfuscation, y, k, t,
                             cfg.subcarrier_spacing_hz, cfg.carrier_hz)
-
-    y = _cfr_planes(chan, cfg, derived, then=transmit, h=h)
-    # Only the used bins carry power, so the time-domain samples' mean
-    # power is that share of the grid's.
-    chan_mod.add_awgn(y, cfg.snr_db, rng_noise, occupancy=len(k) / n)
+        return y
 
     # Reference-conjugated series (1/N) sum_k H_hat[k]: as |X| = 1, the
     # Parseval form (1/N) sum_k Y[k] X*[k] of the mean of rx * conj(tx).
+    # It holds sums over k until the last step divides them by N.
     m1 = np.empty(n_probes, dtype=complex)
+    plane0, energy = [None], [0.0] * ratio
 
-    def estimate(ps):
+    def share(ps):
         for p in ps:
-            m1[p::ratio] = rx_mod.estimate_cfr(y[p], x_used).sum(axis=0) / n
+            if p == 0:
+                plane0[0] = signal(0, slice(None))
+                energy[0] = chan_mod._energy(plane0[0])
+                continue
+            for j in range(0, len(plane_times[p]), obfuscator.TIME_CHUNK):
+                y = signal(p, slice(j, j + obfuscator.TIME_CHUNK))
+                energy[p] += chan_mod._energy(y)
+                m1[p + ratio * j::ratio][:y.shape[1]] = rx_mod.estimate_cfr(
+                    y, x_used).sum(axis=0)
+                del y  # before the next chunk is built
 
-    _in_shares(estimate, range(ratio))
+    _in_shares(share, range(ratio))
+    y0 = plane0[0]
+    if not math.isinf(cfg.snr_db):
+        coef = np.conj(x_used) / np.abs(x_used) ** 2
+        # Runs of whole probe-phase groups, so each run's plane-0 probes
+        # are its every ratio-th value.  Only the used bins carry power, so
+        # the time-domain samples' mean power is that share of the grid's.
+        step = max(1, chan_mod.NOISE_CHUNK // ratio) * ratio
+        for imag, row, j, d in chan_mod._awgn_runs(
+                (len(k), n_probes), sum(energy), cfg.snr_db, rng_noise,
+                occupancy=len(k) / n, step=step):
+            seg = d[::ratio]
+            cells = y0[row, j // ratio:j // ratio + len(seg)]
+            part = cells.imag if imag else cells.real
+            part += seg
+            # The estimate maps a cell's noise to X*/|X|^2 times it, and an
+            # imaginary part's to that times j.
+            c = 1j * coef[row] if imag else coef[row]
+            for p in range(1, ratio):
+                seg = d[p::ratio]
+                m1[j + p::ratio][:len(seg)] += c * seg
+
+    def estimate(starts):  # plane 0 in place, a chunk of probes at a time
+        for j in starts:
+            y = plane0[0][:, j:j + obfuscator.TIME_CHUNK]
+            m1[ratio * j::ratio][:y.shape[1]] = rx_mod.estimate_cfr(
+                y, x_used).sum(axis=0)
+
+    _in_shares(estimate, range(0, y0.shape[1], obfuscator.TIME_CHUNK))
+    # A pool thread may hold a share's closure a moment after it is done:
+    # the closures' plane0 then holds nothing.
+    plane0.clear()
+    m1 /= n
     m1_sig = wf.BasebandSignal(samples=m1, sample_rate_hz=rate,
                                t0=plane_times[0][0])
-    series = rx_mod.CfrSeries(subcarriers=k, h_hat=y[0], t_s=plane_times[0],
+    series = rx_mod.CfrSeries(subcarriers=k, h_hat=y0, t_s=plane_times[0],
                               csi_rate_hz=cfg.csi_rate_hz)
     return m1_sig, series
 
@@ -308,6 +349,8 @@ def _method2_view(csi, cfg: ScenarioConfig):
 # (method-1 series, CfrSeries) and cfg, and returns its spectrogram and
 # {metric: value}; a view's baseline and artifacts are named after it.
 VIEWS = {"method1": _method1_view, "method2": _method2_view}
+# The views that read the CfrSeries; the others read the method-1 series.
+SERIES_VIEWS = ("method2",)
 
 
 def _attacker_half(cfg: ScenarioConfig, derived: DerivedParams,
@@ -315,43 +358,59 @@ def _attacker_half(cfg: ScenarioConfig, derived: DerivedParams,
                    baseline_dir, baselines, out: Path, formats):
     """The passive attacker's CSI pass, spectra, metrics and artifacts.
 
-    Returns (metrics, artifacts).  Each view's spectrogram is built,
-    measured, written and released before the next view's is built.  Its
-    arrays are released when it returns, so the demodulation pass that
-    follows starts with them gone.
+    Returns (metrics, artifacts), each in VIEWS order.  First `cfr.*` is
+    written and the views of the CSI series (SERIES_VIEWS) run; then the
+    series is released, and the other views run beside the method-1 series
+    alone.  Each view's spectrogram is built, measured, written and
+    released before the next view's is built.  Its arrays are released when
+    it returns, so the demodulation pass that follows starts with them gone.
     """
-    csi = simulate_csi(cfg, derived, chan, rng_noise, h=h)
-    measured, correlations = {}, {}
-    # The artifacts list each format's spectrograms together, csv's first.
-    spectrograms = {"csv": {}, "pgm": {}}
-    for view, build in VIEWS.items():
-        spec, view_metrics = build(csi, cfg)
-        measured.update(view_metrics)
-        correlations[f"correlation_{view}_vs_baseline"] = _correlation(
-            spec, view, baseline_dir, baselines)
-        for fmt, written in spectrograms.items():
+    m1_sig, series = simulate_csi(cfg, derived, chan, rng_noise, h=h)
+    done = {}  # view: (its metrics, its correlation, {format: path})
+
+    def run_view(view, csi):
+        spec, view_metrics = VIEWS[view](csi, cfg)
+        written = {}
+        for fmt in ("csv", "pgm"):
             if fmt in formats:
                 p = _spectrogram_path(out, view, fmt)
                 # Looked up at call time: a wrapped writer is the one called.
                 getattr(spec_mod, f"save_spectrogram_{fmt}")(spec, p)
-                written[f"{view}_spectrogram_{fmt}"] = str(p)
-        del spec  # before the next view's is built
+                written[fmt] = str(p)
+        done[view] = (view_metrics,
+                      _correlation(spec, view, baseline_dir, baselines),
+                      written)
 
-    _, cfr_series = csi
-    artifacts = dict(spectrograms["csv"])
+    text, binary = {}, {}  # the series' and tracks' artifacts
     if "csv" in formats:
         p = out / "cfr.csv"
-        rx_mod.dump_cfr_csv(cfr_series, p)
-        artifacts["cfr_csv"] = str(p)
+        rx_mod.dump_cfr_csv(series, p)
+        text["cfr_csv"] = str(p)
         p = out / "tracks.csv"
         chan_mod.dump_tracks(chan.tracks, p)
-        artifacts["tracks_csv"] = str(p)
-    artifacts.update(spectrograms["pgm"])
+        text["tracks_csv"] = str(p)
     if "bin" in formats:
         p = out / "cfr.bin"
-        rx_mod.dump_cfr_bin(cfr_series, p)
-        artifacts["cfr_bin"] = str(p)
-    return {**measured, **correlations}, artifacts
+        rx_mod.dump_cfr_bin(series, p)
+        binary["cfr_bin"] = str(p)
+    for view in SERIES_VIEWS:
+        run_view(view, (m1_sig, series))
+    del series  # before method 1's STFT
+    for view in VIEWS:
+        if view not in done:
+            run_view(view, (m1_sig, None))
+
+    def spectrograms(fmt):
+        return {f"{view}_spectrogram_{fmt}": done[view][2][fmt]
+                for view in VIEWS if fmt in done[view][2]}
+
+    metrics = {k: v for view in VIEWS for k, v in done[view][0].items()}
+    metrics.update({f"correlation_{view}_vs_baseline": done[view][1]
+                    for view in VIEWS})
+    # The artifacts list each format's spectrograms together, csv's first.
+    artifacts = {**spectrograms("csv"), **text, **spectrograms("pgm"),
+                 **binary}
+    return metrics, artifacts
 
 
 def _correlation(spec, view: str, baseline_dir, baselines):

@@ -243,19 +243,25 @@ def occupied_bandwidth(s: Spectrogram) -> float:
 def peak_doppler_track(s: Spectrogram) -> np.ndarray:
     """Argmax frequency per frame, DC bin excluded; a tie takes the lower bin.
 
-    The bins below and above DC are searched in place and their winners
-    compared, so the power matrix is not copied.
+    The (frame, bin) rows that a spectrogram's power is the transpose of
+    are searched FRAME_BLOCK frames at a time: the bins below DC and those
+    above, whose winners are then compared.  So the work memory is a
+    block's, whatever the number of frames.
     """
     # n_fft >= window_len >= 2 puts DC at bin n_fft // 2 >= 1, so some bin
     # lies below it.
     dc = int(np.argmin(np.abs(s.freqs_hz)))
-    below, above = s.power[:dc], s.power[dc + 1:]
-    best = np.argmax(below, axis=0)
-    if len(above):
-        frames = np.arange(s.power.shape[1])
-        up = np.argmax(above, axis=0)
-        best = np.where(above[up, frames] > below[best, frames],
-                        dc + 1 + up, best)
+    rows = s.power.T
+    best = np.empty(len(rows), dtype=np.intp)
+    for i in range(0, len(rows), FRAME_BLOCK):
+        block = rows[i:i + FRAME_BLOCK]
+        below, above = block[:, :dc], block[:, dc + 1:]
+        b = np.argmax(below, axis=1)
+        if above.shape[1]:
+            frames = np.arange(len(block))
+            up = np.argmax(above, axis=1)
+            b = np.where(above[frames, up] > below[frames, b], dc + 1 + up, b)
+        best[i:i + len(block)] = b
     return s.freqs_hz[best]
 
 

@@ -167,27 +167,6 @@ def test_awgn_noiseless_passthrough():
     assert rng.standard_normal() == np.random.default_rng(3).standard_normal()
 
 
-def test_awgn_planes_get_the_noise_of_the_grid_they_interleave():
-    # Plane p of r holds columns p, p + r, ...: the planes get exactly the
-    # noise of the whole grid, in its C order, also when a row is wider
-    # than one draw chunk.
-    for shape, ratio in (((7, 31), 3), ((2, ch.NOISE_CHUNK + 5), 2)):
-        grid = np.full(shape, 2.0 + 1.0j)
-        planes = [grid[:, p::ratio].copy() for p in range(ratio)]
-        ch.add_awgn(grid, 20.0, np.random.default_rng(5))
-        ch.add_awgn(planes, 20.0, np.random.default_rng(5))
-        for p in range(ratio):
-            np.testing.assert_array_equal(planes[p], grid[:, p::ratio])
-    with pytest.raises(ValueError, match="interleave"):
-        ch.add_awgn([np.zeros((2, 2), dtype=complex),
-                     np.zeros((2, 3), dtype=complex)], 20.0,
-                    np.random.default_rng(5))
-    with pytest.raises(ValueError, match="interleave"):
-        ch.add_awgn([np.zeros((2, 3), dtype=complex),
-                     np.zeros((3, 3), dtype=complex)], 20.0,
-                    np.random.default_rng(5))
-
-
 def test_awgn_variance_calibration():
     # The noise is sized to the occupancy times the mean power of x: a
     # quarter of power 4 is power 1, as is all of power 1.

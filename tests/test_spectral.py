@@ -340,6 +340,45 @@ def test_peak_track_speed_ratio():
     assert r == pytest.approx(1.875, rel=0.3)
 
 
+def test_peak_track_is_the_whole_matrix_search_a_frame_block_at_a_time():
+    # The track searches the (frame, bin) rows FRAME_BLOCK frames at a
+    # time; it must give the indices of the search over the whole (bin,
+    # frame) matrix, kept here as the reference: DC excluded, a tie taking
+    # the lower bin.  Small integer powers tie everywhere, and some frames
+    # get a planted tie across DC, one within the bins below it, or their
+    # peak at DC.  No block's copy may grow with the number of frames.
+    import tracemalloc
+
+    def whole(s):
+        dc = int(np.argmin(np.abs(s.freqs_hz)))
+        below, above = s.power[:dc], s.power[dc + 1:]
+        best = np.argmax(below, axis=0)
+        frames = np.arange(s.power.shape[1])
+        up = np.argmax(above, axis=0)
+        best = np.where(above[up, frames] > below[best, frames],
+                        dc + 1 + up, best)
+        return s.freqs_hz[best]
+
+    rng = np.random.default_rng(4)
+    frames = rng.integers(0, 4, size=(391, 2048)).astype(float)
+    dc = 1024
+    frames[::3, [100, 1900]] = 9.0  # across DC
+    frames[1::3, [200, 300]] = 9.0  # within the bins below DC
+    frames[2::3, dc] = 20.0  # at DC
+    s = sp._spectrogram(frames, 2000.0, np.arange(len(frames)) * 0.05)
+    assert s.freqs_hz[dc] == 0.0 and len(frames) > 10 * sp.FRAME_BLOCK
+    tracemalloc.start()
+    try:
+        track = sp.peak_doppler_track(s)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    np.testing.assert_array_equal(track, whole(s))
+    np.testing.assert_array_equal(track[:6:3], s.freqs_hz[100])
+    np.testing.assert_array_equal(track[1:6:3], s.freqs_hz[200])
+    assert peak <= 1e6, peak
+
+
 def test_spectrogram_csv_roundtrip(tmp_path):
     x, _ = _tone(100.0, 1000.0, 1.0)
     s = sp.stft(x, 1000.0, window_len=500, hop=100)
