@@ -25,7 +25,7 @@ from dopplerveil.waveform import (ofdm_modulate, signed_subcarriers,
 
 TRACK_DT_S = 0.005  # walker track sampling step; gait harmonics live below 20 Hz
 TX_POS = (-10.0, 0.0)  # transmitter position, m
-NOISE_CHUNK = 1 << 16  # noise values drawn at once by add_awgn
+NOISE_CHUNK = 1 << 16  # noise values drawn at once (add_awgn, the CSI pass)
 PROPAGATE_CHUNK = 4096  # symbols whose CFR propagate evaluates at once
 
 
@@ -198,23 +198,21 @@ def _awgn_runs(shape: tuple, energy: float, snr_db: float,
                 yield imag, row, j, d
 
 
-def add_awgn(x: np.ndarray, snr_db: float, rng: np.random.Generator, *,
-             occupancy: float = 1.0) -> None:
+def add_awgn(x: np.ndarray, snr_db: float, rng: np.random.Generator) -> None:
     """Add complex AWGN to x in place so 10 log10(P_sig / P_noise) = snr_db.
 
-    x is a C-contiguous complex array of any shape.  P_sig is occupancy
-    times the mean power of x's cells (_energy).  The noise takes every
-    real part, then every imaginary part, from rng in x's C order
-    (_awgn_runs), at most NOISE_CHUNK values at a time.  An infinite
-    snr_db leaves x and rng untouched.
+    x is a C-contiguous complex array of any shape.  P_sig is the mean
+    power of x's cells (_energy).  The noise takes every real part, then
+    every imaginary part, from rng in x's C order (_awgn_runs), at most
+    NOISE_CHUNK values at a time.  An infinite snr_db leaves x and rng
+    untouched.
     """
     if math.isinf(snr_db):
         return
     if not x.flags.c_contiguous:
         raise ValueError("noise is added in place to a C-contiguous array")
     rows = x.reshape(-1, x.shape[-1])
-    for imag, row, j, d in _awgn_runs(rows.shape, _energy(x), snr_db, rng,
-                                      occupancy=occupancy):
+    for imag, row, j, d in _awgn_runs(rows.shape, _energy(x), snr_db, rng):
         cells = rows[row, j:j + len(d)]
         part = cells.imag if imag else cells.real
         part += d

@@ -59,34 +59,14 @@ def build_channel(cfg: ScenarioConfig, derived: DerivedParams,
     return chan_mod.ChannelRealization(tracks=tracks, carrier_hz=cfg.carrier_hz)
 
 
-def _probe_plane_times(cfg: ScenarioConfig, derived: DerivedParams) -> list:
-    """The CSI pass's probe mid-times, as its probe-phase planes.
+def _probe_times(cfg: ScenarioConfig, derived: DerivedParams) -> np.ndarray:
+    """The CSI pass's probe mid-times, the columns of its probe grid.
 
-    Plane p of the `ratio` planes (cfg.probe_sampling) holds probes p,
-    p + ratio, ...; the pass's subcarriers are derived.used_k.
+    The grid's rows are derived.used_k.  Plane p of its `ratio`
+    probe-phase planes (cfg.probe_sampling) is times[p::ratio].
     """
-    ratio, rate, n_probes = cfg.probe_sampling()
-    times = np.arange(n_probes) / rate + 0.5 * derived.t_sym_s
-    return [times[p::ratio] for p in range(ratio)]
-
-
-def _cfr_planes(chan: chan_mod.ChannelRealization, cfg: ScenarioConfig,
-                derived: DerivedParams) -> list:
-    """chan's CFR on each plane of the probe grid, one array per plane.
-
-    The planes are evaluated in shares over the CPUs.
-    """
-    plane_times = _probe_plane_times(cfg, derived)
-    planes = [None] * len(plane_times)
-
-    def share(ps):
-        for p in ps:
-            planes[p] = chan_mod.cfr_matrix(chan, derived.used_k,
-                                            cfg.subcarrier_spacing_hz,
-                                            plane_times[p])
-
-    _in_shares(share, range(len(plane_times)))
-    return planes
+    _, rate, n_probes = cfg.probe_sampling()
+    return np.arange(n_probes) / rate + 0.5 * derived.t_sym_s
 
 
 @dataclass(frozen=True)
@@ -94,16 +74,16 @@ class PointInvariant:
     """The work every point of a sweep shares: all but the obfuscation.
 
     `cfg` is the scenario with obfuscation none; `cfr` is H on the CSI pass's
-    probe grid, as its tuple of probe-phase planes (see simulate_csi);
-    `baselines` maps each view in VIEWS to its loaded
-    baseline spectrogram, or None when the CSV is missing, and is None when
-    no baseline directory was given.  Every array is read-only, so a sweep
+    whole (subcarrier, probe) grid, one array (see simulate_csi);
+    `baselines` maps each view in VIEWS to its loaded baseline spectrogram,
+    or None when the CSV is missing, and is None when no baseline directory
+    was given.  Every array is read-only, so a sweep
     thread that writes to one raises instead of corrupting another point.
     """
     cfg: ScenarioConfig
     baseline_dir: Path | None
     chan: chan_mod.ChannelRealization
-    cfr: tuple
+    cfr: np.ndarray
     baselines: dict | None
 
 
@@ -132,9 +112,10 @@ def point_invariant(cfg: ScenarioConfig, baseline_dir=None) -> PointInvariant:
     cfg = replace(cfg, obfuscation=Obfuscation())
     derived = derive_streams(cfg)
     chan = build_channel(cfg, derived, rng_streams(cfg.seed).walker)
-    h = tuple(_cfr_planes(chan, cfg, derived))
-    _freeze(*h, *(a for tr in chan.tracks
-                  for a in (tr.times_s, tr.path_length_m)))
+    h = chan_mod.cfr_matrix(chan, derived.used_k, cfg.subcarrier_spacing_hz,
+                            _probe_times(cfg, derived))
+    _freeze(h, *(a for tr in chan.tracks
+                 for a in (tr.times_s, tr.path_length_m)))
     baselines = None
     if baseline_dir is not None:
         baselines = {view: _load_baseline(baseline_dir, view)
@@ -161,26 +142,26 @@ def simulate_csi(cfg: ScenarioConfig, derived: DerivedParams,
     1.. are built obfuscator.TIME_CHUNK probes at a time and each chunk is
     at once reduced to the signal part of its method-1 samples, so no such
     plane exists whole.  Each plane, or chunk, is chan's CFR, evaluated or
-    copied from `h` (chan's CFR as those planes, PointInvariant.cfr, only
-    read), times the known symbols and the defense, in the share of the
-    CPUs that owns the plane.  The noise is the whole grid's, drawn as
-    channel.add_awgn draws it (channel._awgn_runs): plane 0's columns take
-    theirs in place, and every other probe's is folded into its method-1
-    sample through the estimate's X*/|X|^2.
+    copied from `h` (chan's CFR on the whole grid, PointInvariant.cfr, only
+    read: plane p is its view h[:, p::ratio]), times the known symbols and
+    the defense, in the share of the CPUs that owns the plane.  The noise
+    is the whole grid's, drawn as channel.add_awgn draws it
+    (channel._awgn_runs): plane 0's columns take theirs in place, and every
+    other probe's is folded into its method-1 sample through the estimate's
+    X*/|X|^2.
     """
-    k, plane_times = derived.used_k, _probe_plane_times(cfg, derived)
+    k, times = derived.used_k, _probe_times(cfg, derived)
     ratio, rate, n_probes = cfg.probe_sampling()
     n = cfg.n_subcarriers
-    shapes = [(len(k), len(t)) for t in plane_times]
-    if h is not None and [p.shape for p in h] != shapes:
-        raise ValueError(f"CFR plane shapes {[p.shape for p in h]} do not "
-                         f"match the probe grid's planes {shapes}")
+    if h is not None and h.shape != (len(k), n_probes):
+        raise ValueError(f"CFR shape {h.shape} does not match the probe "
+                         f"grid's {(len(k), n_probes)}")
     x_used = wf.known_symbol_table(n, derived.used_bins)[derived.used_bins]
 
     def signal(p, cols):  # chan's CFR, the known symbols, then the defense
-        t = plane_times[p][cols]
+        t = times[p::ratio][cols]
         y = (chan_mod.cfr_matrix(chan, k, cfg.subcarrier_spacing_hz, t)
-             if h is None else h[p][:, cols].copy())
+             if h is None else h[:, p::ratio][:, cols].copy())
         np.multiply(x_used[:, None], y, out=y)
         transmit_multiplier(cfg.obfuscation, y, k, t,
                             cfg.subcarrier_spacing_hz, cfg.carrier_hz)
@@ -198,7 +179,7 @@ def simulate_csi(cfg: ScenarioConfig, derived: DerivedParams,
                 plane0[0] = signal(0, slice(None))
                 energy[0] = chan_mod._energy(plane0[0])
                 continue
-            for j in range(0, len(plane_times[p]), obfuscator.TIME_CHUNK):
+            for j in range(0, len(times[p::ratio]), obfuscator.TIME_CHUNK):
                 y = signal(p, slice(j, j + obfuscator.TIME_CHUNK))
                 energy[p] += chan_mod._energy(y)
                 m1[p + ratio * j::ratio][:y.shape[1]] = rx_mod.estimate_cfr(
@@ -239,15 +220,16 @@ def simulate_csi(cfg: ScenarioConfig, derived: DerivedParams,
     plane0.clear()
     m1 /= n
     m1_sig = wf.BasebandSignal(samples=m1, sample_rate_hz=rate,
-                               t0=plane_times[0][0])
-    series = rx_mod.CfrSeries(subcarriers=k, h_hat=y0, t_s=plane_times[0],
+                               t0=times[0])
+    series = rx_mod.CfrSeries(subcarriers=k, h_hat=y0, t_s=times[::ratio],
                               csi_rate_hz=cfg.csi_rate_hz)
     return m1_sig, series
 
 
 def _axis_matches(base_axis: np.ndarray, run_axis: np.ndarray) -> bool:
-    return bool(np.allclose(base_axis, run_axis, rtol=BASELINE_AXIS_RTOL,
-                            atol=0.0))
+    """Whether a baseline axis is the run's, to the CSV text's precision."""
+    return base_axis.shape == run_axis.shape and bool(np.allclose(
+        base_axis, run_axis, rtol=BASELINE_AXIS_RTOL, atol=0.0))
 
 
 def simulate_demod(cfg: ScenarioConfig, derived: DerivedParams,

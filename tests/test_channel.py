@@ -168,14 +168,20 @@ def test_awgn_noiseless_passthrough():
 
 
 def test_awgn_variance_calibration():
-    # The noise is sized to the occupancy times the mean power of x: a
-    # quarter of power 4 is power 1, as is all of power 1.
+    # add_awgn sizes the noise to the mean power of x.  The CSI pass's
+    # _awgn_runs sizes it to the occupancy times that power: a quarter of
+    # power 4 is power 1, as is all of power 1.
     n = 1_000_000
-    for level, occupancy in ((1.0, 1.0), (2.0, 0.25)):
-        x = np.full(n, level, dtype=complex)
-        ch.add_awgn(x, 10.0, np.random.default_rng(8), occupancy=occupancy)
-        noise = x - level
-        assert np.mean(np.abs(noise) ** 2) == pytest.approx(0.1, rel=0.02)
+    x = np.ones(n, dtype=complex)
+    ch.add_awgn(x, 10.0, np.random.default_rng(8))
+    assert np.mean(np.abs(x - 1.0) ** 2) == pytest.approx(0.1, rel=0.02)
+    noise = np.zeros(n, dtype=complex)
+    for imag, _, j, d in ch._awgn_runs((1, n), 4.0 * n, 10.0,
+                                       np.random.default_rng(8),
+                                       occupancy=0.25):
+        part = noise.imag if imag else noise.real
+        part[j:j + len(d)] += d
+    assert np.mean(np.abs(noise) ** 2) == pytest.approx(0.1, rel=0.02)
 
 
 def test_awgn_determinism():
@@ -202,14 +208,14 @@ def test_awgn_in_place_any_shape_real_parts_first():
     np.testing.assert_allclose(flat.imag, 1.0 + scale * draws[flat.size:],
                                rtol=1e-15, atol=0)
     # A grid larger than one draw chunk, whose size is not a multiple of it,
-    # gets exactly one draw's values: 0 dB at a quarter of power 8 scales
-    # the noise by exactly 1.
-    big = np.full((3, ch.NOISE_CHUNK // 2 + 1), 2.0 + 2.0j)
+    # gets exactly one draw's values: 0 dB at power 2 scales the noise by
+    # exactly 1.
+    big = np.full((3, ch.NOISE_CHUNK // 2 + 1), 1.0 + 1.0j)
     assert big.size > ch.NOISE_CHUNK and big.size % ch.NOISE_CHUNK
-    ch.add_awgn(big, 0.0, np.random.default_rng(6), occupancy=0.25)
+    ch.add_awgn(big, 0.0, np.random.default_rng(6))
     draws = np.random.default_rng(6).standard_normal(2 * big.size)
-    np.testing.assert_array_equal(big.real.reshape(-1), 2.0 + draws[:big.size])
-    np.testing.assert_array_equal(big.imag.reshape(-1), 2.0 + draws[big.size:])
+    np.testing.assert_array_equal(big.real.reshape(-1), 1.0 + draws[:big.size])
+    np.testing.assert_array_equal(big.imag.reshape(-1), 1.0 + draws[big.size:])
 
 
 def _known_signal(cfg, n_symbols):

@@ -227,8 +227,14 @@ def test_sweep_rejects_colliding_point_names(scenario_file, tmp_path, capsys,
     assert not out.exists()
 
 
-@pytest.mark.parametrize("threads", ["1", "2"])
-def test_sweep_points_match_standalone_runs(scenario_file, tmp_path, threads):
+@pytest.mark.parametrize("threads, snr_db", [
+    ("1", ".inf"), ("2", ".inf"), ("1", "20"), ("2", "20")],
+    ids=["1", "2", "1-snr20", "2-snr20"])
+def test_sweep_points_match_standalone_runs(scenario_file, tmp_path, threads,
+                                            snr_db):
+    # A noisy point reads the shared CFR grid and folds its noise in as a
+    # standalone run does: its files match byte for byte too.
+    scenario_file.write_text(FAST_SCENARIO + f"snr_db: {snr_db}\n")
     base = tmp_path / "base"
     assert main(["run", "--scenario", str(scenario_file),
                  "--out", str(base)]) == EXIT_OK
@@ -244,7 +250,8 @@ def test_sweep_points_match_standalone_runs(scenario_file, tmp_path, threads):
     assert sorted(p.name for p in out.iterdir()) == sorted(points)
     for name, obf in points.items():
         scenario = tmp_path / f"{name}.yaml"
-        scenario.write_text(FAST_SCENARIO + f"obfuscation: {obf}\n")
+        scenario.write_text(scenario_file.read_text()
+                            + f"obfuscation: {obf}\n")
         alone = tmp_path / "alone" / name
         assert main(["run", "--scenario", str(scenario), "--out", str(alone),
                      "--baseline", str(base)]) == EXIT_OK
@@ -266,6 +273,27 @@ def test_sweep_baseline_without_artifacts(scenario_file, tmp_path):
         for view in ("method1", "method2"):
             assert report[f"metric.correlation_{view}_vs_baseline"] \
                 == "skipped:baseline-artifact-missing"
+
+
+def test_baseline_header_one_time_short_is_an_axis_mismatch(scenario_file,
+                                                            tmp_path):
+    # The header of the baseline's method-1 CSV lists one time fewer than
+    # its table has columns: the power's shape matches, its time axis does
+    # not, so the view is skipped rather than compared.
+    base = tmp_path / "base"
+    assert main(["run", "--scenario", str(scenario_file),
+                 "--out", str(base)]) == EXIT_OK
+    csv = base / "method1_spectrogram.csv"
+    header, rest = csv.read_text().split("\n", 1)
+    csv.write_text(header.rsplit(",", 1)[0] + "\n" + rest)
+    out = tmp_path / "run"
+    assert main(["run", "--scenario", str(scenario_file), "--out", str(out),
+                 "--baseline", str(base)]) == EXIT_OK
+    report = parse_report(out / "report.txt")
+    assert report["metric.correlation_method1_vs_baseline"] \
+        == "skipped:axis-mismatch"
+    assert float(report["metric.correlation_method2_vs_baseline"]) \
+        == pytest.approx(1.0)
 
 
 def _count_calls(monkeypatch, module, attr) -> list:
@@ -291,8 +319,9 @@ def test_sweep_computes_point_invariant_work_once(scenario_file, tmp_path,
     def grids():
         # cfr_matrix(chan, k, spacing, times): the CSI pass's probe grid
         # holds the 56 used subcarriers, the demodulation grid all 64 bins.
-        # The probe grid is evaluated as its 4 probe-phase planes (csi_rate
-        # 500 Hz, probed at 2 kHz), the demodulation grid in one chunk.
+        # A sweep evaluates the probe grid once, whole (1200 probes: csi_rate
+        # 500 Hz, probed at 2 kHz); a run evaluates its 4 probe-phase planes
+        # (300 probes each), and the demodulation grid in one chunk.
         return ([len(c[3]) for c in cfrs if len(c[1]) == 56],
                 [len(c[3]) for c in cfrs if len(c[1]) == 64])
 
@@ -301,8 +330,8 @@ def test_sweep_computes_point_invariant_work_once(scenario_file, tmp_path,
                  "--f-m", "10", "--v-sp", "5", "10", "--baseline", str(base),
                  "--threads", "2"]) == EXIT_OK
     probe, demod = grids()
-    assert (len(builds), len(probe), len(demod), len(cfrs)) == (1, 4, 4, 8)
-    assert sum(probe) == 1200 and max(probe) - min(probe) <= 1
+    assert (len(builds), len(probe), len(demod), len(cfrs)) == (1, 1, 4, 5)
+    assert probe == [1200]
     assert len(set(demod)) == 1 and demod[0] != sum(probe)
     assert sorted(Path(a[0]).name for a in loads) \
         == ["method1_spectrogram.csv", "method2_spectrogram.csv"]
@@ -315,6 +344,7 @@ def test_sweep_computes_point_invariant_work_once(scenario_file, tmp_path,
     probe, demod = grids()
     assert (len(builds), len(probe), len(demod), len(cfrs), len(loads)) \
         == (1, 4, 1, 5, 2)
+    assert probe == [300] * 4
 
 
 @pytest.mark.parametrize("command, extra", [

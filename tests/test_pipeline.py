@@ -356,8 +356,9 @@ def test_point_invariant_shared_read_only_and_tied_to_its_scenario(tmp_path):
     base = tmp_path / "base"
     pl.run_scenario(cfg, base, formats=("csv",))
     shared = pl.point_invariant(cfg, base)
-    assert len(shared.cfr) == cfg.probe_sampling()[0]
-    for array in (*shared.cfr, shared.chan.tracks[0].path_length_m,
+    d = derive_streams(cfg)
+    assert shared.cfr.shape == (len(d.used_k), cfg.probe_sampling()[2])
+    for array in (shared.cfr, shared.chan.tracks[0].path_length_m,
                   shared.baselines["method2"].power):
         with pytest.raises(ValueError, match="read-only"):
             array.flat[0] = 0
@@ -374,10 +375,9 @@ def test_point_invariant_shared_read_only_and_tied_to_its_scenario(tmp_path):
         with pytest.raises(ValueError, match="another scenario"):
             pl.run_scenario(other, tmp_path / "c", formats=(),
                             baseline_dir=baseline_dir, shared=shared)
-    d = derive_streams(cfg)
     with pytest.raises(ValueError, match="probe grid"):
         pl.simulate_csi(cfg, d, shared.chan, rng_streams(1).noise,
-                        h=[plane[:, 1:] for plane in shared.cfr])
+                        h=shared.cfr[:, 1:])
 
 
 @pytest.mark.parametrize("obf", [
@@ -438,7 +438,7 @@ def _traced_peak(fn, *args, **kwargs):
     Obfuscation(kind="spoof", v_sp_mps=5.0)], ids=["none", "smear", "spoof"])
 def test_simulate_csi_works_in_one_probe_grid(obf, monkeypatch):
     # The pass builds plane 0, the CSI series, whole and in place, and the
-    # other planes a TIME_CHUNK of probes at a time: with the CFR planes
+    # other planes a TIME_CHUNK of probes at a time: with the CFR grid
     # given or evaluated, its peak stays within 0.7 grids, here half a grid
     # for plane 0 and the chunk, multiplier, noise and CFR buffers beside it
     # (a second whole plane, or a copy of the series, would break it).  Its
@@ -448,8 +448,8 @@ def test_simulate_csi_works_in_one_probe_grid(obf, monkeypatch):
     d = derive_streams(cfg)
     chan = pl.build_channel(cfg, d, rng_streams(cfg.seed).walker)
     h = pl.point_invariant(cfg).cfr
-    assert len(h) == 2
-    grid_nbytes = sum(plane.nbytes for plane in h)
+    assert cfg.probe_sampling()[0] == 2
+    grid_nbytes = h.nbytes
     results = []
     for given in (h, None):
         result, peak = _traced_peak(pl.simulate_csi, cfg, d, chan,
@@ -465,7 +465,7 @@ def test_simulate_csi_works_in_one_probe_grid(obf, monkeypatch):
         np.testing.assert_array_equal(m1_a.samples, m1_b.samples)
         np.testing.assert_array_equal(s_a.h_hat, s_b.h_hat)
     # The series is plane 0 itself: every ratio-th probe, no copy.
-    assert s_a.h_hat.base is None and s_a.h_hat.shape == h[0].shape
+    assert s_a.h_hat.base is None and s_a.h_hat.shape == h[:, ::2].shape
 
 
 @pytest.mark.parametrize("csi_rate_hz", [1000.0, 500.0],
@@ -651,7 +651,8 @@ def test_demod_pass_starts_after_the_attacker_half_is_released(tmp_path,
     cfg = _cfg(duration_s=2.0, csi_rate_hz=1000.0, snr_db=20.0,
                obfuscation=Obfuscation(kind="spoof", v_sp_mps=5.0))
     d = derive_streams(cfg)
-    h_hat_nbytes = len(d.used_k) * len(pl._probe_plane_times(cfg, d)[0]) * 16
+    ratio = cfg.probe_sampling()[0]
+    h_hat_nbytes = len(d.used_k) * len(pl._probe_times(cfg, d)[::ratio]) * 16
     held = []
     demod = pl.simulate_demod
 
