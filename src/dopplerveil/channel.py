@@ -19,9 +19,7 @@ import numpy as np
 
 from dopplerveil import _textfmt
 from dopplerveil.scenario import SPEED_OF_LIGHT, WalkerParams
-from dopplerveil.receiver import ofdm_demodulate
-from dopplerveil.waveform import (ofdm_modulate, signed_subcarriers,
-                                  symbol_midtimes)
+from dopplerveil.waveform import signed_subcarriers, symbol_midtimes
 
 TRACK_DT_S = 0.005  # walker track sampling step; gait harmonics live below 20 Hz
 TX_POS = (-10.0, 0.0)  # transmitter position, m
@@ -218,36 +216,22 @@ def add_awgn(x: np.ndarray, snr_db: float, rng: np.random.Generator) -> None:
         part += d
 
 
-def propagate(rows: np.ndarray, chan: ChannelRealization, cp_len: int,
-              sample_rate_hz: float) -> None:
-    """Push (symbol, CP + N) sample rows through the channel.
+def propagate(values: np.ndarray, chan: ChannelRealization,
+              spacing_hz: float, t_sym_s: float) -> None:
+    """Multiply a (bin, symbol) grid of subcarrier values by the channel.
 
-    The channel is frozen per OFDM symbol (midpoint delay) and applied in the
-    frequency domain, which realizes the fractional path delay as an exact
-    band-limited shift; the input must carry true cyclic prefixes, and each
-    received prefix is rewritten from its symbol's body.  Valid because
-    channel coherence time (milliseconds and up) vastly exceeds the 4 us
-    symbol.  Works in place in rows, which must be C-contiguous, and the
-    channel is evaluated PROPAGATE_CHUNK symbols at a time.  Receiver noise
-    is the caller's: add_awgn.
+    Column m holds symbol m of a stream from t = 0, in FFT-bin order (the
+    view waveform.symbol_bodies gives).  The channel is frozen per symbol,
+    at its mid-time: its coherence time (milliseconds and up) vastly
+    exceeds the 4 us symbol.  Works in place, PROPAGATE_CHUNK symbols at a
+    time.  Receiver noise is the caller's: add_awgn.
     """
-    if not rows.flags.c_contiguous:
-        raise ValueError("rows are propagated in place: they must be "
-                         "C-contiguous")
-    duration = rows.size / sample_rate_hz
-    max_tau = max(float(np.max(tr.path_length_m)) for tr in chan.tracks) \
-        / SPEED_OF_LIGHT
-    if max_tau > duration:
-        raise ValueError("channel delay spread exceeds the signal duration")
-
-    n = rows.shape[1] - cp_len
-    y = ofdm_demodulate(rows, cp_len)
-    t_mid = symbol_midtimes(len(rows), rows.shape[1] / sample_rate_hz)
+    n, m = values.shape
+    t_mid = symbol_midtimes(m, t_sym_s)
     k = signed_subcarriers(n)
-    for j in range(0, len(t_mid), PROPAGATE_CHUNK):
-        y[:, j:j + PROPAGATE_CHUNK] *= cfr_matrix(
-            chan, k, sample_rate_hz / n, t_mid[j:j + PROPAGATE_CHUNK])
-    ofdm_modulate(rows, cp_len)
+    for j in range(0, m, PROPAGATE_CHUNK):
+        values[:, j:j + PROPAGATE_CHUNK] *= cfr_matrix(
+            chan, k, spacing_hz, t_mid[j:j + PROPAGATE_CHUNK])
 
 
 def dump_tracks(tracks: list, path) -> None:

@@ -51,11 +51,18 @@ class RunReport:
 
 def build_channel(cfg: ScenarioConfig, derived: DerivedParams,
                   rng_walker) -> chan_mod.ChannelRealization:
+    """The scenario's paths; a delay beyond the payload's airtime raises."""
     duration = cfg.duration_s + 2 * derived.t_sym_s
     tracks = chan_mod.walker_tracks(cfg.walker, duration, rng=rng_walker)
     for i, p in enumerate(cfg.static_paths):
         tracks.append(chan_mod.static_track(p.range_m, p.gain, duration,
                                             label=f"static-{i}"))
+    max_tau = max((chan_mod.path_delay(tr, tr.times_s).max() for tr in tracks),
+                  default=0.0)
+    airtime = payload_frames(cfg)[0] * wf.SYMBOLS_PER_FRAME * derived.t_sym_s
+    if max_tau > airtime:
+        raise ValueError(f"channel delay spread {max_tau:.6g} s exceeds "
+                         f"the payload airtime {airtime:.6g} s")
     return chan_mod.ChannelRealization(tracks=tracks, carrier_hz=cfg.carrier_hz)
 
 
@@ -236,14 +243,17 @@ def simulate_demod(cfg: ScenarioConfig, derived: DerivedParams,
                    chan: chan_mod.ChannelRealization, rngs):
     """Framed payload pass: per-frame preamble CSI, pilot tracking, BER/EVM.
 
-    The payload is one stream of (symbol, CP + N) sample rows of
-    back-to-back frames, spoofed in its symbol bodies and modulated once;
-    the receiver views the demodulated bodies as (subcarrier, frame,
-    symbol).  Every step from mapping to the channel estimate works in
-    those rows, in place: beside them the pass holds the payload bits, the
-    EVM reference and one bounded chunk.  Then DEMOD_FRAMES frames at a
-    time are pilot-corrected, equalized, demapped and scored, so the
-    score's squared symbol errors are the one more payload-sized array.
+    The payload is one stream of (symbol, CP + N) rows of back-to-back
+    frames.  The spoof and the channel multiply its symbol bodies'
+    subcarrier values; the smear, the one time-domain step before the
+    receiver noise, runs between a modulation and a demodulation.  Then
+    the rows are modulated, the noise added, and the receiver views the
+    demodulated bodies as (subcarrier, frame, symbol).  Every step from
+    mapping to the channel estimate works in those rows, in place: beside
+    them the pass holds the payload bits, the EVM reference and one
+    bounded chunk.  Then DEMOD_FRAMES frames at a time are pilot-corrected,
+    equalized, demapped and scored, so the score's squared symbol errors
+    are the one more payload-sized array.
     Returns (ber, evm fraction).
     """
     obf = cfg.obfuscation
@@ -259,27 +269,31 @@ def simulate_demod(cfg: ScenarioConfig, derived: DerivedParams,
     grid, ideal = wf.frame_stream(cfg, derived, bits)
     rows = grid.rows
     del grid
+    values = wf.symbol_bodies(rows, cfg.cp_len)
     if obf.kind == "spoof":
         # Constant over each symbol (its mid-time value), so subcarriers
         # stay orthogonal; the rotation within a symbol is sub-milliradian.
         # The mid-times are the stream clock channel.propagate freezes the
         # channel at.
-        transmit_multiplier(obf, wf.symbol_bodies(rows, cfg.cp_len),
-                            wf.signed_subcarriers(n),
+        transmit_multiplier(obf, values, wf.signed_subcarriers(n),
                             wf.symbol_midtimes(len(rows), derived.t_sym_s),
                             cfg.subcarrier_spacing_hz, cfg.carrier_hz)
-    wf.ofdm_modulate(rows, cfg.cp_len)
     if obf.kind == "smear":
         # Per sample over the whole stream, CP and preambles included: the FM
         # phase runs continuously, so no frame-rate lines appear.  The
-        # sample times are made STREAM_CHUNK at a time.
+        # sample times are made STREAM_CHUNK at a time.  Demodulating drops
+        # the smeared prefixes: only the bodies' smear reaches the channel.
+        wf.ofdm_modulate(rows, cfg.cp_len)
         for j in range(0, rows.size, STREAM_CHUNK):
             stop = min(j + STREAM_CHUNK, rows.size)
             transmit_multiplier(obf, rows.reshape(-1)[j:stop], 0,
                                 np.arange(j, stop) / derived.sample_rate_hz,
                                 cfg.subcarrier_spacing_hz, cfg.carrier_hz)
+        rx_mod.ofdm_demodulate(rows, cfg.cp_len)
 
-    chan_mod.propagate(rows, chan, cfg.cp_len, derived.sample_rate_hz)
+    chan_mod.propagate(values, chan, cfg.subcarrier_spacing_hz,
+                       derived.t_sym_s)
+    wf.ofdm_modulate(rows, cfg.cp_len)
     # Flat, so the noise is drawn in a few long runs, not two per symbol.
     chan_mod.add_awgn(rows.reshape(-1), cfg.snr_db, rngs.noise)
     # A view of the received rows: it holds them until the last block.
@@ -428,14 +442,15 @@ def run_scenario(cfg: ScenarioConfig, out_dir, baseline_dir=None,
             or _dir_or_none(baseline_dir) != shared.baseline_dir):
         raise ValueError("shared work was built for another scenario "
                          "or baseline")
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     derived = derive_streams(cfg)
     rngs = rng_streams(cfg.seed)
+    # Built before out is made: a channel it cannot run writes nothing.
     if shared is None:
         chan, h, baselines = build_channel(cfg, derived, rngs.walker), None, None
     else:
         chan, h, baselines = shared.chan, shared.cfr, shared.baselines
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
 
     attacker, artifacts = _attacker_half(cfg, derived, chan, rngs.noise, h,
                                          baseline_dir, baselines, out,

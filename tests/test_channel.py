@@ -220,13 +220,18 @@ def test_awgn_in_place_any_shape_real_parts_first():
 
 def _known_signal(cfg, n_symbols):
     """The (symbol, CP + N) rows of n_symbols known symbols, as the CSI pass
-    models them."""
+    models them: their bodies hold the subcarrier values, unmodulated."""
     d = derive_streams(cfg)
     table = wf.known_symbol_table(cfg.n_subcarriers, d.used_bins)
     rows = np.zeros((n_symbols, cfg.cp_len + cfg.n_subcarriers), dtype=complex)
     wf.symbol_bodies(rows, cfg.cp_len)[...] = table[:, None]
-    wf.ofdm_modulate(rows, cfg.cp_len)
     return d, rows
+
+
+def _propagate(rows, chan, cfg, d):
+    """propagate on the symbol bodies of rows, in place."""
+    ch.propagate(wf.symbol_bodies(rows, cfg.cp_len), chan,
+                 cfg.subcarrier_spacing_hz, d.t_sym_s)
 
 
 def _walking_channel(cfg):
@@ -239,9 +244,8 @@ def test_propagate_fast_matches_per_symbol_cfr():
     cfg = ScenarioConfig()
     d, rows = _known_signal(cfg, 8)
     chan = _walking_channel(cfg)
-    ch.propagate(rows, chan, cfg.cp_len, d.sample_rate_hz)
-    from dopplerveil.receiver import ofdm_demodulate
-    y = ofdm_demodulate(rows, cfg.cp_len)
+    _propagate(rows, chan, cfg, d)
+    y = wf.symbol_bodies(rows, cfg.cp_len)
     t_mid = wf.symbol_midtimes(8, d.t_sym_s)
     h = _direct_cfr(chan, d.used_k[:, None] * cfg.subcarrier_spacing_hz,
                     t_mid[None, :])
@@ -251,7 +255,7 @@ def test_propagate_fast_matches_per_symbol_cfr():
 
 
 def test_propagate_works_in_place_chunk_by_chunk(monkeypatch):
-    # The received signal is written over the input, and evaluating the
+    # The received values are written over the input, and evaluating the
     # channel a few symbols at a time changes no bit.
     cfg = ScenarioConfig()
     d, rows = _known_signal(cfg, 8)
@@ -259,38 +263,35 @@ def test_propagate_works_in_place_chunk_by_chunk(monkeypatch):
 
     def received(chunk):
         monkeypatch.setattr(ch, "PROPAGATE_CHUNK", chunk)
-        x = rows.copy()
-        ch.propagate(x, chan, cfg.cp_len, d.sample_rate_hz)
+        x = wf.symbol_bodies(rows, cfg.cp_len).copy()
+        ch.propagate(x, chan, cfg.subcarrier_spacing_hz, d.t_sym_s)
         return x
     np.testing.assert_array_equal(received(3), received(8))
-    # Rows that are a whole-symbol slice of a longer array work in it.
+    # A strided view, as the bodies of sample rows, is multiplied in its
+    # array: the cyclic prefixes are left as they were.
     longer = np.concatenate([rows, rows])
-    ch.propagate(longer[len(rows):], chan, cfg.cp_len, d.sample_rate_hz)
-    np.testing.assert_array_equal(longer[len(rows):], received(8))
+    _propagate(longer[len(rows):], chan, cfg, d)
+    np.testing.assert_array_equal(
+        wf.symbol_bodies(longer[len(rows):], cfg.cp_len), received(8))
+    np.testing.assert_array_equal(longer[len(rows):, :cfg.cp_len], 0)
     np.testing.assert_array_equal(longer[:len(rows)], rows)
 
 
 def test_propagate_sizes_the_noise_to_the_received_power():
-    # propagate is the channel alone; the receiver noise added after it, as
-    # the demodulation pass does, is sized to the received samples' power.
+    # propagate is the channel alone; the receiver noise added after it to
+    # the modulated samples, as the demodulation pass does, is sized to
+    # the received samples' power.
     cfg = ScenarioConfig()
     d, rows = _known_signal(cfg, 8)
     chan = _walking_channel(cfg)
-    ch.propagate(rows, chan, cfg.cp_len, d.sample_rate_hz)
+    _propagate(rows, chan, cfg, d)
+    wf.ofdm_modulate(rows, cfg.cp_len)
     clean = rows.reshape(-1).copy()
     ch.add_awgn(rows.reshape(-1), 10.0, np.random.default_rng(4))
     draws = np.random.default_rng(4).standard_normal(2 * clean.size)
     scale = np.sqrt(np.mean(np.abs(clean) ** 2) / 10.0 / 2.0)
     expected = clean + scale * (draws[:clean.size] + 1j * draws[clean.size:])
     np.testing.assert_allclose(rows.reshape(-1), expected, rtol=0, atol=1e-12)
-
-
-def test_propagate_rejects_rows_it_cannot_work_in():
-    cfg = ScenarioConfig()
-    d, rows = _known_signal(cfg, 4)
-    chan = ch.ChannelRealization([ch.static_track(10.0, 1.0, 1.0)], 5.8e9)
-    with pytest.raises(ValueError, match="C-contiguous"):
-        ch.propagate(rows[::2], chan, cfg.cp_len, d.sample_rate_hz)
 
 
 def _delayed_sum(samples, fs, chan):
@@ -314,6 +315,7 @@ def test_propagate_exact_whole_sample_delay():
     # the reference model itself on a whole-sample delay
     cfg = ScenarioConfig(cp_len=16)
     d, rows = _known_signal(cfg, 6)
+    wf.ofdm_modulate(rows, cfg.cp_len)
     samples = rows.reshape(-1)
     fs = d.sample_rate_hz
     delay_samples = 5
@@ -333,13 +335,16 @@ def test_propagate_fast_and_exact_agree_on_integer_delay():
     r = 4 * SPEED_OF_LIGHT / d.sample_rate_hz
     chan = ch.ChannelRealization([ch.static_track(r, 1.0, 1.0)], cfg.carrier_hz)
     # propagate works in place: it gets a copy, the reference the original
+    # modulated; the copy is modulated after the channel
     fast = rows.copy()
-    ch.propagate(fast, chan, cfg.cp_len, d.sample_rate_hz)
+    _propagate(fast, chan, cfg, d)
+    wf.ofdm_modulate(fast, cfg.cp_len)
+    wf.ofdm_modulate(rows, cfg.cp_len)
     exact = _delayed_sum(rows.reshape(-1), d.sample_rate_hz,
                          chan).reshape(rows.shape)
     # compare CP-stripped symbol bodies, skipping the first symbol: the
-    # reference has no input history before t0 and propagate regenerates
-    # the CP
+    # reference has no input history before t0, and modulating writes each
+    # CP from its body
     np.testing.assert_allclose(fast[1:, cfg.cp_len:], exact[1:, cfg.cp_len:],
                                atol=1e-9)
 

@@ -5,6 +5,7 @@ import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -13,6 +14,7 @@ from dopplerveil import channel, cli, pipeline, spectral
 from dopplerveil.cli import (EXIT_CONFIG, EXIT_OK, EXIT_RUNTIME,
                              EXIT_THRESHOLD, main)
 from dopplerveil.pipeline import parse_report
+from dopplerveil.scenario import derive_streams, load_scenario_file, rng_streams
 
 FAST_SCENARIO = """
 duration_s: 0.6
@@ -359,6 +361,50 @@ def test_oversized_payload_exits_2_before_any_output(tmp_path, capsys,
                  *extra]) == EXIT_CONFIG
     assert "payload_bits too large for duration_s" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command, extra", [
+    ("run", []), ("sweep", ["--v-sp", "2", "--delta-f", "100", "--f-m", "10"])])
+def test_path_longer_than_the_payload_exits_3_before_any_output(
+        tmp_path, capsys, command, extra):
+    # Used to exit 3 from the channel after the attacker's artifacts were
+    # written; a sweep now builds no point's directory.
+    scenario = tmp_path / "far.yaml"
+    scenario.write_text(FAST_SCENARIO + "static_paths: [{range_m: 1.0e9}]\n")
+    out = tmp_path / "out"
+    assert main([command, "--scenario", str(scenario), "--out", str(out),
+                 *extra]) == EXIT_RUNTIME
+    assert ("channel delay spread 3.33564 s exceeds the payload airtime "
+            "0.000228 s") in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_rect_window_scenario_runs_end_to_end(tmp_path):
+    # stft.window_kind reaches both views: each method-1 frame's power sums
+    # to its unweighted samples' energy, and method 2 is the rect view of
+    # the run's CSI series.
+    scenario = tmp_path / "rect.yaml"
+    scenario.write_text(FAST_SCENARIO.replace(
+        "hop_s: 0.05}", "hop_s: 0.05, window_kind: rect}"))
+    out = tmp_path / "out"
+    assert main(["run", "--scenario", str(scenario),
+                 "--out", str(out)]) == EXIT_OK
+    cfg = load_scenario_file(scenario)
+    assert cfg.stft.window_kind == "rect"
+    d = derive_streams(cfg)
+    rngs = rng_streams(cfg.seed)
+    m1, series = pipeline.simulate_csi(
+        cfg, d, pipeline.build_channel(cfg, d, rngs.walker), rngs.noise)
+    w, hop, _ = cfg.stft.samples(m1.sample_rate_hz)
+    spec = spectral.load_spectrogram_csv(out / "method1_spectrogram.csv")
+    energy = [np.sum(np.abs(m1.samples[j * hop:j * hop + w]) ** 2)
+              for j in range(spec.power.shape[1])]
+    np.testing.assert_allclose(spec.power.sum(axis=0), energy, rtol=1e-9)
+    w, hop, n_fft = cfg.stft.samples(series.csi_rate_hz)
+    np.testing.assert_allclose(
+        spectral.load_spectrogram_csv(out / "method2_spectrogram.csv").power,
+        spectral.method2_view(series, w, hop, n_fft, "rect").power,
+        rtol=1e-9)
 
 
 def test_probe_rate_above_symbol_rate_exits_2(tmp_path, capsys):

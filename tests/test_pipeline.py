@@ -10,8 +10,9 @@ from hypothesis import strategies as st
 
 from dopplerveil import _shares
 from dopplerveil import pipeline as pl
-from dopplerveil.scenario import (Obfuscation, ScenarioConfig, StftParams,
-                                  WalkerParams, derive_streams, rng_streams)
+from dopplerveil.scenario import (SPEED_OF_LIGHT, Obfuscation, ScenarioConfig,
+                                  StaticPath, StftParams, WalkerParams,
+                                  derive_streams, rng_streams)
 
 FAST = dict(duration_s=0.6, csi_rate_hz=500.0, payload_bits=6000,
             stft=StftParams(window_len_s=0.25, hop_s=0.05))
@@ -81,18 +82,24 @@ def _per_frame_demod(cfg, d, chan, rngs):
             transmit_multiplier(obf, wf.symbol_bodies(grid.rows, cfg.cp_len),
                                 k, mids[f], cfg.subcarrier_spacing_hz,
                                 cfg.carrier_hz)
-        wf.ofdm_modulate(grid.rows, cfg.cp_len)
+        if obf.kind == "smear":
+            wf.ofdm_modulate(grid.rows, cfg.cp_len)
         chunks.append(grid.rows)
-    tx = np.concatenate(chunks)
+    received = np.concatenate(chunks)
     if obf.kind == "smear":
-        samples = tx.reshape(-1)
+        # The smear is per sample; the channel takes what the receiver's
+        # FFT makes of the smeared bodies.
+        samples = received.reshape(-1)
         transmit_multiplier(obf, samples, 0,
                             np.arange(len(samples)) / d.sample_rate_hz,
                             cfg.subcarrier_spacing_hz, cfg.carrier_hz)
+        rx.ofdm_demodulate(received, cfg.cp_len)
 
-    # propagate and ofdm_demodulate work in place: tx is returned as sent
-    received = tx.copy()
-    ch.propagate(received, chan, cfg.cp_len, d.sample_rate_hz)
+    # propagate works in place: tx is the (bin, symbol) grid as sent
+    tx = wf.symbol_bodies(received, cfg.cp_len).copy()
+    ch.propagate(wf.symbol_bodies(received, cfg.cp_len), chan,
+                 cfg.subcarrier_spacing_hz, d.t_sym_s)
+    wf.ofdm_modulate(received, cfg.cp_len)
     ch.add_awgn(received.reshape(-1), cfg.snr_db, rngs.noise)
     y_all = rx.ofdm_demodulate(received, cfg.cp_len)
     table = wf.known_symbol_table(n, d.used_bins)
@@ -133,9 +140,9 @@ def test_simulate_demod_matches_per_frame_reference(over, monkeypatch):
     sent = []
     propagate = pl.chan_mod.propagate
 
-    def captured(rows, *args, **kwargs):
-        sent.append(rows.tobytes())
-        return propagate(rows, *args, **kwargs)
+    def captured(values, *args, **kwargs):
+        sent.append(values.tobytes())
+        return propagate(values, *args, **kwargs)
 
     monkeypatch.setattr(pl.chan_mod, "propagate", captured)
     ber, evm = pl.simulate_demod(cfg, d, chan, rng_streams(cfg.seed))
@@ -174,12 +181,35 @@ def test_spoof_and_channel_read_one_clock(monkeypatch):
 
 
 def test_simulate_demod_rejects_oversized_payload():
+    # build_channel reads the payload's airtime, so it rejects the payload
+    # too; the pass gets a channel built for one that fits.
     cfg = _cfg(duration_s=0.01, payload_bits=1_000_000)
     d = derive_streams(cfg)
     rngs = rng_streams(cfg.seed)
-    chan = pl.build_channel(cfg, d, rngs.walker)
+    with pytest.raises(ValueError, match="payload_bits"):
+        pl.build_channel(cfg, d, rngs.walker)
+    chan = pl.build_channel(replace(cfg, payload_bits=100), d, rngs.walker)
     with pytest.raises(ValueError, match="payload_bits"):
         pl.simulate_demod(cfg, d, chan, rngs)
+
+
+def test_build_channel_bounds_path_delay_by_payload_airtime():
+    # The bound is the airtime of the payload's one frame; the CLI tests
+    # check that a run or sweep over the bound writes nothing.
+    cfg = _cfg()
+    d = derive_streams(cfg)
+    airtime = pl.wf.SYMBOLS_PER_FRAME * d.t_sym_s
+
+    def build(range_m):
+        return pl.build_channel(
+            replace(cfg, static_paths=(StaticPath(range_m=range_m),)), d,
+            rng_streams(cfg.seed).walker)
+    build(0.99 * airtime * SPEED_OF_LIGHT)
+    with pytest.raises(ValueError, match="delay spread"):
+        build(1.01 * airtime * SPEED_OF_LIGHT)
+    with pytest.raises(ValueError, match=r"channel delay spread 3\.33564 s "
+                       r"exceeds the payload airtime 0\.000228 s"):
+        build(1.0e9)
 
 
 def test_run_scenario_writes_artifacts_and_report(tmp_path):
@@ -387,9 +417,9 @@ def test_point_invariant_shared_read_only_and_tied_to_its_scenario(tmp_path):
 def test_method1_series_is_parseval_form_of_rx_times_conj_tx(obf):
     # The CSI pass forms the method-1 series as (1/N) sum_k H_hat[k], its
     # CSI estimates summed over the used subcarriers; as |X| = 1 that is
-    # (1/N) sum_k Y[k] X*[k].  Push the same known-symbol stream, multiplied
-    # per symbol as that pass models it, through the channel in the time
-    # domain: the per-symbol mean of rx * conj(clean tx) over each
+    # (1/N) sum_k Y[k] X*[k].  Multiply the same known-symbol stream per
+    # symbol, as that pass models it, by the defense and the channel, then
+    # modulate it: the per-symbol mean of rx * conj(clean tx) over each
     # CP-stripped body must be that series.
     # At the symbol rate the probe grid is every symbol of the stream.
     from dopplerveil import channel as ch
@@ -412,9 +442,10 @@ def test_method1_series_is_parseval_form_of_rx_times_conj_tx(obf):
     mid = wf.symbol_midtimes(m, d.t_sym_s)
     transmit_multiplier(obf, wf.symbol_bodies(rx, cfg.cp_len), k, mid,
                         cfg.subcarrier_spacing_hz, cfg.carrier_hz)
+    ch.propagate(wf.symbol_bodies(rx, cfg.cp_len), chan,
+                 cfg.subcarrier_spacing_hz, d.t_sym_s)
     wf.ofdm_modulate(tx, cfg.cp_len)
     wf.ofdm_modulate(rx, cfg.cp_len)
-    ch.propagate(rx, chan, cfg.cp_len, d.sample_rate_hz)
 
     series = (rx[:, cfg.cp_len:] * np.conj(tx[:, cfg.cp_len:])).mean(axis=1)
     np.testing.assert_allclose(series, m1.samples, rtol=0, atol=1e-12)
@@ -552,8 +583,8 @@ def test_simulate_csi_planes_hold_the_whole_grid():
     Obfuscation(kind="spoof", v_sp_mps=5.0)], ids=["none", "smear", "spoof"])
 def test_demod_pass_works_in_one_sample_buffer(obf):
     # The pass maps the payload into one (symbol, CP + body) sample buffer
-    # and modulates, propagates, demodulates and pilot-corrects in it, in
-    # place.  Beside it the pass holds the payload bits and the EVM
+    # and spoofs, propagates, modulates, demodulates and pilot-corrects in
+    # it, in place.  Beside it the pass holds the payload bits and the EVM
     # reference, and either propagate's chunk of PROPAGATE_CHUNK symbols'
     # CFR or, once it scores, one squared error per data symbol.  The
     # noise draws, frame blocks and demapping blocks are bounded work

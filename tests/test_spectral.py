@@ -66,6 +66,21 @@ def test_stft_frame_parseval():
             np.sum(np.abs(seg) ** 2), rel=1e-9)
 
 
+@pytest.mark.parametrize("n_fft", [256, 1000])
+def test_stft_rect_frame_parseval(n_fft):
+    # A rect window weights every sample by one: each frame's power sums to
+    # the energy of the frame's own samples, zero-padded or not.
+    rng = np.random.default_rng(16)
+    x = rng.standard_normal(700) + 1j * rng.standard_normal(700)
+    window_len, hop = 256, 100
+    s = sp.stft(x, 1000.0, window_len=window_len, hop=hop, n_fft=n_fft,
+                window_kind="rect")
+    assert s.power.shape == (n_fft, 1 + (len(x) - window_len) // hop)
+    energy = [np.sum(np.abs(x[j * hop:j * hop + window_len]) ** 2)
+              for j in range(s.power.shape[1])]
+    np.testing.assert_allclose(s.power.sum(axis=0), energy, rtol=1e-12)
+
+
 def test_stft_conjugate_mirrors_spectrum():
     rng = np.random.default_rng(15)
     x = rng.standard_normal(600) + 1j * rng.standard_normal(600)
