@@ -9,10 +9,11 @@ import argparse
 import itertools
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
+import threading
 from dataclasses import replace
 from pathlib import Path
 
+from dopplerveil._shares import _in_shares
 from dopplerveil.pipeline import (DEFAULT_FORMATS, parse_report,
                                   point_invariant, run_scenario)
 from dopplerveil.scenario import (Obfuscation, ScenarioError,
@@ -57,7 +58,12 @@ def _build_parser() -> argparse.ArgumentParser:
                          help="smear f_m values, Hz")
     sweep_p.add_argument("--v-sp", type=float, nargs="*", default=[],
                          help="spoof speeds, m/s")
-    sweep_p.add_argument("--threads", type=int, default=1)
+    sweep_p.add_argument(
+        "--threads", type=int, default=1,
+        help="points to run at once, at most the CPUs (default: 1); a "
+        "point's own work runs inline while another point runs.  A point "
+        "that fails with an I/O or value error does not stop the others: "
+        "each is named and the sweep exits 3")
     return parser
 
 
@@ -197,25 +203,41 @@ def _cmd_sweep(args) -> int:
     formats = tuple(args.format or DEFAULT_FORMATS)
     out_root = Path(args.out)
 
-    def one(point):
-        name, cfg = point
-        report = run_scenario(cfg, out_root / name, baseline_dir=args.baseline,
-                              formats=formats, scenario_path=str(args.scenario),
-                              shared=shared)
-        return name, report
+    reports, errors = {}, {}
+    stop = threading.Event()  # set when a share aborts, say on Ctrl-C
+
+    def share(points):
+        try:
+            for name, cfg in points:
+                if stop.is_set():
+                    return
+                try:
+                    reports[name] = run_scenario(
+                        cfg, out_root / name, baseline_dir=args.baseline,
+                        formats=formats, scenario_path=str(args.scenario),
+                        shared=shared)
+                except (ValueError, OSError) as exc:
+                    errors[name] = exc
+        except BaseException:
+            stop.set()  # no share starts another point
+            raise
 
     try:
         # The channel, its CSI-pass CFR grid and the baselines do not depend
         # on the obfuscation: every point shares one read-only copy.
         shared = point_invariant(base_cfg, args.baseline)
-        with ThreadPoolExecutor(max_workers=args.threads) as pool:
-            results = list(pool.map(one, configs.items()))
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
-    for name, report in results:
-        print(f"{name}: report = {report.artifacts['report']}")
-    return EXIT_OK
+    # Up to --threads points run at once, as CPU shares, and every point
+    # runs even after one fails with an I/O or value error.
+    _in_shares(share, configs.items(), most=args.threads)
+    for name in configs:
+        if name in reports:
+            print(f"{name}: report = {reports[name].artifacts['report']}")
+        else:
+            print(f"error: {name}: {errors[name]}", file=sys.stderr)
+    return EXIT_RUNTIME if errors else EXIT_OK
 
 
 def main(argv=None) -> int:

@@ -3,6 +3,8 @@ import os
 import subprocess
 import sys
 import tempfile
+import threading
+import time
 from pathlib import Path
 
 import numpy as np
@@ -10,7 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from dopplerveil import channel, cli, pipeline, spectral
+from dopplerveil import _shares, channel, cli, pipeline, spectral
 from dopplerveil.cli import (EXIT_CONFIG, EXIT_OK, EXIT_RUNTIME,
                              EXIT_THRESHOLD, main)
 from dopplerveil.pipeline import parse_report
@@ -207,6 +209,102 @@ def test_sweep_threaded_matches_serial(scenario_file, tmp_path):
         a = (serial / name / "method2_spectrogram.csv").read_bytes()
         b = (threaded / name / "method2_spectrogram.csv").read_bytes()
         assert a == b
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+@pytest.mark.parametrize("blocked", [("spoof_vsp2",),
+                                     ("spoof_vsp2", "spoof_vsp10")])
+def test_sweep_runs_every_point_after_one_fails(scenario_file, tmp_path,
+                                                capsys, threads, blocked):
+    # A file sits where a point's directory goes: that point fails at run
+    # time, every other point still runs, and each failure is named.
+    out = tmp_path / "sweep"
+    out.mkdir()
+    for name in blocked:
+        (out / name).write_text("not a directory\n")
+    assert main(["sweep", "--scenario", str(scenario_file), "--out", str(out),
+                 "--v-sp", "2", "5", "10",
+                 "--threads", threads]) == EXIT_RUNTIME
+    points = ("spoof_vsp2", "spoof_vsp5", "spoof_vsp10")
+    for name in points:
+        assert (out / name / "report.txt").exists() != (name in blocked), name
+    captured = capsys.readouterr()
+    assert [line.split(": ")[:2] for line in captured.err.splitlines()] \
+        == [["error", name] for name in blocked]
+    assert [line.split(":")[0] for line in captured.out.splitlines()] \
+        == [name for name in points if name not in blocked]
+
+
+def _until_alone():
+    """Wait until this thread's other shares have finished."""
+    for _ in range(30000):
+        if not _shares._inline():
+            return
+        time.sleep(0.001)
+    raise AssertionError("the other shares never finished")
+
+
+def test_sweep_points_are_cpu_shares_that_nest_no_further(
+        scenario_file, tmp_path, monkeypatch):
+    # min(points, --threads, CPUs) points run at once, on the one share
+    # pool.  A point's own work runs inline while another point runs; the
+    # caller's last point, once it runs alone, splits its work again.
+    monkeypatch.setattr(_shares, "_cpus", lambda: 2)
+    pool = _shares._executor()
+    lock, running, threads, submits = threading.Lock(), [0], [], []
+
+    class Counting:
+        def submit(self, fn, *args):
+            with lock:
+                submits.append((threading.get_ident(), running[0]))
+            return pool.submit(fn, *args)
+
+    monkeypatch.setattr(_shares, "_executor", Counting)
+    run = cli.run_scenario
+
+    def traced(cfg, out, **kwargs):
+        if out.name == "spoof_vsp10":  # the caller's second point
+            _until_alone()
+        with lock:
+            threads.append(threading.get_ident())
+            running[0] += 1
+        try:
+            return run(cfg, out, **kwargs)
+        finally:
+            with lock:
+                running[0] -= 1
+
+    monkeypatch.setattr(cli, "run_scenario", traced)
+    assert main(["sweep", "--scenario", str(scenario_file),
+                 "--out", str(tmp_path / "sweep"), "--v-sp", "2", "5", "10",
+                 "--threads", "4"]) == EXIT_OK
+    me = threading.get_ident()
+    assert len(threads) == 3 and len(set(threads)) == 2
+    # The sweep's own submit, then only the lone last point's.
+    assert submits[0] == (me, 0) and len(submits) > 1
+    assert set(submits[1:]) == {(me, 1)}
+
+
+@pytest.mark.parametrize("error", [RuntimeError, KeyboardInterrupt])
+def test_an_aborted_sweep_share_stops_the_others(scenario_file, tmp_path,
+                                                 monkeypatch, error):
+    # One share aborts: no share starts another point, and the error
+    # reaches the caller.
+    monkeypatch.setattr(_shares, "_cpus", lambda: 2)
+    started = []
+
+    def failing(cfg, out, **kwargs):
+        started.append(out.name)
+        if out.name == "spoof_vsp3":  # the pool worker's first point
+            raise error("abort")
+        _until_alone()  # the caller's first point outlasts the worker
+
+    monkeypatch.setattr(cli, "run_scenario", failing)
+    with pytest.raises(error, match="abort"):
+        main(["sweep", "--scenario", str(scenario_file),
+              "--out", str(tmp_path / "sweep"), "--v-sp", "2", "3", "5", "10",
+              "--threads", "2"])
+    assert sorted(started) == ["spoof_vsp2", "spoof_vsp3"]
 
 
 def test_sweep_invalid_point_runs_nothing(scenario_file, tmp_path, capsys):
