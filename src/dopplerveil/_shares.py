@@ -18,9 +18,9 @@ while another point runs, and a point that runs alone (a sweep on one
 thread, or the caller's last point after the others are done) splits its
 work as a run does.
 
-A share owns what it writes: callers split frames or planes, never the
-terms of one sum, so the results do not depend on how many shares there
-are.
+A share owns what it writes: callers split frames or chunks of probes,
+never the terms of one sum, so the results do not depend on how many
+shares there are.
 """
 from __future__ import annotations
 

@@ -17,14 +17,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from dopplerveil import _textfmt
+from dopplerveil import _textfmt, obfuscator
 from dopplerveil.scenario import SPEED_OF_LIGHT, WalkerParams
 from dopplerveil.waveform import signed_subcarriers, symbol_midtimes
 
 TRACK_DT_S = 0.005  # walker track sampling step; gait harmonics live below 20 Hz
 TX_POS = (-10.0, 0.0)  # transmitter position, m
 NOISE_CHUNK = 1 << 16  # noise values drawn at once (add_awgn, the CSI pass)
-PROPAGATE_CHUNK = 4096  # symbols whose CFR propagate evaluates at once
 
 
 @dataclass
@@ -129,33 +128,35 @@ def cfr_matrix(chan: ChannelRealization, k, spacing_hz: float,
     (len(k), len(times)).  Along k each path's term is geometric: per path
     and time, one exp gives the lowest subcarrier of k and one more the step
     exp(-j 2 pi spacing_hz tau), and repeated multiplication by the step
-    walks the contiguous range min(k)..max(k), adding each wanted row.
+    walks the contiguous range min(k)..max(k).  Every path walks at once:
+    each subcarrier step is one multiply of the (path, time) terms and one
+    sum over the paths, in path order, for each wanted row.
     """
     k = np.asarray(k)
     if k.ndim != 1 or not np.issubdtype(k.dtype, np.integer):
         raise ValueError("k must be a 1-D array of integer subcarriers")
     times = np.asarray(times, dtype=float)
-    total = np.zeros((len(k), len(times)), dtype=complex)
+    total = np.empty((len(k), len(times)), dtype=complex)
     k_min = int(k.min())
     rows = [[] for _ in range(int(k.max()) - k_min + 1)]
     for row, kk in enumerate(k):
         rows[int(kk) - k_min].append(row)
-    # One term and one step buffer serve every path; the step buffer holds
-    # the path's -j 2 pi tau until the term is made from it.
-    term = np.empty(len(times), dtype=complex)
-    step = np.empty(len(times), dtype=complex)
-    for track in chan.tracks:
-        np.multiply(-2j * np.pi, path_delay(track, times), out=step)
-        np.multiply(chan.carrier_hz + k_min * spacing_hz, step, out=term)
-        np.exp(term, out=term)
-        np.multiply(track.reflectivity, term, out=term)
-        np.multiply(spacing_hz, step, out=step)
-        np.exp(step, out=step)
-        for i, wanted in enumerate(rows):
-            if i:
-                term *= step
-            for row in wanted:
-                total[row] += term
+    # The step array holds each path's -j 2 pi tau until the terms are
+    # made from it.
+    step = np.empty((len(chan.tracks), len(times)), dtype=complex)
+    for track, s in zip(chan.tracks, step):
+        np.multiply(-2j * np.pi, path_delay(track, times), out=s)
+    term = np.multiply(chan.carrier_hz + k_min * spacing_hz, step)
+    np.exp(term, out=term)
+    refl = np.array([track.reflectivity for track in chan.tracks])
+    np.multiply(refl[:, None], term, out=term)
+    np.multiply(spacing_hz, step, out=step)
+    np.exp(step, out=step)
+    for i, wanted in enumerate(rows):
+        if i:
+            term *= step
+        for row in wanted:
+            np.add.reduce(term, axis=0, out=total[row])
     return total
 
 
@@ -170,22 +171,22 @@ def _energy(x: np.ndarray) -> float:
 
 
 def _awgn_runs(shape: tuple, energy: float, snr_db: float,
-               rng: np.random.Generator, *, occupancy: float = 1.0,
-               step: int = NOISE_CHUNK):
+               rng: np.random.Generator, *, occupancy: float = 1.0):
     """The complex AWGN of a (rows, width) array, as runs along its rows.
 
     The array's cells hold `energy` in all; its signal power is occupancy
     times their mean power, and the noise puts it at snr_db.  Yields
     (imag, row, start, values): values are the noise's real (imag False) or
-    imaginary parts of row `row` from column `start` on, at most `step` of
-    them, in one reused buffer that the caller adds before the next run.
-    Every real part comes first, then every imaginary part, each in the
-    array's C order: the order rng draws them in, which gives the same
-    values as one draw of 2 x size normals.
+    imaginary parts of row `row` from column `start` on, at most
+    NOISE_CHUNK of them (read at call time), in one reused buffer that the
+    caller adds before the next run.  Every real part comes first, then
+    every imaginary part, each in the array's C order: the order rng draws
+    them in, which gives the same values as one draw of 2 x size normals.
     """
     rows, width = shape
     power = energy / (rows * width) * occupancy
     scale = math.sqrt(power / (10.0 ** (snr_db / 10.0)) / 2.0)
+    step = NOISE_CHUNK
     draw = np.empty(min(step, width))
     for imag in (False, True):
         for row in range(rows):
@@ -223,15 +224,16 @@ def propagate(values: np.ndarray, chan: ChannelRealization,
     Column m holds symbol m of a stream from t = 0, in FFT-bin order (the
     view waveform.symbol_bodies gives).  The channel is frozen per symbol,
     at its mid-time: its coherence time (milliseconds and up) vastly
-    exceeds the 4 us symbol.  Works in place, PROPAGATE_CHUNK symbols at a
-    time.  Receiver noise is the caller's: add_awgn.
+    exceeds the 4 us symbol.  Works in place, obfuscator.TIME_CHUNK
+    symbols at a time.  Receiver noise is the caller's: add_awgn.
     """
     n, m = values.shape
     t_mid = symbol_midtimes(m, t_sym_s)
     k = signed_subcarriers(n)
-    for j in range(0, m, PROPAGATE_CHUNK):
-        values[:, j:j + PROPAGATE_CHUNK] *= cfr_matrix(
-            chan, k, spacing_hz, t_mid[j:j + PROPAGATE_CHUNK])
+    chunk = obfuscator.TIME_CHUNK
+    for j in range(0, m, chunk):
+        values[:, j:j + chunk] *= cfr_matrix(chan, k, spacing_hz,
+                                             t_mid[j:j + chunk])
 
 
 def dump_tracks(tracks: list, path) -> None:

@@ -18,8 +18,8 @@ from dopplerveil.scenario import SPEED_OF_LIGHT, Obfuscation
 
 # Subcarriers per block of the spoofing multiplier's split k = q B + r.
 SPOOF_BLOCK = 8
-# Time columns whose multiplier factors are evaluated at once; the CSI pass
-# may run one multiplier per CPU, so each keeps its factors small.
+# Time columns whose multiplier factors, or channel response, are evaluated
+# at once; the CSI pass builds about this many probes at a time.
 TIME_CHUNK = 2048
 
 

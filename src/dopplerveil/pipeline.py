@@ -38,7 +38,11 @@ DEFAULT_FORMATS = ("csv", "pgm")
 STREAM_CHUNK = 1 << 16
 
 # Frames the demodulation pass equalizes, demaps and scores at once.
-DEMOD_FRAMES = 16
+DEMOD_FRAMES = 4
+
+# CPU shares the CSI pass builds chunks in, at most: each holds a chunk and
+# its buffers, so the pass's memory does not grow with the CPUs.
+CSI_SHARES = 2
 
 
 @dataclass
@@ -69,8 +73,8 @@ def build_channel(cfg: ScenarioConfig, derived: DerivedParams,
 def _probe_times(cfg: ScenarioConfig, derived: DerivedParams) -> np.ndarray:
     """The CSI pass's probe mid-times, the columns of its probe grid.
 
-    The grid's rows are derived.used_k.  Plane p of its `ratio`
-    probe-phase planes (cfg.probe_sampling) is times[p::ratio].
+    The grid's rows are derived.used_k.  Every ratio-th probe
+    (cfg.probe_sampling), times[::ratio], is a CSI series sample.
     """
     _, rate, n_probes = cfg.probe_sampling()
     return np.arange(n_probes) / rate + 0.5 * derived.t_sym_s
@@ -119,8 +123,12 @@ def point_invariant(cfg: ScenarioConfig, baseline_dir=None) -> PointInvariant:
     cfg = replace(cfg, obfuscation=Obfuscation())
     derived = derive_streams(cfg)
     chan = build_channel(cfg, derived, rng_streams(cfg.seed).walker)
-    h = chan_mod.cfr_matrix(chan, derived.used_k, cfg.subcarrier_spacing_hz,
-                            _probe_times(cfg, derived))
+    times = _probe_times(cfg, derived)
+    h = np.empty((len(derived.used_k), len(times)), dtype=complex)
+    for j in range(0, len(times), obfuscator.TIME_CHUNK):  # small buffers
+        h[:, j:j + obfuscator.TIME_CHUNK] = chan_mod.cfr_matrix(
+            chan, derived.used_k, cfg.subcarrier_spacing_hz,
+            times[j:j + obfuscator.TIME_CHUNK])
     _freeze(h, *(a for tr in chan.tracks
                  for a in (tr.times_s, tr.path_length_m)))
     baselines = None
@@ -141,21 +149,19 @@ def simulate_csi(cfg: ScenarioConfig, derived: DerivedParams,
     CfrSeries at the configured CSI rate).  The method-1 series is the
     per-symbol mean of rx * conj(clean tx), i.e. the reference-conjugated
     received signal already decimated to one sample per probe symbol: each
-    probe's CSI estimate summed over the used subcarriers, over N.
+    probe's CSI estimate summed over the used subcarriers, over N.  The CSI
+    series is every ratio-th probe's estimate (cfg.probe_sampling).
 
-    The (subcarrier, probe) grid is split into `ratio` probe-phase planes:
-    plane p holds probes p, p + ratio, ...  Plane 0, every ratio-th probe,
-    is the CSI series: it is built whole, and the pass returns it.  Planes
-    1.. are built obfuscator.TIME_CHUNK probes at a time and each chunk is
-    at once reduced to the signal part of its method-1 samples, so no such
-    plane exists whole.  Each plane, or chunk, is chan's CFR, evaluated or
-    copied from `h` (chan's CFR on the whole grid, PointInvariant.cfr, only
-    read: plane p is its view h[:, p::ratio]), times the known symbols and
-    the defense, in the share of the CPUs that owns the plane.  The noise
-    is the whole grid's, drawn as channel.add_awgn draws it
-    (channel._awgn_runs): plane 0's columns take theirs in place, and every
-    other probe's is folded into its method-1 sample through the estimate's
-    X*/|X|^2.
+    The (subcarrier, probe) grid is built a chunk of whole probe-phase
+    groups (obfuscator.TIME_CHUNK probes, rounded down to whole groups of
+    ratio, at least one) at a time, in at most CSI_SHARES CPU shares:
+    chan's CFR, evaluated or copied from `h` (PointInvariant.cfr, only
+    read), times the known symbols and the defense.  A chunk's every
+    ratio-th column is copied into the series, then it is estimated in
+    place and summed over k into its method-1 samples, so no grid exists
+    whole.  The noise is the whole grid's, drawn as channel.add_awgn draws
+    it (channel._awgn_runs): the series cells take theirs before they are
+    estimated, and method 1 takes X*/|X|^2 times it, as the estimate would.
     """
     k, times = derived.used_k, _probe_times(cfg, derived)
     ratio, rate, n_probes = cfg.probe_sampling()
@@ -164,71 +170,49 @@ def simulate_csi(cfg: ScenarioConfig, derived: DerivedParams,
         raise ValueError(f"CFR shape {h.shape} does not match the probe "
                          f"grid's {(len(k), n_probes)}")
     x_used = wf.known_symbol_table(n, derived.used_bins)[derived.used_bins]
-
-    def signal(p, cols):  # chan's CFR, the known symbols, then the defense
-        t = times[p::ratio][cols]
-        y = (chan_mod.cfr_matrix(chan, k, cfg.subcarrier_spacing_hz, t)
-             if h is None else h[:, p::ratio][:, cols].copy())
-        np.multiply(x_used[:, None], y, out=y)
-        transmit_multiplier(cfg.obfuscation, y, k, t,
-                            cfg.subcarrier_spacing_hz, cfg.carrier_hz)
-        return y
-
+    chunk = max(1, obfuscator.TIME_CHUNK // ratio) * ratio
+    starts = range(0, n_probes, chunk)
     # Reference-conjugated series (1/N) sum_k H_hat[k]: as |X| = 1, the
     # Parseval form (1/N) sum_k Y[k] X*[k] of the mean of rx * conj(tx).
     # It holds sums over k until the last step divides them by N.
     m1 = np.empty(n_probes, dtype=complex)
-    plane0, energy = [None], [0.0] * ratio
+    h_hat = np.empty((len(k), len(times[::ratio])), dtype=complex)
+    energy = [0.0] * len(starts)
 
-    def share(ps):
-        for p in ps:
-            if p == 0:
-                plane0[0] = signal(0, slice(None))
-                energy[0] = chan_mod._energy(plane0[0])
-                continue
-            for j in range(0, len(times[p::ratio]), obfuscator.TIME_CHUNK):
-                y = signal(p, slice(j, j + obfuscator.TIME_CHUNK))
-                energy[p] += chan_mod._energy(y)
-                m1[p + ratio * j::ratio][:y.shape[1]] = rx_mod.estimate_cfr(
-                    y, x_used).sum(axis=0)
-                del y  # before the next chunk is built
+    def share(js):
+        for j in js:
+            t = times[j:j + chunk]
+            y = (chan_mod.cfr_matrix(chan, k, cfg.subcarrier_spacing_hz, t)
+                 if h is None else h[:, j:j + chunk].copy())
+            np.multiply(x_used[:, None], y, out=y)
+            transmit_multiplier(cfg.obfuscation, y, k, t,
+                                cfg.subcarrier_spacing_hz, cfg.carrier_hz)
+            energy[j // chunk] = chan_mod._energy(y)
+            h_hat[:, j // ratio:(j + chunk) // ratio] = y[:, ::ratio]
+            m1[j:j + len(t)] = rx_mod.estimate_cfr(y, x_used).sum(axis=0)
+            del y  # before the next chunk is built
 
-    _in_shares(share, range(ratio))
-    y0 = plane0[0]
+    _in_shares(share, starts, most=CSI_SHARES)
     if not math.isinf(cfg.snr_db):
         coef = np.conj(x_used) / np.abs(x_used) ** 2
-        # Runs of whole probe-phase groups, so each run's plane-0 probes
-        # are its every ratio-th value.  Only the used bins carry power, so
-        # the time-domain samples' mean power is that share of the grid's.
-        step = max(1, chan_mod.NOISE_CHUNK // ratio) * ratio
+        # Only the used bins carry power, so the time-domain samples' mean
+        # power is that share of the grid's.
         for imag, row, j, d in chan_mod._awgn_runs(
                 (len(k), n_probes), sum(energy), cfg.snr_db, rng_noise,
-                occupancy=len(k) / n, step=step):
-            seg = d[::ratio]
-            cells = y0[row, j // ratio:j // ratio + len(seg)]
+                occupancy=len(k) / n):
+            first = -j % ratio  # the run's first series probe
+            seg = d[first::ratio]
+            cells = h_hat[row, (j + first) // ratio:][:len(seg)]
             part = cells.imag if imag else cells.real
             part += seg
             # The estimate maps a cell's noise to X*/|X|^2 times it, and an
             # imaginary part's to that times j.
-            c = 1j * coef[row] if imag else coef[row]
-            for p in range(1, ratio):
-                seg = d[p::ratio]
-                m1[j + p::ratio][:len(seg)] += c * seg
-
-    def estimate(starts):  # plane 0 in place, a chunk of probes at a time
-        for j in starts:
-            y = plane0[0][:, j:j + obfuscator.TIME_CHUNK]
-            m1[ratio * j::ratio][:y.shape[1]] = rx_mod.estimate_cfr(
-                y, x_used).sum(axis=0)
-
-    _in_shares(estimate, range(0, y0.shape[1], obfuscator.TIME_CHUNK))
-    # A pool thread may hold a share's closure a moment after it is done:
-    # the closures' plane0 then holds nothing.
-    plane0.clear()
+            m1[j:j + len(d)] += (1j * coef[row] if imag else coef[row]) * d
+    rx_mod.estimate_cfr(h_hat, x_used)
     m1 /= n
     m1_sig = wf.BasebandSignal(samples=m1, sample_rate_hz=rate,
                                t0=times[0])
-    series = rx_mod.CfrSeries(subcarriers=k, h_hat=y0, t_s=times[::ratio],
+    series = rx_mod.CfrSeries(subcarriers=k, h_hat=h_hat, t_s=times[::ratio],
                               csi_rate_hz=cfg.csi_rate_hz)
     return m1_sig, series
 

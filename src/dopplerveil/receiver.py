@@ -14,6 +14,9 @@ import numpy as np
 from dopplerveil import _textfmt
 from dopplerveil.waveform import _axis_levels, qam_energy
 
+# Symbols whose errors PayloadScore.add takes at once.
+SCORE_CHUNK = 1 << 12
+
 
 @dataclass
 class CfrSeries:
@@ -127,9 +130,10 @@ class PayloadScore:
 
     add() takes the received bits and equalized symbols in transmit order,
     in blocks of any size: it counts each block's bit errors and writes its
-    squared symbol errors into one float64 array, one value per symbol.  So
-    ber() and evm() read the same whether the payload came in one block or
-    many, and no payload-sized temporary is made.
+    squared symbol errors into one float64 array, one value per symbol,
+    SCORE_CHUNK symbols at a time.  So ber() and evm() read the same
+    whether the payload came in one block or many, and no temporary larger
+    than a chunk is made.
     """
 
     def __init__(self, ref_bits, tx_symbols):
@@ -153,7 +157,9 @@ class PayloadScore:
             raise ValueError("symbol sequences must have equal length")
         self.bit_errors += int(np.count_nonzero(bits != ref))
         err = self.sq_errors[j:j + len(tx)]
-        np.abs(eq_symbols - tx, out=err)
+        for c in range(0, len(tx), SCORE_CHUNK):
+            np.abs(eq_symbols[c:c + SCORE_CHUNK] - tx[c:c + SCORE_CHUNK],
+                   out=err[c:c + SCORE_CHUNK])
         np.square(err, out=err)
         self.bits_added += len(bits)
         self.symbols_added += len(tx)

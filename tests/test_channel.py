@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from dopplerveil import channel as ch
+from dopplerveil import obfuscator
 from dopplerveil import waveform as wf
 from dopplerveil.scenario import SPEED_OF_LIGHT, ScenarioConfig, WalkerParams, \
     derive_streams
@@ -103,6 +104,41 @@ def test_cfr_matrix_matches_direct_exp_over_a_20s_walk():
     assert h.shape == (64, len(t))
     np.testing.assert_allclose(h, _direct_cfr(chan, k[:, None] * DF, t),
                                rtol=0, atol=1e-11)
+
+
+def _per_path_cfr(chan, k, spacing_hz, times):
+    """The per-path subcarrier recurrence: each path's term walks k alone
+    and is added to each wanted row in path order."""
+    total = np.zeros((len(k), len(times)), dtype=complex)
+    k_min = int(k.min())
+    for track in chan.tracks:
+        step = -2j * np.pi * ch.path_delay(track, times)
+        term = track.reflectivity * np.exp(
+            (chan.carrier_hz + k_min * spacing_hz) * step)
+        step = np.exp(spacing_hz * step)
+        for i in range(int(k.max()) - k_min + 1):
+            if i:
+                term *= step
+            for row in np.flatnonzero(k == k_min + i):
+                total[row] += term
+    return total
+
+
+@pytest.mark.parametrize("n_times", [7, 2048])
+def test_cfr_matrix_walks_every_path_at_once_bit_for_bit(n_times):
+    # Summing the (path, time) terms over the paths at each step gives the
+    # bits of the per-path recurrence, on the used subcarriers (DC skipped)
+    # and on the 64 FFT-order bins.
+    walker = ch.walker_tracks(WalkerParams(), 20.0,
+                              rng=np.random.default_rng(5))
+    chan = ch.ChannelRealization(
+        walker + [ch.static_track(10.0, 1.0, 20.0),
+                  ch.static_track(23.0, 0.4 - 0.3j, 20.0)], 5.8e9)
+    t = np.linspace(0.0, 20.0, n_times)
+    used_k = derive_streams(ScenarioConfig()).used_k
+    for k in (used_k, wf.signed_subcarriers(64)):
+        np.testing.assert_array_equal(ch.cfr_matrix(chan, k, DF, t),
+                                      _per_path_cfr(chan, k, DF, t))
 
 
 def test_cfr_matrix_rows_follow_k():
@@ -262,7 +298,7 @@ def test_propagate_works_in_place_chunk_by_chunk(monkeypatch):
     chan = _walking_channel(cfg)
 
     def received(chunk):
-        monkeypatch.setattr(ch, "PROPAGATE_CHUNK", chunk)
+        monkeypatch.setattr(obfuscator, "TIME_CHUNK", chunk)
         x = wf.symbol_bodies(rows, cfg.cp_len).copy()
         ch.propagate(x, chan, cfg.subcarrier_spacing_hz, d.t_sym_s)
         return x

@@ -12,7 +12,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from dopplerveil import _shares, channel, cli, pipeline, spectral
+from dopplerveil import (_shares, channel, cli, obfuscator, pipeline,
+                         spectral)
 from dopplerveil.cli import (EXIT_CONFIG, EXIT_OK, EXIT_RUNTIME,
                              EXIT_THRESHOLD, main)
 from dopplerveil.pipeline import parse_report
@@ -248,8 +249,11 @@ def test_sweep_points_are_cpu_shares_that_nest_no_further(
         scenario_file, tmp_path, monkeypatch):
     # min(points, --threads, CPUs) points run at once, on the one share
     # pool.  A point's own work runs inline while another point runs; the
-    # caller's last point, once it runs alone, splits its work again.
+    # caller's last point, once it runs alone, splits its work again.  Its
+    # CSI pass splits into chunks of 256 probes (whole, the 0.6 s pass is
+    # one chunk).
     monkeypatch.setattr(_shares, "_cpus", lambda: 2)
+    monkeypatch.setattr(obfuscator, "TIME_CHUNK", 256)
     pool = _shares._executor()
     lock, running, threads, submits = threading.Lock(), [0], [], []
 
@@ -419,9 +423,10 @@ def test_sweep_computes_point_invariant_work_once(scenario_file, tmp_path,
     def grids():
         # cfr_matrix(chan, k, spacing, times): the CSI pass's probe grid
         # holds the 56 used subcarriers, the demodulation grid all 64 bins.
-        # A sweep evaluates the probe grid once, whole (1200 probes: csi_rate
-        # 500 Hz, probed at 2 kHz); a run evaluates its 4 probe-phase planes
-        # (300 probes each), and the demodulation grid in one chunk.
+        # A sweep evaluates the probe grid once (1200 probes: csi_rate
+        # 500 Hz, probed at 2 kHz, in one TIME_CHUNK); a run evaluates it a
+        # chunk of TIME_CHUNK probes at a time, and the demodulation grid
+        # in one chunk.
         return ([len(c[3]) for c in cfrs if len(c[1]) == 56],
                 [len(c[3]) for c in cfrs if len(c[1]) == 64])
 
@@ -436,15 +441,17 @@ def test_sweep_computes_point_invariant_work_once(scenario_file, tmp_path,
     assert sorted(Path(a[0]).name for a in loads) \
         == ["method1_spectrogram.csv", "method2_spectrogram.csv"]
 
-    # A single run still builds and reads each piece once itself.
+    # A single run still builds and reads each piece once itself; here its
+    # probe grid comes in chunks of 512 probes.
     del builds[:], cfrs[:], loads[:]
+    monkeypatch.setattr(obfuscator, "TIME_CHUNK", 512)
     assert main(["run", "--scenario", str(scenario_file),
                  "--out", str(tmp_path / "run"),
                  "--baseline", str(base)]) == EXIT_OK
     probe, demod = grids()
     assert (len(builds), len(probe), len(demod), len(cfrs), len(loads)) \
-        == (1, 4, 1, 5, 2)
-    assert probe == [300] * 4
+        == (1, 3, 1, 4, 2)
+    assert sorted(probe) == [176, 512, 512]  # the shares' calls interleave
 
 
 @pytest.mark.parametrize("command, extra", [
@@ -724,9 +731,9 @@ def _run_outputs(root: Path) -> dict:
     return outputs
 
 
-# The CSI pass of a 2.0005 s, 20 dB run: its probe planes are 2001 and 2000
-# probes wide.  Writes the method-1 samples' and the CSI series' bytes to
-# the files named by the two arguments.
+# The CSI pass of a 2.0005 s, 20 dB run: its 4001 probes end in a chunk of
+# 1953, an odd width that ends mid-group.  Writes the method-1 samples' and
+# the CSI series' bytes to the files named by the two arguments.
 _CSI_PASS = """
 import sys
 from pathlib import Path
@@ -742,7 +749,7 @@ Path(sys.argv[2]).write_bytes(series.h_hat.tobytes())
 
 
 def test_csi_pass_does_not_depend_on_the_blas_thread_count(tmp_path):
-    # Over a plane of odd width, OpenBLAS's split of a matrix-vector
+    # Over a chunk of odd width, OpenBLAS's split of a matrix-vector
     # product over its threads moves the last bits of its sums; the pass
     # sums the method-1 series in NumPy's own loops.
     runs = []
@@ -762,8 +769,7 @@ def test_outputs_do_not_depend_on_the_blas_thread_count(tmp_path):
     # The noise power, the method-1 series and the baseline correlations
     # are summed in NumPy's own loops: OpenBLAS's dot products move their
     # last digits with its thread count, and the noise scale then moves
-    # every noisy value.  The odd run's probe planes are 2001 and 2000
-    # probes wide.
+    # every noisy value.  The odd run's last chunk of probes is 1953 wide.
     base, smear, odd = (tmp_path / f"{name}.yaml"
                         for name in ("none", "smear", "odd"))
     base.write_text("snr_db: 20\nseed: 3\n")

@@ -468,12 +468,14 @@ def _traced_peak(fn, *args, **kwargs):
     Obfuscation(kind="smear", delta_f_hz=200.0, f_m_hz=10.0),
     Obfuscation(kind="spoof", v_sp_mps=5.0)], ids=["none", "smear", "spoof"])
 def test_simulate_csi_works_in_one_probe_grid(obf, monkeypatch):
-    # The pass builds plane 0, the CSI series, whole and in place, and the
-    # other planes a TIME_CHUNK of probes at a time: with the CFR grid
+    # The pass builds the grid a chunk of about TIME_CHUNK probes at a time
+    # and copies every ratio-th probe into the CSI series: with the CFR grid
     # given or evaluated, its peak stays within 0.7 grids, here half a grid
-    # for plane 0 and the chunk, multiplier, noise and CFR buffers beside it
-    # (a second whole plane, or a copy of the series, would break it).  Its
-    # outputs do not depend on how many shares of the CPUs build them.
+    # for the series and the chunk, multiplier, noise and CFR buffers beside
+    # it (a whole grid, or a second copy of the series, would break it).
+    # At most CSI_SHARES chunks are built at once, so the peak holds on the
+    # host's CPUs and on eight.  Its outputs do not depend on how many
+    # shares of the CPUs build them.
     cfg = _cfg(duration_s=20.0, csi_rate_hz=1000.0, snr_db=20.0,
                obfuscation=obf)
     d = derive_streams(cfg)
@@ -482,11 +484,22 @@ def test_simulate_csi_works_in_one_probe_grid(obf, monkeypatch):
     assert cfg.probe_sampling()[0] == 2
     grid_nbytes = h.nbytes
     results = []
-    for given in (h, None):
+
+    def traced(given):
         result, peak = _traced_peak(pl.simulate_csi, cfg, d, chan,
                                     rng_streams(cfg.seed).noise, h=given)
         assert peak <= 0.7 * grid_nbytes, (given is None, peak / grid_nbytes)
         results.append(result)
+
+    for given in (h, None):
+        traced(given)
+    with monkeypatch.context() as eight:
+        eight.setattr(_shares, "_cpus", lambda: 8)
+        eight.setattr(_shares, "_pool", None)  # one worker per CPU
+        try:
+            traced(h)
+        finally:
+            _shares._pool.shutdown()
     for cpus in (1, 3):
         monkeypatch.setattr(_shares, "_cpus", lambda n=cpus: n)
         results.append(pl.simulate_csi(cfg, d, chan,
@@ -495,28 +508,32 @@ def test_simulate_csi_works_in_one_probe_grid(obf, monkeypatch):
     for m1_b, s_b in others:
         np.testing.assert_array_equal(m1_a.samples, m1_b.samples)
         np.testing.assert_array_equal(s_a.h_hat, s_b.h_hat)
-    # The series is plane 0 itself: every ratio-th probe, no copy.
+    # The series is the one array the pass copies every ratio-th probe into.
     assert s_a.h_hat.base is None and s_a.h_hat.shape == h[:, ::2].shape
 
 
-@pytest.mark.parametrize("csi_rate_hz", [1000.0, 500.0],
-                         ids=["ratio-2", "ratio-4"])
-def test_simulate_csi_folds_the_whole_grids_noise(csi_rate_hz, monkeypatch):
-    # Planes 1.. exist only a chunk at a time, yet the pass draws the whole
+@pytest.mark.parametrize("csi_rate_hz, noise_chunk", [
+    (1000.0, 1 << 16), (500.0, 1 << 16), (700.0, 11)],
+    ids=["ratio-2", "ratio-4", "ratio-3"])
+def test_simulate_csi_folds_the_whole_grids_noise(csi_rate_hz, noise_chunk,
+                                                  monkeypatch):
+    # The grid exists only a chunk at a time, yet the pass draws the whole
     # (subcarrier, probe) grid's noise in its C order, real parts first:
     # rng_noise ends where one draw of 2 K n_probes normals leaves it, and
-    # each method-1 sample holds its probe's noise through the CSI
-    # estimate.  Chunks of 7 probes straddle the multiplier's blocks and
-    # the noise runs.
+    # each method-1 sample and series cell holds its probe's noise through
+    # the CSI estimate.  A TIME_CHUNK of 7 makes chunks of a few whole
+    # probe-phase groups; noise runs of 11 probes start mid-group.
     from dopplerveil import obfuscator
     from dopplerveil.obfuscator import transmit_multiplier
     monkeypatch.setattr(obfuscator, "TIME_CHUNK", 7)
+    monkeypatch.setattr(pl.chan_mod, "NOISE_CHUNK", noise_chunk)
     cfg = _cfg(csi_rate_hz=csi_rate_hz, snr_db=20.0,
                obfuscation=Obfuscation(kind="spoof", v_sp_mps=5.0))
     d = derive_streams(cfg)
     chan = pl.build_channel(cfg, d, rng_streams(cfg.seed).walker)
     ratio, rate, n_probes = cfg.probe_sampling()
-    assert ratio == 2000.0 / csi_rate_hz and n_probes % 7
+    assert ratio == math.ceil(2000.0 / csi_rate_hz)
+    assert noise_chunk > n_probes or noise_chunk % ratio
     rng = rng_streams(cfg.seed).noise
     m1, series = pl.simulate_csi(cfg, d, chan, rng)
     drawn = rng_streams(cfg.seed).noise
@@ -541,10 +558,12 @@ def test_simulate_csi_folds_the_whole_grids_noise(csi_rate_hz, monkeypatch):
                                rtol=0, atol=1e-12)
 
 
-def test_simulate_csi_planes_hold_the_whole_grid():
-    # Split into planes, the pass gives the series it would give on the
-    # whole (subcarrier, probe) grid, with the noise drawn in the grid's C
-    # order.
+def test_simulate_csi_planes_hold_the_whole_grid(monkeypatch):
+    # Split into chunks, the last one short, the pass gives the series it
+    # would give on the whole (subcarrier, probe) grid, with the noise drawn
+    # in the grid's C order.
+    from dopplerveil import obfuscator
+    monkeypatch.setattr(obfuscator, "TIME_CHUNK", 500)
     cfg = _cfg(duration_s=0.6, csi_rate_hz=500.0, snr_db=20.0)
     d = derive_streams(cfg)
     chan = pl.build_channel(cfg, d, rng_streams(cfg.seed).walker)
@@ -585,8 +604,8 @@ def test_demod_pass_works_in_one_sample_buffer(obf):
     # The pass maps the payload into one (symbol, CP + body) sample buffer
     # and spoofs, propagates, modulates, demodulates and pilot-corrects in
     # it, in place.  Beside it the pass holds the payload bits and the EVM
-    # reference, and either propagate's chunk of PROPAGATE_CHUNK symbols'
-    # CFR or, once it scores, one squared error per data symbol.  The
+    # reference, and either propagate's chunk of TIME_CHUNK symbols' CFR
+    # or, once it scores, one squared error per data symbol.  The
     # noise draws, frame blocks and demapping blocks are bounded work
     # buffers, which 1 MB holds: a second grid-sized array, as a CFR grid
     # over the whole stream or the equalized symbols of every frame,
@@ -599,13 +618,13 @@ def test_demod_pass_works_in_one_sample_buffer(obf):
     n_frames, bits_per_frame = payload_frames(cfg)
     n = cfg.n_subcarriers
     n_symbols = n_frames * pl.wf.SYMBOLS_PER_FRAME
-    assert n_symbols > pl.chan_mod.PROPAGATE_CHUNK
+    assert n_symbols > pl.obfuscator.TIME_CHUNK
     assert n_frames > pl.DEMOD_FRAMES
     buffer = n_symbols * (n + cfg.cp_len) * 16
     data_symbols = n_frames * pl.wf.DATA_SYMBOLS_PER_FRAME * len(d.data_bins)
     reference = data_symbols * 16
     bits = n_frames * bits_per_frame
-    cfr_chunk = pl.chan_mod.PROPAGATE_CHUNK * n * 16
+    cfr_chunk = pl.obfuscator.TIME_CHUNK * n * 16
     squared_errors = data_symbols * 8
     _, peak = _traced_peak(pl.simulate_demod, cfg, d, chan,
                            rng_streams(cfg.seed))
