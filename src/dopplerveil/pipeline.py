@@ -80,6 +80,14 @@ def _probe_times(cfg: ScenarioConfig, derived: DerivedParams) -> np.ndarray:
     return np.arange(n_probes) / rate + 0.5 * derived.t_sym_s
 
 
+def _probe_chunk(cfg: ScenarioConfig) -> int:
+    """The probes the CSI pass takes at once: obfuscator.TIME_CHUNK rounded
+    down to whole probe-phase groups of ratio (cfg.probe_sampling), at
+    least one group."""
+    ratio = cfg.probe_sampling()[0]
+    return max(1, obfuscator.TIME_CHUNK // ratio) * ratio
+
+
 @dataclass(frozen=True)
 class PointInvariant:
     """The work every point of a sweep shares: all but the obfuscation.
@@ -125,10 +133,13 @@ def point_invariant(cfg: ScenarioConfig, baseline_dir=None) -> PointInvariant:
     chan = build_channel(cfg, derived, rng_streams(cfg.seed).walker)
     times = _probe_times(cfg, derived)
     h = np.empty((len(derived.used_k), len(times)), dtype=complex)
-    for j in range(0, len(times), obfuscator.TIME_CHUNK):  # small buffers
-        h[:, j:j + obfuscator.TIME_CHUNK] = chan_mod.cfr_matrix(
+    # In the CSI pass's chunks: cfr_matrix's last bits depend on how many
+    # times one call takes, so only these give a run's bits.
+    chunk = _probe_chunk(cfg)
+    for j in range(0, len(times), chunk):
+        h[:, j:j + chunk] = chan_mod.cfr_matrix(
             chan, derived.used_k, cfg.subcarrier_spacing_hz,
-            times[j:j + obfuscator.TIME_CHUNK])
+            times[j:j + chunk])
     _freeze(h, *(a for tr in chan.tracks
                  for a in (tr.times_s, tr.path_length_m)))
     baselines = None
@@ -153,8 +164,7 @@ def simulate_csi(cfg: ScenarioConfig, derived: DerivedParams,
     series is every ratio-th probe's estimate (cfg.probe_sampling).
 
     The (subcarrier, probe) grid is built a chunk of whole probe-phase
-    groups (obfuscator.TIME_CHUNK probes, rounded down to whole groups of
-    ratio, at least one) at a time, in at most CSI_SHARES CPU shares:
+    groups (_probe_chunk) at a time, in at most CSI_SHARES CPU shares:
     chan's CFR, evaluated or copied from `h` (PointInvariant.cfr, only
     read), times the known symbols and the defense.  A chunk's every
     ratio-th column is copied into the series, then it is estimated in
@@ -170,7 +180,7 @@ def simulate_csi(cfg: ScenarioConfig, derived: DerivedParams,
         raise ValueError(f"CFR shape {h.shape} does not match the probe "
                          f"grid's {(len(k), n_probes)}")
     x_used = wf.known_symbol_table(n, derived.used_bins)[derived.used_bins]
-    chunk = max(1, obfuscator.TIME_CHUNK // ratio) * ratio
+    chunk = _probe_chunk(cfg)
     starts = range(0, n_probes, chunk)
     # Reference-conjugated series (1/N) sum_k H_hat[k]: as |X| = 1, the
     # Parseval form (1/N) sum_k Y[k] X*[k] of the mean of rx * conj(tx).

@@ -199,19 +199,6 @@ def test_sweep_lone_smear_flag_exits_2(scenario_file, tmp_path, capsys,
     assert not out.exists()
 
 
-def test_sweep_threaded_matches_serial(scenario_file, tmp_path):
-    serial = tmp_path / "serial"
-    threaded = tmp_path / "threaded"
-    for out, threads in ((serial, "1"), (threaded, "3")):
-        assert main(["sweep", "--scenario", str(scenario_file),
-                     "--out", str(out), "--v-sp", "5", "10",
-                     "--threads", threads]) == EXIT_OK
-    for name in ("spoof_vsp5", "spoof_vsp10"):
-        a = (serial / name / "method2_spectrogram.csv").read_bytes()
-        b = (threaded / name / "method2_spectrogram.csv").read_bytes()
-        assert a == b
-
-
 @pytest.mark.parametrize("threads", ["1", "2"])
 @pytest.mark.parametrize("blocked", [("spoof_vsp2",),
                                      ("spoof_vsp2", "spoof_vsp10")])
@@ -332,8 +319,9 @@ def test_sweep_rejects_colliding_point_names(scenario_file, tmp_path, capsys,
 
 
 @pytest.mark.parametrize("threads, snr_db", [
-    ("1", ".inf"), ("2", ".inf"), ("1", "20"), ("2", "20")],
-    ids=["1", "2", "1-snr20", "2-snr20"])
+    ("1", ".inf"), ("2", ".inf"), ("3", ".inf"),
+    ("1", "20"), ("2", "20"), ("3", "20")],
+    ids=["1", "2", "3", "1-snr20", "2-snr20", "3-snr20"])
 def test_sweep_points_match_standalone_runs(scenario_file, tmp_path, threads,
                                             snr_db):
     # A noisy point reads the shared CFR grid and folds its noise in as a
@@ -765,34 +753,57 @@ def test_csi_pass_does_not_depend_on_the_blas_thread_count(tmp_path):
     assert csi_1 == csi_2
 
 
+# The runs and the sweep whose outputs must not depend on the BLAS thread
+# count, in order: (name, command, scenario, reads the noisy run "none" as
+# its baseline, more argv).  odd's last chunk of probes is 1953 wide; quad
+# and tri probe four and three times per CSI sample, so tri's chunks are
+# 2046 probes.  The sweep's points read their chunks from its one shared
+# CFR grid.
+_SPOOF_2S = ("duration_s: 2\nsnr_db: 25\n"
+             "obfuscation: {kind: spoof, v_sp_mps: 5}\n")
+_BLAS_CASES = [
+    ("none", "run", "snr_db: 20\nseed: 3\n", False, ()),
+    ("smear", "run", "snr_db: 20\nseed: 3\nobfuscation: {kind: smear}\n",
+     True, ()),
+    ("odd", "run", "duration_s: 2.0005\nsnr_db: 25\nseed: 3\n"
+     "obfuscation: {kind: smear}\n", False, ()),
+    ("quad", "run", _SPOOF_2S + "csi_rate_hz: 500\n", False, ()),
+    ("tri", "run", _SPOOF_2S + "csi_rate_hz: 700\n", False, ()),
+    ("sweep", "sweep", "snr_db: 20\nseed: 3\n", True,
+     ("--v-sp", "5", "--delta-f", "100", "--f-m", "10", "--threads", "2")),
+]
+
+
 def test_outputs_do_not_depend_on_the_blas_thread_count(tmp_path):
     # The noise power, the method-1 series and the baseline correlations
     # are summed in NumPy's own loops: OpenBLAS's dot products move their
     # last digits with its thread count, and the noise scale then moves
-    # every noisy value.  The odd run's last chunk of probes is 1953 wide.
-    base, smear, odd = (tmp_path / f"{name}.yaml"
-                        for name in ("none", "smear", "odd"))
-    base.write_text("snr_db: 20\nseed: 3\n")
-    smear.write_text("snr_db: 20\nseed: 3\nobfuscation: {kind: smear}\n")
-    odd.write_text("duration_s: 2.0005\nsnr_db: 25\nseed: 3\n"
-                   "obfuscation: {kind: smear}\n")
+    # every noisy value.  Every file and stdout line on 2 and on 4 threads
+    # is the one on 1.
     formats = ("--format", "csv", "--format", "pgm", "--format", "bin")
-    runs = []
-    for threads in ("1", "2"):
+    runs = {}
+    for threads in ("1", "2", "4"):
         root = tmp_path / f"blas-{threads}"
         stdout = []
-        for scenario, argv in ((base, ()),
-                               (smear, ("--baseline", str(root / "none"))),
-                               (odd, ())):
-            done = _cli_process(scenario, "--out",
-                                str(root / scenario.stem), *formats, *argv,
-                                OPENBLAS_NUM_THREADS=threads)
+        for name, command, doc, baseline, argv in _BLAS_CASES:
+            scenario = tmp_path / f"{name}.yaml"
+            scenario.write_text(doc)
+            if baseline:
+                argv = (*argv, "--baseline", str(root / "none"))
+            done = _python_process(
+                "-m", "dopplerveil.cli", command, "--scenario", str(scenario),
+                "--out", str(root / name), *formats, *argv,
+                OPENBLAS_NUM_THREADS=threads)
             assert done.returncode == EXIT_OK, done.stderr
             stdout += [line for line in done.stdout.splitlines()
-                       if not line.startswith("report = ")]
-        runs.append((stdout, _run_outputs(root)))
-    (stdout_1, files_1), (stdout_2, files_2) = runs
+                       if "report = " not in line]
+        runs[threads] = (stdout, _run_outputs(root))
+    stdout_1, files_1 = runs.pop("1")
     assert "correlation_method2_vs_baseline = 0." in "\n".join(stdout_1)
-    assert stdout_1 == stdout_2
-    assert files_1.keys() == files_2.keys()
-    assert [name for name in files_1 if files_1[name] != files_2[name]] == []
+    # Two sweep points of eight files each.
+    assert sum(name.startswith("sweep/") for name in files_1) == 2 * 8
+    for threads, (stdout, files) in runs.items():
+        assert stdout == stdout_1, threads
+        assert files.keys() == files_1.keys(), threads
+        assert [name for name in files_1 if files[name] != files_1[name]] \
+            == [], threads

@@ -410,6 +410,26 @@ def test_point_invariant_shared_read_only_and_tied_to_its_scenario(tmp_path):
                         h=shared.cfr[:, 1:])
 
 
+@pytest.mark.parametrize("snr_db", [math.inf, 20.0],
+                         ids=["noiseless", "snr20"])
+def test_simulate_csi_reads_the_shared_grid_as_it_evaluates_it(snr_db):
+    # cfr_matrix at one time differs in its last bits from that time's
+    # column of a wider call.  At ratio 3 the pass takes 2046 probes at a
+    # time, so a 2047-probe pass ends in a one-probe chunk: a sweep point
+    # reading point_invariant's grid must still give the run's bits.
+    from dopplerveil import obfuscator
+    cfg = _cfg(duration_s=0.975, csi_rate_hz=700.0, snr_db=snr_db)
+    ratio, _, n_probes = cfg.probe_sampling()
+    assert ratio == 3 and n_probes % (obfuscator.TIME_CHUNK // 3 * 3) == 1
+    d = derive_streams(cfg)
+    chan = pl.build_channel(cfg, d, rng_streams(cfg.seed).walker)
+    (m1_a, s_a), (m1_b, s_b) = (
+        pl.simulate_csi(cfg, d, chan, rng_streams(cfg.seed).noise, h=h)
+        for h in (None, pl.point_invariant(cfg).cfr))
+    np.testing.assert_array_equal(m1_a.samples, m1_b.samples)
+    np.testing.assert_array_equal(s_a.h_hat, s_b.h_hat)
+
+
 @pytest.mark.parametrize("obf", [
     Obfuscation(),
     Obfuscation(kind="smear", delta_f_hz=200.0, f_m_hz=10.0),
@@ -558,7 +578,7 @@ def test_simulate_csi_folds_the_whole_grids_noise(csi_rate_hz, noise_chunk,
                                rtol=0, atol=1e-12)
 
 
-def test_simulate_csi_planes_hold_the_whole_grid(monkeypatch):
+def test_simulate_csi_chunks_hold_the_whole_grid(monkeypatch):
     # Split into chunks, the last one short, the pass gives the series it
     # would give on the whole (subcarrier, probe) grid, with the noise drawn
     # in the grid's C order.
