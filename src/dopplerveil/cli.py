@@ -136,9 +136,14 @@ def _cmd_compare(args) -> int:
 
     violated = False
     for name, limit in thresholds.items():
-        if name not in deltas:
+        if name not in a and name not in b:
             print(f"error: threshold metric {name} missing from comparison",
                   file=sys.stderr)
+            return EXIT_RUNTIME
+        if name not in deltas:
+            print(f"error: threshold metric {name} is not numeric: "
+                  f"A = {a.get(name, 'missing')}, "
+                  f"B = {b.get(name, 'missing')}", file=sys.stderr)
             return EXIT_RUNTIME
         # A delta that is not a number (NaN or inf in a report) cannot be
         # shown to be within any limit.

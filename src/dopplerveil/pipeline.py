@@ -244,9 +244,10 @@ def simulate_demod(cfg: ScenarioConfig, derived: DerivedParams,
     the rows are modulated, the noise added, and the receiver views the
     demodulated bodies as (subcarrier, frame, symbol).  Every step from
     mapping to the channel estimate works in those rows, in place: beside
-    them the pass holds the payload bits, the EVM reference and one
-    bounded chunk.  Then DEMOD_FRAMES frames at a time are pilot-corrected,
-    equalized, demapped and scored, so the score's squared symbol errors
+    them the pass holds the payload bits, the EVM reference (one byte per
+    data symbol, see PayloadScore) and one bounded chunk.  Then
+    DEMOD_FRAMES frames at a time are pilot-corrected, equalized, demapped
+    and scored, so the score's squared symbol errors
     are the one more payload-sized array.
     Returns (ber, evm fraction).
     """
@@ -259,7 +260,7 @@ def simulate_demod(cfg: ScenarioConfig, derived: DerivedParams,
         chunk = bits[j:j + STREAM_CHUNK]
         chunk[...] = rngs.bits.integers(0, 2, size=chunk.size)
 
-    # The data symbols as mapped, before any defense, are the EVM reference.
+    # The data symbols' indices, before any defense, are the EVM reference.
     grid, ideal = wf.frame_stream(cfg, derived, bits)
     rows = grid.rows
     del grid
@@ -302,7 +303,7 @@ def simulate_demod(cfg: ScenarioConfig, derived: DerivedParams,
         table[derived.used_bins]).mean(axis=2, keepdims=True)
     # EVM against the pre-spoof ideal constellation: any spoof rotation is
     # absorbed into the per-frame channel estimate the receiver uses.
-    score = rx_mod.PayloadScore(bits, ideal)
+    score = rx_mod.PayloadScore(bits, ideal, cfg.qam_order)
     for f in range(0, n_frames, DEMOD_FRAMES):
         frames = slice(f, f + DEMOD_FRAMES)
         corrected, _ = rx_mod.pilot_phase_correct(
@@ -313,21 +314,30 @@ def simulate_demod(cfg: ScenarioConfig, derived: DerivedParams,
     return score.ber(), score.evm()
 
 
-def _method1_view(csi, cfg: ScenarioConfig):
+def _method1_series(csi, cfg: ScenarioConfig):
+    """The method-1 view's input: the reference-conjugated series."""
+    return csi[0]
+
+
+def _method1_view(m1_sig, cfg: ScenarioConfig):
     """The STFT of the reference-conjugated series, and its bandwidth."""
-    m1_sig, _ = csi
     w, hop, n_fft = cfg.stft.samples(m1_sig.sample_rate_hz)
     spec = spec_mod.stft(m1_sig.samples, m1_sig.sample_rate_hz, w, hop,
                          n_fft, cfg.stft.window_kind, t0=m1_sig.t0)
     return spec, {"occupied_bandwidth_hz": spec_mod.occupied_bandwidth(spec)}
 
 
-def _method2_view(csi, cfg: ScenarioConfig):
-    """The per-subcarrier CSI series' Doppler view, and its peak track."""
+def _method2_sums(csi, cfg: ScenarioConfig):
+    """The method-2 view's input: the CSI series' frame sums."""
     _, series = csi
-    w, hop, n_fft = cfg.stft.samples(series.csi_rate_hz)
-    spec = spec_mod.method2_view(series, window_len=w, hop=hop, n_fft=n_fft,
-                                 window_kind=cfg.stft.window_kind)
+    w, hop, _ = cfg.stft.samples(series.csi_rate_hz)
+    return spec_mod.method2_view(series, w, hop, cfg.stft.window_kind)
+
+
+def _method2_view(sums, cfg: ScenarioConfig):
+    """The per-subcarrier CSI series' Doppler view, and its peak track."""
+    _, _, n_fft = cfg.stft.samples(sums.rate_hz)
+    spec = spec_mod.method2_spectrogram(sums, n_fft)
     track = spec_mod.peak_doppler_track(spec)
     return spec, {
         "peak_doppler_mean_abs_hz": float(np.mean(np.abs(track))),
@@ -335,11 +345,15 @@ def _method2_view(csi, cfg: ScenarioConfig):
     }
 
 
-# The passive attacker's views, in report order.  Each takes the CSI pass's
-# (method-1 series, CfrSeries) and cfg, and returns its spectrogram and
-# {metric: value}; a view's baseline and artifacts are named after it.
-VIEWS = {"method1": _method1_view, "method2": _method2_view}
-# The views that read the CfrSeries; the others read the method-1 series.
+# The passive attacker's views, in report order, each as (input, build).
+# input reduces the CSI pass's (method-1 series, CfrSeries) and cfg to what
+# the view reads; build takes that and cfg, and returns the view's
+# spectrogram and {metric: value}.  A view's baseline and artifacts are
+# named after it.
+VIEWS = {"method1": (_method1_series, _method1_view),
+         "method2": (_method2_sums, _method2_view)}
+# The views whose input reduces the CfrSeries; the others read the method-1
+# series.
 SERIES_VIEWS = ("method2",)
 
 
@@ -349,17 +363,19 @@ def _attacker_half(cfg: ScenarioConfig, derived: DerivedParams,
     """The passive attacker's CSI pass, spectra, metrics and artifacts.
 
     Returns (metrics, artifacts), each in VIEWS order.  First `cfr.*` is
-    written and the views of the CSI series (SERIES_VIEWS) run; then the
-    series is released, and the other views run beside the method-1 series
-    alone.  Each view's spectrogram is built, measured, written and
-    released before the next view's is built.  Its arrays are released when
-    it returns, so the demodulation pass that follows starts with them gone.
+    written and every view's input is taken; then the series is released,
+    before any spectrogram exists.  The views of the CSI series
+    (SERIES_VIEWS) are built first, so the other views run beside the
+    method-1 series alone.  Each view's spectrogram is built, measured,
+    written and released, with its input, before the next view's is built.
+    Its arrays are released when it returns, so the demodulation pass that
+    follows starts with them gone.
     """
     m1_sig, series = simulate_csi(cfg, derived, chan, rng_noise, h=h)
     done = {}  # view: (its metrics, its correlation, {format: path})
 
-    def run_view(view, csi):
-        spec, view_metrics = VIEWS[view](csi, cfg)
+    def run_view(view, given):
+        spec, view_metrics = VIEWS[view][1](given, cfg)
         written = {}
         for fmt in ("csv", "pgm"):
             if fmt in formats:
@@ -383,12 +399,12 @@ def _attacker_half(cfg: ScenarioConfig, derived: DerivedParams,
         p = out / "cfr.bin"
         rx_mod.dump_cfr_bin(series, p)
         binary["cfr_bin"] = str(p)
-    for view in SERIES_VIEWS:
-        run_view(view, (m1_sig, series))
-    del series  # before method 1's STFT
-    for view in VIEWS:
+    inputs = {view: take((m1_sig, series), cfg)
+              for view, (take, _) in VIEWS.items()}
+    del m1_sig, series  # before any spectrogram is built
+    for view in (*SERIES_VIEWS, *VIEWS):
         if view not in done:
-            run_view(view, (m1_sig, None))
+            run_view(view, inputs.pop(view))
 
     def spectrograms(fmt):
         return {f"{view}_spectrogram_{fmt}": done[view][2][fmt]

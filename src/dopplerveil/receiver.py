@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from dopplerveil import _textfmt
-from dopplerveil.waveform import _axis_levels, qam_energy
+from dopplerveil.waveform import _axis_levels, qam_energy, qam_points
 
 # Symbols whose errors PayloadScore.add takes at once.
 SCORE_CHUNK = 1 << 12
@@ -128,29 +128,32 @@ def demap(symbols: np.ndarray, order: int) -> np.ndarray:
 class PayloadScore:
     """BER and EVM of a payload received a block at a time.
 
-    add() takes the received bits and equalized symbols in transmit order,
-    in blocks of any size: it counts each block's bit errors and writes its
+    The EVM reference is the sent symbols' waveform.qam_indices.  add()
+    takes the received bits and equalized symbols in transmit order, in
+    blocks of any size: it counts each block's bit errors and writes its
     squared symbol errors into one float64 array, one value per symbol,
     SCORE_CHUNK symbols at a time.  So ber() and evm() read the same
     whether the payload came in one block or many, and no temporary larger
     than a chunk is made.
     """
 
-    def __init__(self, ref_bits, tx_symbols):
+    def __init__(self, ref_bits, tx_indices, order: int):
         self.ref_bits = np.ravel(ref_bits)
-        self.tx_symbols = np.ravel(tx_symbols)
+        self.tx_indices = np.ravel(tx_indices)
+        self.points = qam_points(order)
         self.bit_errors = 0
         self.bits_added = self.symbols_added = 0
         # The ideal power is averaged in the array the errors then fill.
-        self.sq_errors = np.abs(self.tx_symbols)
-        np.square(self.sq_errors, out=self.sq_errors)
+        point_power = np.abs(self.points)
+        np.square(point_power, out=point_power)
+        self.sq_errors = point_power[self.tx_indices]
         self.tx_power = np.mean(self.sq_errors)
 
     def add(self, bits, eq_symbols) -> None:
         bits, eq_symbols = np.ravel(bits), np.ravel(eq_symbols)
         i, j = self.bits_added, self.symbols_added
         ref = self.ref_bits[i:i + len(bits)]
-        tx = self.tx_symbols[j:j + len(eq_symbols)]
+        tx = self.tx_indices[j:j + len(eq_symbols)]
         if len(ref) != len(bits):
             raise ValueError("bit sequences must have equal length")
         if len(tx) != len(eq_symbols):
@@ -158,8 +161,8 @@ class PayloadScore:
         self.bit_errors += int(np.count_nonzero(bits != ref))
         err = self.sq_errors[j:j + len(tx)]
         for c in range(0, len(tx), SCORE_CHUNK):
-            np.abs(eq_symbols[c:c + SCORE_CHUNK] - tx[c:c + SCORE_CHUNK],
-                   out=err[c:c + SCORE_CHUNK])
+            chunk = slice(c, c + SCORE_CHUNK)
+            np.abs(eq_symbols[chunk] - self.points[tx[chunk]], out=err[chunk])
         np.square(err, out=err)
         self.bits_added += len(bits)
         self.symbols_added += len(tx)
@@ -173,7 +176,7 @@ class PayloadScore:
     def evm(self) -> float:
         """RMS error vector magnitude relative to RMS ideal power, as a
         fraction."""
-        if self.symbols_added != len(self.tx_symbols):
+        if self.symbols_added != len(self.tx_indices):
             raise ValueError("symbol sequences must have equal length")
         return float(np.sqrt(np.mean(self.sq_errors) / self.tx_power))
 

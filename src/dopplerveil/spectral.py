@@ -134,10 +134,21 @@ def stft(series: np.ndarray, rate_hz: float, window_len: int, hop: int,
     return _spectrogram(power, rate_hz, times)
 
 
+@dataclass
+class FrameSums:
+    """Each frame's |DFT|^2 at L = next_pow2(2W-1) points, summed over a
+    CSI series' rows (see method2_view)."""
+    power: np.ndarray  # (frame, L)
+    window_len: int  # W
+    n_rows: int
+    rate_hz: float
+    times_s: np.ndarray
+
+
 def method2_view(series: CfrSeries, window_len: int, hop: int,
-                 n_fft: int | None = None,
-                 window_kind: str = "hann") -> Spectrogram:
-    """Average spectrogram of the mean-removed CFR series per subcarrier.
+                 window_kind: str = "hann") -> FrameSums:
+    """The sums method2_spectrogram turns into the average spectrogram of
+    the mean-removed CFR series per subcarrier; the series can go between.
 
     Mean removal strips the static paths, each moving path appears at its
     own signed Doppler, and transmit-side spoofing shifts every line by the
@@ -146,47 +157,67 @@ def method2_view(series: CfrSeries, window_len: int, hop: int,
     where motion appears as the beat of moving paths against the static
     ones and no unit-modulus transmit multiplier shows.
 
-    The result is the mean over subcarriers of stft(row - row.mean()) power,
-    computed through the frames' autocorrelation: a frame's |DFT|^2 at n_fft
-    points is the n_fft-point DFT of its lags -(W-1)..W-1, added modulo n_fft
-    when n_fft < 2W-1.  Summing |DFT|^2 at L = next_pow2(2W-1) points, which
+    The spectrogram is the mean over subcarriers of stft(row - row.mean())
+    power, computed through the frames' autocorrelation: a frame's |DFT|^2
+    at n_fft points is the n_fft-point DFT of its lags -(W-1)..W-1, added
+    modulo n_fft when n_fft < 2W-1.  Summing |DFT|^2 at L points, which
     holds every lag without circular overlap, adds the lags of all
     subcarriers; so each subcarrier costs one L-point FFT, and the sum one
     inverse and one n_fft-point forward FFT per frame.
     """
     data = series.h_hat
-    rate = series.csi_rate_hz
-    n_fft = _fft_len(window_len, n_fft)
     lag_fft = next_pow2(2 * window_len - 1)
-    times = _frame_times(data.shape[1], rate, window_len, hop, series.t_s[0])
+    times = _frame_times(data.shape[1], series.csi_rate_hz, window_len, hop,
+                         series.t_s[0])
     window = _window(window_kind, window_len)
     rows = [(_frame_view(row, window_len, hop), row.mean()) for row in data]
-    lag = np.arange(1 - window_len, window_len)
-    scale = n_fft * len(data)
-    power = np.empty((len(times), n_fft))
+    sums = np.empty((len(times), lag_fft))
 
     # FRAME_BLOCK frames at a time: their |DFT|^2 summed subcarrier by
-    # subcarrier through one spectrum and one square buffer, then their
-    # autocorrelation lags -(W-1)..W-1 placed modulo n_fft (lags n_fft apart
-    # share a bin, so each block of n_fft lags is added) and transformed.
-    # A share takes the blocks starting at `starts`, through its own buffers.
+    # subcarrier through one spectrum and one square buffer.  A share takes
+    # the blocks starting at `starts`, through its own buffers.
     def share(starts):
         buf = np.empty((min(FRAME_BLOCK, len(times)), lag_fft), dtype=complex)
         sq = np.empty(buf.shape)
-        total = np.empty(buf.shape)
-        placed = np.empty((len(buf), n_fft), dtype=complex)
         for i in starts:
             m = min(FRAME_BLOCK, len(times) - i)
+            total = sums[i:i + m]
             for j, (frames, mean) in enumerate(rows):
                 spec = _windowed_fft(buf, frames[i:i + m], window, mean)
                 if j == 0:
-                    np.square(spec.real, out=total[:m])
+                    np.square(spec.real, out=total)
                 else:
                     np.square(spec.real, out=sq[:m])
-                    total[:m] += sq[:m]
+                    total += sq[:m]
                 np.square(spec.imag, out=sq[:m])
-                total[:m] += sq[:m]
-            lags = np.fft.ifft(total[:m], axis=1, out=buf[:m])
+                total += sq[:m]
+
+    _in_shares(share, range(0, len(times), FRAME_BLOCK))
+    return FrameSums(power=sums, window_len=window_len, n_rows=len(data),
+                     rate_hz=series.csi_rate_hz, times_s=times)
+
+
+def method2_spectrogram(sums: FrameSums,
+                        n_fft: int | None = None) -> Spectrogram:
+    """The method-2 spectrogram of a series' FrameSums (see method2_view).
+
+    FRAME_BLOCK frames at a time: their sums' inverse FFT, their lags
+    -(W-1)..W-1, placed modulo n_fft (lags n_fft apart share a bin, so each
+    block of n_fft lags is added) and transformed.
+    """
+    window_len, lag_fft = sums.window_len, sums.power.shape[1]
+    n_fft = _fft_len(window_len, n_fft)
+    n_frames = len(sums.times_s)
+    lag = np.arange(1 - window_len, window_len)
+    scale = n_fft * sums.n_rows
+    power = np.empty((n_frames, n_fft))
+
+    def share(starts):
+        buf = np.empty((min(FRAME_BLOCK, n_frames), lag_fft), dtype=complex)
+        placed = np.empty((len(buf), n_fft), dtype=complex)
+        for i in starts:
+            m = min(FRAME_BLOCK, n_frames - i)
+            lags = np.fft.ifft(sums.power[i:i + m], axis=1, out=buf[:m])
             out = placed[:m]
             out[:] = 0.0
             for first in range(0, len(lag), n_fft):
@@ -200,8 +231,8 @@ def method2_view(series: CfrSeries, window_len: int, hop: int,
             # is nil.
             np.maximum(dest, 0.0, out=dest)
 
-    _in_shares(share, range(0, len(times), FRAME_BLOCK))
-    return _spectrogram(power, rate, times)
+    _in_shares(share, range(0, n_frames, FRAME_BLOCK))
+    return _spectrogram(power, sums.rate_hz, sums.times_s)
 
 
 def spectrogram_correlation(a: Spectrogram, b: Spectrogram) -> float:

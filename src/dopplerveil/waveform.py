@@ -31,6 +31,9 @@ SYMBOLS_PER_FRAME = PREAMBLE_SYMBOLS + DATA_SYMBOLS_PER_FRAME
 # The square QAM orders the payload can be mapped to.
 QAM_ORDERS = (4, 16, 64)
 
+# Frames whose data cells frame_stream writes at once.
+FRAME_BLOCK = 4
+
 
 @dataclass
 class SymbolGrid:
@@ -62,30 +65,39 @@ def qam_energy(order: int) -> float:
     return 2.0 * (side * side - 1) / 3.0
 
 
-def qam_map(bits: np.ndarray, order: int) -> np.ndarray:
-    """Gray-mapped square QAM with unit average symbol energy.
+def qam_points(order: int) -> np.ndarray:
+    """Gray-mapped square QAM points with unit average energy.
 
-    QPSK corner convention: bits 00 -> (1+1j)/sqrt(2).  The bits are read
-    as bytes and each axis index is built in bytes, so mapping a payload
-    allocates little beyond its complex symbols.
+    Point i is the symbol of the bit word i, read MSB first: its I axis
+    bits, then its Q axis bits.  QPSK corner convention: bits 00 ->
+    (1+1j)/sqrt(2).
     """
+    if order not in QAM_ORDERS:
+        raise ValueError(f"unsupported QAM order {order}")
+    half = int(np.log2(order)) // 2
+    words = np.arange(order)
+    levels = _axis_levels(order) * (1.0 / np.sqrt(qam_energy(order)))
+    points = np.empty(order, dtype=complex)
+    points.real = levels[words >> half]
+    points.imag = levels[words & ((1 << half) - 1)]
+    return points
+
+
+def qam_indices(bits: np.ndarray, order: int) -> np.ndarray:
+    """Each log2(order)-bit word of bits, built in bytes: one byte per
+    symbol, its index in qam_points(order)."""
     if order not in QAM_ORDERS:
         raise ValueError(f"unsupported QAM order {order}")
     bits = np.asarray(bits, dtype=np.uint8).ravel()
     b = int(np.log2(order))
     if len(bits) % b:
         raise ValueError(f"bit count {len(bits)} not divisible by {b}")
-    half = b // 2
     words = bits.reshape(-1, b)
-    levels = _axis_levels(order) * (1.0 / np.sqrt(qam_energy(order)))
-    syms = np.empty(len(words), dtype=complex)
-    for axis, first in ((syms.real, 0), (syms.imag, half)):
-        idx = words[:, first].copy()
-        for j in range(first + 1, first + half):
-            idx <<= 1
-            idx |= words[:, j]
-        axis[...] = levels[idx]
-    return syms
+    idx = words[:, 0].copy()
+    for j in range(1, b):
+        idx <<= 1
+        idx |= words[:, j]
+    return idx
 
 
 def frame_bits(n_data_subcarriers: int, qam_order: int) -> int:
@@ -131,10 +143,11 @@ def frame_stream(cfg, derived, payload_bits):
 
     A frame is PREAMBLE_SYMBOLS known symbols, then DATA_SYMBOLS_PER_FRAME
     QAM data symbols with pilots; the payload must fill whole frames.
-    Returns (SymbolGrid, data symbols): the grid's rows hold the stream's
-    subcarrier values in their symbol bodies, ready for ofdm_modulate with
-    cfg.cp_len, and the symbols are the QAM values of the payload in
-    transmit order, (frame, symbol, data bin) flattened.
+    Returns (SymbolGrid, data symbol indices): the grid's rows hold the
+    stream's subcarrier values in their symbol bodies, ready for
+    ofdm_modulate with cfg.cp_len, and the indices are the payload's
+    qam_indices in transmit order, (frame, symbol, data bin) flattened.
+    The data cells are looked up FRAME_BLOCK frames at a time.
     """
     n = cfg.n_subcarriers
     table = known_symbol_table(n, derived.used_bins)
@@ -144,7 +157,8 @@ def frame_stream(cfg, derived, payload_bits):
     if n_frames == 0 or len(bits) % bits_per_frame:
         raise ValueError(f"payload of {len(bits)} bits does not fill whole "
                          f"frames of {bits_per_frame} bits")
-    syms = qam_map(bits, cfg.qam_order)
+    idx = qam_indices(bits, cfg.qam_order)
+    points = qam_points(cfg.qam_order)
     rows = np.zeros((n_frames * SYMBOLS_PER_FRAME, cfg.cp_len + n),
                     dtype=complex)
     # (bin, frame, symbol within the frame), a view of rows
@@ -153,13 +167,18 @@ def frame_stream(cfg, derived, payload_bits):
     kinds = np.zeros(values.shape, dtype=np.uint8)
     values[:, :, :PREAMBLE_SYMBOLS] = table[:, None, None]
     kinds[derived.used_bins, :, :PREAMBLE_SYMBOLS] = KIND_PREAMBLE
-    values[derived.data_bins, :, PREAMBLE_SYMBOLS:] = syms.reshape(
-        n_frames, DATA_SYMBOLS_PER_FRAME, -1).transpose(2, 0, 1)
+    # (frame, data symbol, bin) of rows, in the indices' order
+    data = rows.reshape(n_frames, SYMBOLS_PER_FRAME, -1)[
+        :, PREAMBLE_SYMBOLS:, cfg.cp_len:]
+    cells = idx.reshape(n_frames, DATA_SYMBOLS_PER_FRAME, -1)
+    for f in range(0, n_frames, FRAME_BLOCK):
+        data[f:f + FRAME_BLOCK, :, derived.data_bins] = \
+            points[cells[f:f + FRAME_BLOCK]]
     kinds[derived.data_bins, :, PREAMBLE_SYMBOLS:] = KIND_DATA
     values[derived.pilot_bins, :, PREAMBLE_SYMBOLS:] = \
         table[derived.pilot_bins][:, None, None]
     kinds[derived.pilot_bins, :, PREAMBLE_SYMBOLS:] = KIND_PILOT
-    return SymbolGrid(rows=rows, kinds=kinds.reshape(n, -1)), syms
+    return SymbolGrid(rows=rows, kinds=kinds.reshape(n, -1)), idx
 
 
 def symbol_midtimes(n_symbols: int, t_sym_s: float) -> np.ndarray:

@@ -41,8 +41,8 @@ def _csi_views(cfg):
     rngs = rng_streams(cfg.seed)
     chan = pl.build_channel(cfg, d, rngs.walker)
     csi = pl.simulate_csi(cfg, d, chan, rngs.noise)
-    return tuple(pl.VIEWS[view](csi, cfg)[0]
-                 for view in ("method1", "method2"))
+    return tuple(build(take(csi, cfg), cfg)[0]
+                 for take, build in (pl.VIEWS["method1"], pl.VIEWS["method2"]))
 
 
 def test_criterion_1_cfr_estimator_exactness():
@@ -174,7 +174,7 @@ def test_criterion_6_awgn_calibration():
     rng = np.random.default_rng(200)
     n_bits = 1_000_000
     bits = rng.integers(0, 2, size=n_bits)
-    syms = wf.qam_map(bits, 4)
+    syms = wf.qam_points(4)[wf.qam_indices(bits, 4)]
     es_n0 = 2.0 * 10.0 ** 0.6  # Eb/N0 = 6 dB for 2 bits/symbol
     add_awgn(syms, 10.0 * math.log10(es_n0), rng)  # unit power
     measured = float(np.mean(rx.demap(syms, 4) != bits))

@@ -125,6 +125,24 @@ def test_compare_non_finite_delta_violates_threshold(tmp_path, capsys,
     assert "metric.ber" in err and "not finite" in err
 
 
+def test_compare_threshold_on_a_non_numeric_metric_names_it(
+        scenario_file, tmp_path, capsys):
+    # Both reports hold the key, as `skipped:no-baseline`: the error names
+    # the key and both values, not a missing metric.
+    report = _run_once(scenario_file, tmp_path / "a")
+    capsys.readouterr()
+    assert main(["compare", str(report), str(report), "--threshold",
+                 "correlation_method2_vs_baseline=0.1"]) == EXIT_RUNTIME
+    err = capsys.readouterr().err
+    assert ("metric.correlation_method2_vs_baseline is not numeric: "
+            "A = skipped:no-baseline, B = skipped:no-baseline") in err
+    assert "missing" not in err
+    assert main(["compare", str(report), str(report),
+                 "--threshold", "no_such_metric=1"]) == EXIT_RUNTIME
+    assert ("threshold metric metric.no_such_metric missing from comparison"
+            in capsys.readouterr().err)
+
+
 def test_compare_mismatched_scenarios_warns(scenario_file, tmp_path, capsys):
     report_a = _run_once(scenario_file, tmp_path / "a")
     other = tmp_path / "other.yaml"
@@ -496,7 +514,8 @@ def test_rect_window_scenario_runs_end_to_end(tmp_path):
     w, hop, n_fft = cfg.stft.samples(series.csi_rate_hz)
     np.testing.assert_allclose(
         spectral.load_spectrogram_csv(out / "method2_spectrogram.csv").power,
-        spectral.method2_view(series, w, hop, n_fft, "rect").power,
+        spectral.method2_spectrogram(
+            spectral.method2_view(series, w, hop, "rect"), n_fft).power,
         rtol=1e-9)
 
 

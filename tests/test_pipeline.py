@@ -120,7 +120,8 @@ def _per_frame_demod(cfg, d, chan, rngs):
         rx_bits.append(rx.demap(syms, cfg.qam_order))
         eq_syms.append(syms)
     # The whole-array formulas, not the scorer under test.
-    eq, ideal = np.concatenate(eq_syms), wf.qam_map(bits, cfg.qam_order)
+    eq = np.concatenate(eq_syms)
+    ideal = wf.qam_points(cfg.qam_order)[wf.qam_indices(bits, cfg.qam_order)]
     ber = float(np.mean(np.concatenate(rx_bits) != bits))
     evm = float(np.sqrt(np.mean(np.abs(eq - ideal) ** 2)
                         / np.mean(np.abs(ideal) ** 2)))
@@ -259,7 +260,8 @@ def test_walker_point_csi_doppler_line():
     rngs = rng_streams(cfg.seed)
     chan = pl.build_channel(cfg, d, rngs.walker)
     _, series = pl.simulate_csi(cfg, d, chan, rngs.noise)
-    s = sp.method2_view(series, *cfg.stft.samples(series.csi_rate_hz))
+    w, hop, n_fft = cfg.stft.samples(series.csi_rate_hz)
+    s = sp.method2_spectrogram(sp.method2_view(series, w, hop), n_fft)
     track = sp.peak_doppler_track(s)
     assert np.median(track) == pytest.approx(15.48, abs=0.5)
 
@@ -290,6 +292,13 @@ _TRANSFORMS = {
 }
 
 
+def _method2(csi, cfg):
+    """The method-2 spectrogram of the CSI pass's (m1, series), as a run
+    builds it."""
+    take, build = pl.VIEWS["method2"]
+    return build(take(csi, cfg), cfg)[0]
+
+
 def _method2_views(obf):
     """The method-2 view of each transform of a 2 s, 25 dB, seed-1 CSI pass."""
     cfg = ScenarioConfig(duration_s=2.0, snr_db=25.0, seed=1, obfuscation=obf)
@@ -297,7 +306,7 @@ def _method2_views(obf):
     rngs = rng_streams(cfg.seed)
     chan = pl.build_channel(cfg, d, rngs.walker)
     m1, series = pl.simulate_csi(cfg, d, chan, rngs.noise)
-    return {name: pl.VIEWS["method2"]((m1, transform(series)), cfg)[0]
+    return {name: _method2((m1, transform(series)), cfg)
             for name, transform in _TRANSFORMS.items()}
 
 
@@ -355,7 +364,7 @@ def test_power_view_is_invariant_to_any_unit_modulus_multiplier(seed):
                                rtol=1e-12, atol=0)
 
     def view(s):
-        return pl.VIEWS["method2"]((m1, s), cfg)[0]
+        return _method2((m1, s), cfg)
 
     base, seen = view(power).power, view(masked_power).power
     assert np.max(np.abs(seen - base)) <= 1e-12 * np.max(base)
@@ -624,8 +633,9 @@ def test_demod_pass_works_in_one_sample_buffer(obf):
     # The pass maps the payload into one (symbol, CP + body) sample buffer
     # and spoofs, propagates, modulates, demodulates and pilot-corrects in
     # it, in place.  Beside it the pass holds the payload bits and the EVM
-    # reference, and either propagate's chunk of TIME_CHUNK symbols' CFR
-    # or, once it scores, one squared error per data symbol.  The
+    # reference, one byte per data symbol, and either propagate's chunk
+    # of TIME_CHUNK symbols' CFR or, once it scores, one squared error per
+    # data symbol.  The
     # noise draws, frame blocks and demapping blocks are bounded work
     # buffers, which 1 MB holds: a second grid-sized array, as a CFR grid
     # over the whole stream or the equalized symbols of every frame,
@@ -642,7 +652,7 @@ def test_demod_pass_works_in_one_sample_buffer(obf):
     assert n_frames > pl.DEMOD_FRAMES
     buffer = n_symbols * (n + cfg.cp_len) * 16
     data_symbols = n_frames * pl.wf.DATA_SYMBOLS_PER_FRAME * len(d.data_bins)
-    reference = data_symbols * 16
+    reference = data_symbols
     bits = n_frames * bits_per_frame
     cfr_chunk = pl.obfuscator.TIME_CHUNK * n * 16
     squared_errors = data_symbols * 8
@@ -683,7 +693,8 @@ def test_attacker_half_holds_one_spectrogram_at_a_time(tmp_path,
     import weakref
     cfg = _cfg(duration_s=2.0, csi_rate_hz=1000.0, snr_db=20.0)
     simulate_csi = pl.simulate_csi
-    stft, method2_view = pl.spec_mod.stft, pl.spec_mod.method2_view
+    stft = pl.spec_mod.stft
+    method2_spectrogram = pl.spec_mod.method2_spectrogram
     made, alive_at_stft = [], []
 
     def traced_csi(*args, **kwargs):
@@ -692,7 +703,7 @@ def test_attacker_half_holds_one_spectrogram_at_a_time(tmp_path,
         return m1, series
 
     def traced_method2(*args, **kwargs):
-        spec = method2_view(*args, **kwargs)
+        spec = method2_spectrogram(*args, **kwargs)
         made.append(weakref.ref(spec.power))
         return spec
 
@@ -702,7 +713,7 @@ def test_attacker_half_holds_one_spectrogram_at_a_time(tmp_path,
 
     monkeypatch.setattr(pl, "simulate_csi", traced_csi)
     monkeypatch.setattr(pl.spec_mod, "stft", traced_stft)
-    monkeypatch.setattr(pl.spec_mod, "method2_view", traced_method2)
+    monkeypatch.setattr(pl.spec_mod, "method2_spectrogram", traced_method2)
     report = pl.run_scenario(cfg, tmp_path / "run",
                              formats=("csv", "pgm", "bin"))
     assert alive_at_stft == [[False, False]]
@@ -714,6 +725,33 @@ def test_attacker_half_holds_one_spectrogram_at_a_time(tmp_path,
         "method1_spectrogram_csv", "method2_spectrogram_csv", "cfr_csv",
         "tracks_csv", "method1_spectrogram_pgm", "method2_spectrogram_pgm",
         "cfr_bin", "report"]
+
+
+def test_series_is_freed_before_the_method2_spectrogram_exists(tmp_path,
+                                                              monkeypatch):
+    # The run reduces the series to method 2's frame sums and drops it;
+    # only then is the spectrogram built from the sums.  The weakref is
+    # read in the transform step: a wrapper of method2_view would keep the
+    # series alive as its argument.
+    import weakref
+    cfg = _cfg(duration_s=2.0, csi_rate_hz=1000.0, snr_db=20.0)
+    simulate_csi = pl.simulate_csi
+    method2_spectrogram = pl.spec_mod.method2_spectrogram
+    series_refs, alive = [], []
+
+    def traced_csi(*args, **kwargs):
+        m1, series = simulate_csi(*args, **kwargs)
+        series_refs.append(weakref.ref(series.h_hat))
+        return m1, series
+
+    def transform(sums, *args, **kwargs):
+        alive.append([ref() is not None for ref in series_refs])
+        return method2_spectrogram(sums, *args, **kwargs)
+
+    monkeypatch.setattr(pl, "simulate_csi", traced_csi)
+    monkeypatch.setattr(pl.spec_mod, "method2_spectrogram", transform)
+    pl.run_scenario(cfg, tmp_path / "run", formats=("bin",))
+    assert alive == [[False]]
 
 
 def test_demod_pass_starts_after_the_attacker_half_is_released(tmp_path,
@@ -743,15 +781,17 @@ def test_demod_pass_starts_after_the_attacker_half_is_released(tmp_path,
 
 
 def test_simulate_demod_maps_the_payload_once(monkeypatch):
+    # The bits are mapped to their indices once; the rows and the score
+    # look the symbols up from them.
     from dopplerveil import waveform as wf
     calls = []
-    qam_map = wf.qam_map
+    qam_indices = wf.qam_indices
 
     def counted(*args, **kwargs):
         calls.append(1)
-        return qam_map(*args, **kwargs)
+        return qam_indices(*args, **kwargs)
 
-    monkeypatch.setattr(wf, "qam_map", counted)
+    monkeypatch.setattr(wf, "qam_indices", counted)
     cfg = _cfg(obfuscation=Obfuscation(kind="spoof", v_sp_mps=5.0))
     d = derive_streams(cfg)
     rngs = rng_streams(cfg.seed)

@@ -7,6 +7,11 @@ from dopplerveil.scenario import Obfuscation, ScenarioConfig, WalkerParams, \
     derive_streams
 
 
+def _mapped(bits, order):
+    """The QAM symbols of bits: their indices looked up in the points."""
+    return wf.qam_points(order)[wf.qam_indices(bits, order)]
+
+
 def _random_grid(n, m, seed=0):
     rng = np.random.default_rng(seed)
     return rng.standard_normal((n, m)) + 1j * rng.standard_normal((n, m))
@@ -185,14 +190,14 @@ def test_equalize_demap_roundtrip():
     m = 8
     bps = int(np.log2(cfg.qam_order))
     bits = rng.integers(0, 2, size=m * len(d.data_bins) * bps)
-    syms = wf.qam_map(bits, cfg.qam_order).reshape(m, -1).T
+    syms = _mapped(bits, cfg.qam_order).reshape(m, -1).T
     h = 0.3 * np.exp(1j * 0.8) * np.ones(cfg.n_subcarriers, dtype=complex)
     values = np.zeros((cfg.n_subcarriers, m), dtype=complex)
     values[d.data_bins] = h[d.data_bins][:, None] * syms
     out_bits, eq = rx.equalize_demap(values, h[:, None], d.data_bins,
                                      cfg.qam_order)
     assert np.array_equal(out_bits, bits)
-    tx = wf.qam_map(bits, cfg.qam_order)
+    tx = _mapped(bits, cfg.qam_order)
     assert np.sqrt(np.mean(np.abs(eq - tx) ** 2)
                    / np.mean(np.abs(tx) ** 2)) < 1e-12
 
@@ -223,7 +228,7 @@ def test_demap_matches_the_per_axis_slicing_rule_bit_for_bit(order):
     side = int(round(np.sqrt(order)))
     scale = np.sqrt(wf.qam_energy(order))
     bits = rng.integers(0, 2, size=int(np.log2(order)) * 3000)
-    noisy = wf.qam_map(bits, order) + 0.3 / scale * (
+    noisy = _mapped(bits, order) + 0.3 / scale * (
         rng.standard_normal(3000) + 1j * rng.standard_normal(3000))
     # Boundaries sit at even offsets of the scaled axis; each one and its
     # float neighbours, so some land on it exactly.
@@ -245,7 +250,8 @@ def test_demap_matches_the_per_axis_slicing_rule_bit_for_bit(order):
 def test_payload_score_is_the_same_in_blocks_of_any_size():
     rng = np.random.default_rng(5)
     ref_bits = rng.integers(0, 2, size=4 * 1001).astype(np.uint8)
-    tx = wf.qam_map(ref_bits, 16)
+    idx = wf.qam_indices(ref_bits, 16)
+    tx = wf.qam_points(16)[idx]
     eq = tx + 0.2 * (rng.standard_normal(1001) + 1j * rng.standard_normal(1001))
     bits = rx.demap(eq, 16)
     # The whole-array formulas, bit for bit.
@@ -254,11 +260,11 @@ def test_payload_score_is_the_same_in_blocks_of_any_size():
                            / np.mean(np.abs(tx) ** 2))))
     assert whole[0] > 0
     for step in (1, 7, 1000, len(tx)):
-        score = rx.PayloadScore(ref_bits, tx)
+        score = rx.PayloadScore(ref_bits, idx, 16)
         for i in range(0, len(tx), step):
             score.add(bits[4 * i:4 * (i + step)], eq[i:i + step])
         assert (score.ber(), score.evm()) == whole
-    short = rx.PayloadScore(ref_bits, tx)
+    short = rx.PayloadScore(ref_bits, idx, 16)
     short.add(bits[:-4], eq[:-1])
     with pytest.raises(ValueError, match="bit sequences"):
         short.ber()
@@ -266,6 +272,73 @@ def test_payload_score_is_the_same_in_blocks_of_any_size():
         short.evm()
     with pytest.raises(ValueError, match="symbol sequences"):
         short.add(bits[-4:], eq[-2:])
+
+
+class _StoredReferenceScore:
+    """The scorer the index lookup replaced, kept as its oracle: it holds
+    the transmitted symbols as one complex array."""
+
+    def __init__(self, ref_bits, tx_symbols):
+        self.ref_bits = np.ravel(ref_bits)
+        self.tx_symbols = np.ravel(tx_symbols)
+        self.bit_errors = 0
+        self.bits_added = self.symbols_added = 0
+        self.sq_errors = np.abs(self.tx_symbols)
+        np.square(self.sq_errors, out=self.sq_errors)
+        self.tx_power = np.mean(self.sq_errors)
+
+    def add(self, bits, eq_symbols):
+        bits, eq_symbols = np.ravel(bits), np.ravel(eq_symbols)
+        i, j = self.bits_added, self.symbols_added
+        ref = self.ref_bits[i:i + len(bits)]
+        tx = self.tx_symbols[j:j + len(eq_symbols)]
+        self.bit_errors += int(np.count_nonzero(bits != ref))
+        err = self.sq_errors[j:j + len(tx)]
+        for c in range(0, len(tx), rx.SCORE_CHUNK):
+            np.abs(eq_symbols[c:c + rx.SCORE_CHUNK]
+                   - tx[c:c + rx.SCORE_CHUNK], out=err[c:c + rx.SCORE_CHUNK])
+        np.square(err, out=err)
+        self.bits_added += len(bits)
+        self.symbols_added += len(tx)
+
+    def ber(self):
+        return self.bit_errors / len(self.ref_bits)
+
+    def evm(self):
+        return float(np.sqrt(np.mean(self.sq_errors) / self.tx_power))
+
+
+@pytest.mark.parametrize("order", [4, 16, 64])
+def test_payload_score_equals_the_stored_reference_scorer(order):
+    # Looking the reference up from one byte per symbol gives, with ==,
+    # the BER and EVM of the complex reference, in blocks of 1, 3 and all
+    # of a payload's 7 frames.
+    cfg = ScenarioConfig(qam_order=order)
+    d = derive_streams(cfg)
+    n_frames = 7
+    bits_per_frame = wf.frame_bits(len(d.data_bins), order)
+    per_frame = bits_per_frame // int(np.log2(order))
+    rng = np.random.default_rng(order)
+    ref_bits = rng.integers(0, 2, size=n_frames * bits_per_frame,
+                            dtype=np.uint8)
+    idx = wf.qam_indices(ref_bits, order)
+    tx = _mapped(ref_bits, order)
+    scale = np.sqrt(wf.qam_energy(order))
+    eq = tx + 0.4 / scale * (rng.standard_normal(len(tx))
+                             + 1j * rng.standard_normal(len(tx)))
+    bits = rx.demap(eq, order)
+    scores = set()
+    for frames in (1, 3, n_frames):
+        new = rx.PayloadScore(ref_bits, idx, order)
+        old = _StoredReferenceScore(ref_bits, tx)
+        for f in range(0, n_frames, frames):
+            sym = slice(f * per_frame, (f + frames) * per_frame)
+            bit = slice(f * bits_per_frame, (f + frames) * bits_per_frame)
+            for score in (new, old):
+                score.add(bits[bit], eq[sym])
+        assert (new.ber(), new.evm()) == (old.ber(), old.evm())
+        scores.add((new.ber(), new.evm()))
+    assert len(scores) == 1 and next(iter(scores))[0] > 0
 
 
 def test_equalize_demap_rejects_zero_estimate():
@@ -277,29 +350,30 @@ def test_equalize_demap_rejects_zero_estimate():
                           d.data_bins, cfg.qam_order)
 
 
-def _score(bits, ref_bits, eq, tx):
+def _score(bits, ref_bits, eq, tx_indices, order=4):
     """(BER, EVM) of one block through PayloadScore."""
-    score = rx.PayloadScore(ref_bits, tx)
+    score = rx.PayloadScore(ref_bits, tx_indices, order)
     score.add(bits, eq)
     return score.ber(), score.evm()
 
 
 def test_ber_trivial_cases():
     bits = np.array([0, 1, 1, 0])
-    tx = wf.qam_map(bits, 4)
-    assert _score(bits, bits, tx, tx)[0] == 0.0
-    assert _score(bits, 1 - bits, tx, tx)[0] == 1.0
+    idx = wf.qam_indices(bits, 4)
+    tx = wf.qam_points(4)[idx]
+    assert _score(bits, bits, tx, idx)[0] == 0.0
+    assert _score(bits, 1 - bits, tx, idx)[0] == 1.0
     assert _score(np.array([0, 0, 1, 1]), np.array([0, 0, 0, 0]),
-                  tx, tx)[0] == 0.5
+                  tx, idx)[0] == 0.5
     with pytest.raises(ValueError):
-        _score(bits, bits[:-1], tx, tx)
+        _score(bits, bits[:-1], tx, idx)
 
 
 def test_evm_rms_known_offset():
-    tx = np.array([1.0 + 0.0j, -1.0 + 0.0j])
-    eq = tx + 0.1
-    bits = np.zeros(2, dtype=np.uint8)
-    assert _score(bits, bits, eq, tx)[1] == pytest.approx(0.1, rel=1e-12)
+    idx = np.array([0, 3], dtype=np.uint8)
+    eq = wf.qam_points(4)[idx] + 0.1
+    bits = np.zeros(4, dtype=np.uint8)
+    assert _score(bits, bits, eq, idx)[1] == pytest.approx(0.1, rel=1e-12)
 
 
 def test_qpsk_awgn_ber_matches_q_function():
@@ -308,7 +382,7 @@ def test_qpsk_awgn_ber_matches_q_function():
     rng = np.random.default_rng(20)
     n_bits = 1_000_000
     bits = rng.integers(0, 2, size=n_bits)
-    syms = wf.qam_map(bits, 4)
+    syms = _mapped(bits, 4)
     es_n0 = 2.0 * 10.0 ** 0.6
     add_awgn(syms, 10.0 * np.log10(es_n0), rng)  # unit power
     measured = float(np.mean(rx.demap(syms, 4) != bits))

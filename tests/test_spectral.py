@@ -114,10 +114,17 @@ def test_method1_view_static_is_dc_only():
     rngs = rng_streams(cfg.seed)
     csi = pl.simulate_csi(cfg, d, pl.build_channel(cfg, d, rngs.walker),
                           rngs.noise)
-    s, _ = pl.VIEWS["method1"](csi, cfg)
+    take, build = pl.VIEWS["method1"]
+    s, _ = build(take(csi, cfg), cfg)
     near_dc = np.abs(s.freqs_hz) <= 5.0  # window mainlobe around DC
     assert np.sum(s.power[near_dc]) / np.sum(s.power) > 0.999
     assert np.all(s.freqs_hz[np.argmax(s.power, axis=0)] == 0.0)
+
+
+def _method2(series, window_len=W, hop=HOP, n_fft=None, window_kind="hann"):
+    """The method-2 spectrogram of series: its frame sums, transformed."""
+    return sp.method2_spectrogram(
+        sp.method2_view(series, window_len, hop, window_kind), n_fft)
 
 
 def _mover_series(f_d, duration=2.0, rate=1000.0, gain=0.3, n_k=4,
@@ -131,7 +138,7 @@ def _mover_series(f_d, duration=2.0, rate=1000.0, gain=0.3, n_k=4,
 def test_method2_static_channel_is_empty_after_mean_removal():
     series = _series(np.full((4, 2000), 0.7 + 0.2j))
     for view in (series, _power(series)):
-        s = sp.method2_view(view, W, HOP)
+        s = _method2(view)
         assert np.max(s.power) < 1e-18
         assert np.min(s.power) >= 0.0
 
@@ -141,7 +148,7 @@ def test_method2_single_mover_ridge_at_doppler():
     series = _mover_series(f_d)
     bin_width = None
     for view in (series, _power(series)):
-        s = sp.method2_view(view, W, HOP)
+        s = _method2(view)
         bin_width = s.freqs_hz[1] - s.freqs_hz[0]
         track = sp.peak_doppler_track(s)
         # the power view sees the beat against the LoS at +-f_d
@@ -154,8 +161,8 @@ def test_method2_power_view_blind_to_unit_modulus_spoofing():
     series = _mover_series(15.5)
     ramp = np.exp(2j * np.pi * 300.0 * series.t_s)
     spoofed = _series(series.h_hat * ramp[None, :])
-    a = sp.method2_view(_power(series), W, HOP)
-    b = sp.method2_view(_power(spoofed), W, HOP)
+    a = _method2(_power(series))
+    b = _method2(_power(spoofed))
     np.testing.assert_allclose(a.power, b.power, atol=1e-12)
 
 
@@ -163,7 +170,7 @@ def test_method2_complex_view_shifts_under_spoofing():
     series = _mover_series(15.5, los=0.0)
     ramp = np.exp(-2j * np.pi * 300.0 * series.t_s)
     spoofed = _series(series.h_hat * ramp[None, :])
-    s = sp.method2_view(spoofed, W, HOP)
+    s = _method2(spoofed)
     track = sp.peak_doppler_track(s)
     bin_width = s.freqs_hz[1] - s.freqs_hz[0]
     assert np.all(np.abs(track - (15.5 - 300.0)) <= bin_width)
@@ -221,7 +228,7 @@ def test_method2_matches_direct_stft_mean(kwargs):
             "window_kind": "hann", **kwargs}
     power = args.pop("power", False)
     series = _power(_busy_series()) if power else _busy_series()
-    s = sp.method2_view(series, **args)
+    s = _method2(series, **args)
     ref = _method2_direct(series, **args)
     assert s.power.shape == ref.shape
     np.testing.assert_allclose(s.power, ref, rtol=1e-12,
@@ -240,7 +247,7 @@ def test_method2_matches_direct_stft_mean(kwargs):
 
 def _views(series):
     """The method-2 view of series and the STFT of its first subcarrier."""
-    return (sp.method2_view(series, W, HOP),
+    return (_method2(series),
             sp.stft(series.h_hat[0], series.csi_rate_hz, W, HOP))
 
 
@@ -348,8 +355,8 @@ def test_peak_track_constant_tone():
 
 def test_peak_track_speed_ratio():
     f0 = 5.8e9 / 299_792_458.0
-    slow = sp.method2_view(_mover_series(f0 * 0.8, los=0.0), W, HOP)
-    fast = sp.method2_view(_mover_series(f0 * 1.5, los=0.0), W, HOP)
+    slow = _method2(_mover_series(f0 * 0.8, los=0.0))
+    fast = _method2(_mover_series(f0 * 1.5, los=0.0))
     r = np.max(np.abs(sp.peak_doppler_track(fast))) \
         / np.max(np.abs(sp.peak_doppler_track(slow)))
     assert r == pytest.approx(1.875, rel=0.3)

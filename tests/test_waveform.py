@@ -5,19 +5,46 @@ from dopplerveil import waveform as wf
 from dopplerveil.scenario import ScenarioConfig, derive_streams
 
 
+def _mapped(bits, order):
+    """The QAM symbols of bits: their indices looked up in the points."""
+    return wf.qam_points(order)[wf.qam_indices(bits, order)]
+
+
+def _qam_map_oracle(bits, order):
+    """The complex mapping the indices replaced, kept as their oracle:
+    each axis index built in bytes, then looked up in the scaled levels."""
+    bits = np.asarray(bits, dtype=np.uint8).ravel()
+    b = int(np.log2(order))
+    half = b // 2
+    words = bits.reshape(-1, b)
+    levels = wf._axis_levels(order) * (1.0 / np.sqrt(wf.qam_energy(order)))
+    syms = np.empty(len(words), dtype=complex)
+    for axis, first in ((syms.real, 0), (syms.imag, half)):
+        idx = words[:, first].copy()
+        for j in range(first + 1, first + half):
+            idx <<= 1
+            idx |= words[:, j]
+        axis[...] = levels[idx]
+    return syms
+
+
 def test_qpsk_corners():
-    assert wf.qam_map([0, 0], 4)[0] == pytest.approx((1 + 1j) / np.sqrt(2))
-    assert wf.qam_map([1, 1], 4)[0] == pytest.approx((-1 - 1j) / np.sqrt(2))
-    assert wf.qam_map([0, 1], 4)[0] == pytest.approx((1 - 1j) / np.sqrt(2))
-    assert wf.qam_map([1, 0], 4)[0] == pytest.approx((-1 + 1j) / np.sqrt(2))
+    assert _mapped([0, 0], 4)[0] == pytest.approx((1 + 1j) / np.sqrt(2))
+    assert _mapped([1, 1], 4)[0] == pytest.approx((-1 - 1j) / np.sqrt(2))
+    assert _mapped([0, 1], 4)[0] == pytest.approx((1 - 1j) / np.sqrt(2))
+    assert _mapped([1, 0], 4)[0] == pytest.approx((-1 + 1j) / np.sqrt(2))
+
+
+def _every_word(order):
+    """Every bit word of order's symbols once, MSB first, in word order."""
+    b = int(np.log2(order))
+    return ((np.arange(order)[:, None] >> np.arange(b - 1, -1, -1))
+            & 1).ravel()
 
 
 @pytest.mark.parametrize("order", [4, 16, 64])
 def test_constellation_unit_average_energy(order):
-    # every bit word once, MSB first
-    b = int(np.log2(order))
-    words = (np.arange(order)[:, None] >> np.arange(b - 1, -1, -1)) & 1
-    points = wf.qam_map(words.ravel(), order)
+    points = _mapped(_every_word(order), order)
     assert len(points) == order
     assert len(set(np.round(points, 12))) == order
     assert np.mean(np.abs(points) ** 2) == pytest.approx(1.0, abs=1e-12)
@@ -36,14 +63,21 @@ def test_map_demap_roundtrip(order):
     from dopplerveil.receiver import demap
     rng = np.random.default_rng(3)
     bits = rng.integers(0, 2, size=1200 * int(np.log2(order)))
-    assert np.array_equal(demap(wf.qam_map(bits, order), order), bits)
+    assert np.array_equal(demap(_mapped(bits, order), order), bits)
 
 
 @pytest.mark.parametrize("order", [4, 16, 64])
 def test_qam_map_matches_the_word_formula_bit_for_bit(order):
-    # The byte-wide mapping gives the bits of the int64 word mapping it
-    # replaced: (levels[i] + 1j levels[q]) / sqrt(E).
+    # The indices looked up in the points give the bits of the complex
+    # byte-wide mapping they replaced, on every bit word, and of the int64
+    # word mapping before it: (levels[i] + 1j levels[q]) / sqrt(E).
     b = int(np.log2(order))
+    words = _every_word(order)
+    np.testing.assert_array_equal(wf.qam_indices(words, order),
+                                  np.arange(order))
+    assert wf.qam_indices(words, order).dtype == np.uint8
+    np.testing.assert_array_equal(_mapped(words, order),
+                                  _qam_map_oracle(words, order))
     bits = np.random.default_rng(order).integers(0, 2, size=b * 999)
     words = bits.reshape(-1, b)
     weights = 1 << np.arange(b // 2 - 1, -1, -1)
@@ -51,16 +85,18 @@ def test_qam_map_matches_the_word_formula_bit_for_bit(order):
     expected = (levels[words[:, :b // 2] @ weights]
                 + 1j * levels[words[:, b // 2:] @ weights]) \
         * (1.0 / np.sqrt(wf.qam_energy(order)))
-    np.testing.assert_array_equal(wf.qam_map(bits.astype(np.uint8), order),
+    np.testing.assert_array_equal(_qam_map_oracle(bits, order), expected)
+    np.testing.assert_array_equal(_mapped(bits.astype(np.uint8), order),
                                   expected)
-    np.testing.assert_array_equal(wf.qam_map(bits, order), expected)
+    np.testing.assert_array_equal(_mapped(bits, order), expected)
 
 
 def test_qam_map_rejects_bad_input():
     with pytest.raises(ValueError):
-        wf.qam_map([0, 1, 0], 4)  # not a multiple of 2 bits
-    with pytest.raises(ValueError):
-        wf.qam_map([0, 1], 8)
+        wf.qam_indices([0, 1, 0], 4)  # not a multiple of 2 bits
+    for bad in (lambda: wf.qam_indices([0, 1], 8), lambda: wf.qam_points(8)):
+        with pytest.raises(ValueError, match="unsupported QAM order"):
+            bad()
 
 
 def test_single_tone_idft():
@@ -156,7 +192,8 @@ def test_frame_stream_payload_layout():
     d = derive_streams(cfg)
     n_data_sym = wf.DATA_SYMBOLS_PER_FRAME
     bits = _frame_bits(cfg, d, 1)
-    grid, syms = wf.frame_stream(cfg, d, payload_bits=bits)
+    grid, idx = wf.frame_stream(cfg, d, payload_bits=bits)
+    syms = wf.qam_points(cfg.qam_order)[idx]
     values = _bodies(cfg, grid)
     assert values.shape[1] == wf.PREAMBLE_SYMBOLS + n_data_sym
     table = wf.known_symbol_table(cfg.n_subcarriers, d.used_bins)
@@ -166,7 +203,8 @@ def test_frame_stream_payload_layout():
         values[d.pilot_bins, wf.PREAMBLE_SYMBOLS:],
         np.tile(table[d.pilot_bins][:, None], (1, n_data_sym)))
     assert np.all(grid.kinds[d.data_bins, wf.PREAMBLE_SYMBOLS:] == wf.KIND_DATA)
-    np.testing.assert_array_equal(syms, wf.qam_map(bits, cfg.qam_order))
+    assert idx.dtype == np.uint8
+    np.testing.assert_array_equal(syms, _qam_map_oracle(bits, cfg.qam_order))
     np.testing.assert_array_equal(
         values[d.data_bins, wf.PREAMBLE_SYMBOLS:],
         syms.reshape(n_data_sym, -1).T)
@@ -195,6 +233,21 @@ def test_frame_stream_puts_preambles_at_frame_starts():
         n = len(one_syms)
         np.testing.assert_array_equal(syms[f * n:(f + 1) * n], one_syms)
     assert len(syms) == 3 * n
+
+
+def test_frame_stream_rows_do_not_depend_on_the_frame_block(monkeypatch):
+    # 5 frames in one block, or in blocks of 1, 2 and 3 with a short last
+    # block: the same rows and indices.
+    cfg = ScenarioConfig()
+    d = derive_streams(cfg)
+    bits = _frame_bits(cfg, d, 5)
+    monkeypatch.setattr(wf, "FRAME_BLOCK", 5)
+    whole, idx = wf.frame_stream(cfg, d, bits)
+    for block in (1, 2, 3):
+        monkeypatch.setattr(wf, "FRAME_BLOCK", block)
+        grid, block_idx = wf.frame_stream(cfg, d, bits)
+        np.testing.assert_array_equal(grid.rows, whole.rows)
+        np.testing.assert_array_equal(block_idx, idx)
 
 
 def test_frame_stream_short_payload_rejected():
