@@ -235,18 +235,49 @@ def method2_spectrogram(sums: FrameSums,
     return _spectrogram(power, sums.rate_hz, sums.times_s)
 
 
+def _row_blocks(power: np.ndarray) -> list:
+    """power's blocks of rows, about _textfmt.BLOCK_VALUES values each, each
+    transposed: a spectrogram's power is the transpose of a (frame, bin)
+    array, which a copy of a block then reads in memory order."""
+    step = max(1, _textfmt.BLOCK_VALUES // max(1, power.shape[1]))
+    return [power[i:i + step].T for i in range(0, len(power), step)]
+
+
+def _work(buf: np.ndarray, block: np.ndarray) -> np.ndarray:
+    """buf's first values as a C-contiguous array of block's shape."""
+    return buf[:block.size].reshape(block.shape)
+
+
 def spectrogram_correlation(a: Spectrogram, b: Spectrogram) -> float:
-    """Normalized inner product of mean-removed power matrices, clamped to [0,1]."""
+    """Normalized inner product of mean-removed power matrices, clamped to [0,1].
+
+    The means and the three sums are taken a block of rows at a time: each
+    block is copied, centred, into one buffer layout and summed by the same
+    pairwise np.sum (not BLAS), and the block sums are added in row order.
+    So the result depends neither on either array's memory layout nor on
+    the BLAS thread count, and identical spectrograms give exactly 1.
+    """
     if a.power.shape != b.power.shape:
         raise ValueError("spectrogram dimensions differ")
-    am = a.power - a.power.mean()
-    bm = b.power - b.power.mean()
-    # All three sums are the same pairwise np.sum, not BLAS: the result does
-    # not depend on the BLAS thread count, and identical spectrograms give
-    # exactly 1.
-    ab = np.sum(am * bm)
-    aa = np.sum(am * am)
-    bb = np.sum(bm * bm)
+    xs, ys = _row_blocks(a.power), _row_blocks(b.power)
+    bufs = np.empty((2, xs[0].size))
+
+    def centred(rows, shift, buf):
+        return np.subtract(rows, shift, out=_work(buf, rows))
+
+    def mean(blocks):
+        return sum(np.sum(centred(rows, 0.0, bufs[0]))
+                   for rows in blocks) / a.power.size
+
+    mean_a, mean_b = mean(xs), mean(ys)
+    ab = aa = bb = 0.0
+    for x, y in zip(xs, ys):
+        am = centred(x, mean_a, bufs[0])
+        bm = centred(y, mean_b, bufs[1])
+        ab += np.sum(np.multiply(am, bm, out=bm))
+        aa += np.sum(np.square(am, out=am))
+        bm = centred(y, mean_b, bufs[1])
+        bb += np.sum(np.square(bm, out=bm))
     if aa == 0 or bb == 0:
         raise ValueError("zero-energy spectrogram")
     return float(np.clip(ab / math.sqrt(aa * bb), 0.0, 1.0))
@@ -311,25 +342,35 @@ def save_spectrogram_pgm(s: Spectrogram, path) -> None:
     """8-bit PGM quick-look: row 0 = highest frequency, linear in dB.
 
     Values map PGM_FLOOR_DB..0 dB (relative to the matrix peak) onto 0..255.
+    The image is mapped and written a block of rows at a time.
     """
     peak = s.power.max()
     if peak <= 0:
         raise ValueError("zero-energy spectrogram")
-    with np.errstate(divide="ignore"):
-        db = 10.0 * np.log10(np.maximum(s.power / peak, 1e-300))
-    img = np.clip((db - PGM_FLOOR_DB) / (-PGM_FLOOR_DB), 0.0, 1.0)
-    pix = np.round(img[::-1, :] * 255).astype(np.uint8)
-    h, w = pix.shape[0], pix.shape[1]
+    h, w = s.power.shape
+    blocks = _row_blocks(s.power[::-1])
+    buf = np.empty(blocks[0].size)
     with open(path, "wb") as fh:
         fh.write(f"P5\n{w} {h}\n255\n".encode("ascii"))
-        fh.write(pix.tobytes())
+        for rows in blocks:
+            db = np.divide(rows, peak, out=_work(buf, rows))
+            np.maximum(db, 1e-300, out=db)
+            np.log10(db, out=db)
+            db *= 10.0
+            db -= PGM_FLOOR_DB
+            db /= -PGM_FLOOR_DB
+            np.clip(db, 0.0, 1.0, out=db)
+            db *= 255
+            # db is the rows' transpose; the image is row-major.
+            fh.write(np.rint(db, out=db).astype(np.uint8).T.tobytes())
 
 
 def load_spectrogram_csv(path) -> Spectrogram:
+    """save_spectrogram_csv's file; the power and frequencies are views of
+    the one table read, so no second spectrogram-sized copy is kept."""
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().strip().split(",")
         times = np.array([float(v) for v in header[1:]])
         table = np.loadtxt(fh, delimiter=",", ndmin=2)
-    # Contiguous, so sums over it round as they did over a row-built array.
-    power = np.ascontiguousarray(table[:, 1:])
-    return Spectrogram(power=power, freqs_hz=table[:, 0], times_s=times)
+    return Spectrogram(power=table[:, 1:], freqs_hz=table[:, 0],
+                       times_s=times)

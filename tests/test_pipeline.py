@@ -481,22 +481,11 @@ def test_method1_series_is_parseval_form_of_rx_times_conj_tx(obf):
     np.testing.assert_allclose(m1.t0, mid[0], rtol=1e-12)
 
 
-def _traced_peak(fn, *args, **kwargs):
-    """fn's result and the peak memory it allocates beyond what is held."""
-    tracemalloc.start()
-    try:
-        held = tracemalloc.get_traced_memory()[0]
-        result = fn(*args, **kwargs)
-        return result, tracemalloc.get_traced_memory()[1] - held
-    finally:
-        tracemalloc.stop()
-
-
 @pytest.mark.parametrize("obf", [
     Obfuscation(),
     Obfuscation(kind="smear", delta_f_hz=200.0, f_m_hz=10.0),
     Obfuscation(kind="spoof", v_sp_mps=5.0)], ids=["none", "smear", "spoof"])
-def test_simulate_csi_works_in_one_probe_grid(obf, monkeypatch):
+def test_simulate_csi_works_in_one_probe_grid(obf, monkeypatch, traced_peak):
     # The pass builds the grid a chunk of about TIME_CHUNK probes at a time
     # and copies every ratio-th probe into the CSI series: with the CFR grid
     # given or evaluated, its peak stays within 0.7 grids, here half a grid
@@ -515,8 +504,8 @@ def test_simulate_csi_works_in_one_probe_grid(obf, monkeypatch):
     results = []
 
     def traced(given):
-        result, peak = _traced_peak(pl.simulate_csi, cfg, d, chan,
-                                    rng_streams(cfg.seed).noise, h=given)
+        result, peak, _ = traced_peak(pl.simulate_csi, cfg, d, chan,
+                                      rng_streams(cfg.seed).noise, h=given)
         assert peak <= 0.7 * grid_nbytes, (given is None, peak / grid_nbytes)
         results.append(result)
 
@@ -629,7 +618,7 @@ def test_simulate_csi_chunks_hold_the_whole_grid(monkeypatch):
     Obfuscation(),
     Obfuscation(kind="smear", delta_f_hz=200.0, f_m_hz=10.0),
     Obfuscation(kind="spoof", v_sp_mps=5.0)], ids=["none", "smear", "spoof"])
-def test_demod_pass_works_in_one_sample_buffer(obf):
+def test_demod_pass_works_in_one_sample_buffer(obf, traced_peak):
     # The pass maps the payload into one (symbol, CP + body) sample buffer
     # and spoofs, propagates, modulates, demodulates and pilot-corrects in
     # it, in place.  Beside it the pass holds the payload bits and the EVM
@@ -656,8 +645,8 @@ def test_demod_pass_works_in_one_sample_buffer(obf):
     bits = n_frames * bits_per_frame
     cfr_chunk = pl.obfuscator.TIME_CHUNK * n * 16
     squared_errors = data_symbols * 8
-    _, peak = _traced_peak(pl.simulate_demod, cfg, d, chan,
-                           rng_streams(cfg.seed))
+    _, peak, _ = traced_peak(pl.simulate_demod, cfg, d, chan,
+                             rng_streams(cfg.seed))
     assert peak <= (buffer + reference + bits
                     + max(cfr_chunk, squared_errors) + 1e6), peak / buffer
 

@@ -1,3 +1,4 @@
+import math
 import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
@@ -6,7 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from dopplerveil import _shares
+from dopplerveil import _shares, _textfmt
 from dopplerveil import spectral as sp
 from dopplerveil.receiver import CfrSeries
 
@@ -305,7 +306,7 @@ def test_correlation_properties():
     rng = np.random.default_rng(17)
     x = rng.standard_normal(2000) + 1j * rng.standard_normal(2000)
     a = sp.stft(x, 1000.0, window_len=256, hop=64)
-    assert sp.spectrogram_correlation(a, a) == pytest.approx(1.0)
+    assert sp.spectrogram_correlation(a, a) == 1.0
     scaled = sp.Spectrogram(power=3.0 * a.power, freqs_hz=a.freqs_hz,
                             times_s=a.times_s)
     assert sp.spectrogram_correlation(a, scaled) == pytest.approx(1.0)
@@ -313,8 +314,8 @@ def test_correlation_properties():
     b = sp.stft(y, 1000.0, window_len=256, hop=64)
     assert a.power.size >= 1e4
     assert sp.spectrogram_correlation(a, b) < 0.1
-    assert sp.spectrogram_correlation(a, b) == pytest.approx(
-        sp.spectrogram_correlation(b, a))
+    assert sp.spectrogram_correlation(a, b) \
+        == sp.spectrogram_correlation(b, a)
 
 
 def test_correlation_validates_inputs():
@@ -362,15 +363,14 @@ def test_peak_track_speed_ratio():
     assert r == pytest.approx(1.875, rel=0.3)
 
 
-def test_peak_track_is_the_whole_matrix_search_a_frame_block_at_a_time():
+def test_peak_track_is_the_whole_matrix_search_a_frame_block_at_a_time(
+        traced_peak):
     # The track searches the (frame, bin) rows FRAME_BLOCK frames at a
     # time; it must give the indices of the search over the whole (bin,
     # frame) matrix, kept here as the reference: DC excluded, a tie taking
     # the lower bin.  Small integer powers tie everywhere, and some frames
     # get a planted tie across DC, one within the bins below it, or their
     # peak at DC.  No block's copy may grow with the number of frames.
-    import tracemalloc
-
     def whole(s):
         dc = int(np.argmin(np.abs(s.freqs_hz)))
         below, above = s.power[:dc], s.power[dc + 1:]
@@ -389,12 +389,7 @@ def test_peak_track_is_the_whole_matrix_search_a_frame_block_at_a_time():
     frames[2::3, dc] = 20.0  # at DC
     s = sp._spectrogram(frames, 2000.0, np.arange(len(frames)) * 0.05)
     assert s.freqs_hz[dc] == 0.0 and len(frames) > 10 * sp.FRAME_BLOCK
-    tracemalloc.start()
-    try:
-        track = sp.peak_doppler_track(s)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    track, peak, _ = traced_peak(sp.peak_doppler_track, s)
     np.testing.assert_array_equal(track, whole(s))
     np.testing.assert_array_equal(track[:6:3], s.freqs_hz[100])
     np.testing.assert_array_equal(track[1:6:3], s.freqs_hz[200])
@@ -428,3 +423,82 @@ def test_spectrogram_pgm_format(tmp_path):
     peak_row, _ = np.unravel_index(np.argmax(pixels), pixels.shape)
     freq_of_row = s.freqs_hz[::-1][peak_row]
     assert freq_of_row == pytest.approx(100.0, abs=s.freqs_hz[1] - s.freqs_hz[0])
+
+
+def _ref_pgm(s):
+    """The PGM as the whole-array formula writes it, the reference."""
+    peak = s.power.max()
+    with np.errstate(divide="ignore"):
+        db = 10.0 * np.log10(np.maximum(s.power / peak, 1e-300))
+    img = np.clip((db - sp.PGM_FLOOR_DB) / (-sp.PGM_FLOOR_DB), 0.0, 1.0)
+    pix = np.round(img[::-1, :] * 255).astype(np.uint8)
+    h, w = pix.shape
+    return f"P5\n{w} {h}\n255\n".encode("ascii") + pix.tobytes()
+
+
+def _ref_correlation(a, b):
+    """The whole-array correlation, summed over each array as it lies."""
+    am = a.power - a.power.mean()
+    bm = b.power - b.power.mean()
+    ab, aa, bb = np.sum(am * bm), np.sum(am * am), np.sum(bm * bm)
+    return float(np.clip(ab / math.sqrt(aa * bb), 0.0, 1.0))
+
+
+def _random_spectrogram(rng, n_bins, n_frames):
+    """A spectrogram whose power is, as stft's, the transpose of a
+    C-contiguous (frame, bin) array."""
+    frames = rng.random((n_frames, n_bins)) ** 3
+    return sp._spectrogram(frames, 2000.0, np.arange(n_frames) * 0.05)
+
+
+@pytest.mark.parametrize("shape, block", [
+    ((4096, 391), None), ((1, 391), None), ((300, 7), None), ((50, 13), 97)],
+    ids=["long", "one-row", "floor", "small-blocks"])
+def test_pgm_bytes_are_the_whole_array_formula(tmp_path, monkeypatch, shape,
+                                               block):
+    # 4096 rows are no multiple of a block's 167 rows, nor 50 of 7; the
+    # "floor" image has exact zeros and values exactly at the -60 dB floor.
+    if block is not None:
+        monkeypatch.setattr(_textfmt, "BLOCK_VALUES", block)
+    s = _random_spectrogram(np.random.default_rng(8), *shape)
+    if shape == (300, 7):
+        s.power[::5] = 0.0
+        s.power[1::5] = s.power.max() * 1e-6
+    path = tmp_path / "s.pgm"
+    sp.save_spectrogram_pgm(s, path)
+    assert path.read_bytes() == _ref_pgm(s)
+
+
+def test_correlation_is_the_whole_array_formula():
+    # The block sums round differently, but within 1e-12 of the whole-array
+    # formula, in any memory layout; identical values give exactly 1.
+    rng = np.random.default_rng(10)
+    for shape in ((4096, 391), (4096, 31), (1, 50), (97, 1)):
+        a = _random_spectrogram(rng, *shape)
+        b = _random_spectrogram(rng, *shape)
+        b.power[:] += 0.5 * a.power
+        c = replace(b, power=np.ascontiguousarray(b.power))
+        got = sp.spectrogram_correlation(a, b)
+        assert got > 0.1
+        assert got == pytest.approx(_ref_correlation(a, b), rel=0, abs=1e-12)
+        assert sp.spectrogram_correlation(a, c) == got
+        same = replace(a, power=np.ascontiguousarray(a.power))
+        assert sp.spectrogram_correlation(a, same) == 1.0
+
+
+def test_pgm_correlation_and_loader_hold_one_block(tmp_path, traced_peak):
+    # A 20 s run's method-1 spectrogram: the PGM writer and the correlation
+    # allocate about one block of rows, not spectrogram-sized temporaries,
+    # and a loaded spectrogram keeps one table, not a second copy of it.
+    rng = np.random.default_rng(11)
+    a = _random_spectrogram(rng, 4096, 391)
+    b = _random_spectrogram(rng, 4096, 391)
+    nbytes = a.power.nbytes
+    _, peak, _ = traced_peak(sp.save_spectrogram_pgm, a, tmp_path / "a.pgm")
+    assert peak <= 0.1 * nbytes, peak / nbytes
+    _, peak, _ = traced_peak(sp.spectrogram_correlation, a, b)
+    assert peak <= 0.1 * nbytes, peak / nbytes
+    sp.save_spectrogram_csv(a, tmp_path / "a.csv")
+    back, _, held = traced_peak(sp.load_spectrogram_csv, tmp_path / "a.csv")
+    assert back.power.shape == a.power.shape
+    assert held <= 1.05 * nbytes, held / nbytes

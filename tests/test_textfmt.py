@@ -5,7 +5,6 @@ reader the vectorised code replaced; they are the golden reference for the
 artifact bytes.
 """
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -161,17 +160,6 @@ def test_textfmt_defines_no_public_callable():
             if callable(value) and not name.startswith("_")] == []
 
 
-def _traced_peak(write, obj, path) -> int:
-    _textfmt._tables()  # built once on first use; not part of any write
-    tracemalloc.start()
-    try:
-        held = tracemalloc.get_traced_memory()[0]
-        write(obj, path)
-        return tracemalloc.get_traced_memory()[1] - held
-    finally:
-        tracemalloc.stop()
-
-
 def _cfr_series(seconds):
     rng = np.random.default_rng(11)
     m = int(1000 * seconds)
@@ -193,15 +181,16 @@ def _tracks(seconds):
     return [ch.ScattererTrack(f"part-{i}", t, 5.0 + i * t) for i in range(6)]
 
 
-def test_writers_peak_memory_is_a_few_blocks(tmp_path):
+def test_writers_peak_memory_is_a_few_blocks(tmp_path, traced_peak):
     # The writers' peak traced allocation is a few blocks' worth of float64
     # temporaries and row buffers, whatever the series length: a 20 s
     # series peaks no higher than a 2 s one.
     block = _textfmt.BLOCK_VALUES * 8
+    _textfmt._tables()  # built once on first use; not part of any write
     for write, make in ((rx.dump_cfr_csv, _cfr_series),
                         (sp.save_spectrogram_csv, _spectrogram),
                         (ch.dump_tracks, _tracks)):
-        short, long = (_traced_peak(write, make(s), tmp_path / "a.csv")
+        short, long = (traced_peak(write, make(s), tmp_path / "a.csv")[1]
                        for s in (2.0, 20.0))
         assert max(short, long) < 10 * block, write.__name__
         if write is not ch.dump_tracks:  # a 20 s track is still one block
